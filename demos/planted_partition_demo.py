@@ -8,16 +8,18 @@ Run:  python3 demos/planted_partition_demo.py
 
 from epinet.analysis import GridSettings, align_labels, order_rows, reference_settings, run_grid
 from epinet.community import Partition, compare_partitions, louvain
+from epinet.ingest import Panel
 from epinet.netbuild import build_network
 from epinet.synthetic import make_planted_cases
 from epinet.transform import to_exponent_series
 
 
 def main():
-    cases, planted_labels = make_planted_cases()
+    series, planted_labels = make_planted_cases()
+    cases = Panel.from_series(series)
     print(f"generated {len(cases)} synthetic regions in 3 groups")
 
-    exps = [to_exponent_series(s) for s in cases]
+    exps = to_exponent_series(cases)
     net = build_network(exps, rho=0.0)
     print(f"network: {net.n} nodes, {len(net.edges)} edges")
 

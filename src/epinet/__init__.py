@@ -1,7 +1,14 @@
 """Correlation-network community analysis of epidemic case-count time series."""
 
-from .ingest import CaseSeries, RegionKey, parse_cases_csv, restrict_date_range, select_regions
-from .transform import ExponentSeries, to_exponent_series
+from .ingest import (
+    CaseSeries,
+    Panel,
+    RegionKey,
+    parse_cases_csv,
+    restrict_date_range,
+    select_regions,
+)
+from .transform import to_exponent_series
 from .netbuild import (
     BuildSettings,
     CorrelationNetwork,

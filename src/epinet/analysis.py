@@ -1,15 +1,16 @@
 """Robustness grid, label alignment, community median curves, peak detection
 and the B-spline phase-space trajectory.
 
-A "dated sequence" throughout this module is a (dates, values) pair where
-values is a float array with NaN marking undefined days.
+Curves throughout this module are float arrays over one list of dates, with
+NaN marking undefined days.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from itertools import product
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .ingest import CaseSeries, RegionKey
+from .ingest import Panel, RegionKey
 from .netbuild import (
     BuildSettings,
     CorrelationNetwork,
@@ -29,7 +30,7 @@ from .netbuild import (
     fmt9,
 )
 from .community import Partition, louvain
-from .transform import ExponentSeries, to_exponent_series
+from .transform import to_exponent_series
 
 DEFAULT_RHO_VALUES = (0.0, 0.05, 0.1)
 DEFAULT_ALPHA_VALUES = (5.0, 7.0, 9.0)
@@ -77,37 +78,21 @@ class PhaseTrajectory:
     smoothed: np.ndarray  # (m, 3) sampled B-spline curve
 
 
-def _shared_axis(series: list[ExponentSeries]):
-    start = min(s.dates[0] for s in series)
-    end = max(s.dates[-1] for s in series)
-    n_days = (end - start).days + 1
-    dates = [start + timedelta(days=i) for i in range(n_days)]
-    vals = np.full((len(series), n_days), np.nan)
-    for r, s in enumerate(series):
-        off = (s.dates[0] - start).days
-        vals[r, off : off + len(s.values)] = np.where(s.defined, s.values, np.nan)
-    return dates, vals
+def median_curve(exps: Panel, members: set[RegionKey]) -> np.ndarray:
+    """Per-day median of the defined member exponents, on the panel's axis.
 
-
-def median_curve(exps: list[ExponentSeries], members: set[RegionKey]):
-    """Per-date median of the defined member exponents.
-
-    Returns (dates, values) with NaN where no member is defined that day.
-    Even member counts take the mean of the two central values.
+    NaN where no member is defined that day.  Even member counts take the
+    mean of the two central values.
     """
     if not members:
         raise ParameterError("member set is empty")
-    selected = [e for e in exps if e.key in members]
-    if not selected:
+    rows = np.array([k in members for k in exps.keys], dtype=bool)
+    if not rows.any():
         raise ParameterError("no series matches the member set")
-    dates, vals = _shared_axis(selected)
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
+    with warnings.catch_warnings():
         # all-NaN days are a legitimate "undefined" result, not a warning
-        _warnings.simplefilter("ignore", RuntimeWarning)
-        med = np.nanmedian(vals, axis=0)
-    return dates, med
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmedian(exps.values[rows], axis=0)
 
 
 def detect_peaks(dates: list[date], values: np.ndarray) -> list[date]:
@@ -125,14 +110,14 @@ def detect_peaks(dates: list[date], values: np.ndarray) -> list[date]:
 
 
 def run_cell(
-    cases: list[CaseSeries],
+    cases: Panel,
     settings: BuildSettings,
     seed: int = 0,
 ) -> GridCell:
     """One pipeline run: transform -> network -> community detection."""
     cell = GridCell(settings=settings)
     try:
-        exps = [to_exponent_series(s, alpha=settings.alpha) for s in cases]
+        exps = to_exponent_series(cases, alpha=settings.alpha)
         cell.network = build_network(
             exps, rho=settings.rho, measure=settings.measure, alpha=settings.alpha
         )
@@ -142,21 +127,10 @@ def run_cell(
     return cell
 
 
-def run_grid(
-    cases: list[CaseSeries],
-    grid: GridSettings,
-    jobs: int = 1,
-) -> list[GridCell]:
-    """Run every setting combination; per-cell failures are recorded, not
-    raised.  Results are in grid order regardless of ``jobs``."""
-    cells = grid.cells()
-    if jobs <= 1:
-        return [run_cell(cases, s, seed=grid.seed) for s in cells]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_cell, cases, s, grid.seed) for s in cells]
-        return [f.result() for f in futures]
+def run_grid(cases: Panel, grid: GridSettings) -> list[GridCell]:
+    """Run every setting combination in grid order; per-cell failures are
+    recorded, not raised."""
+    return [run_cell(cases, s, seed=grid.seed) for s in grid.cells()]
 
 
 def reference_settings(grid: GridSettings | None = None) -> BuildSettings:
@@ -251,23 +225,19 @@ def order_rows(matrix: MembershipMatrix) -> MembershipMatrix:
 
 
 def build_trajectory(
-    median1, median2, median3, samples_per_segment: int = 10
+    dates: list[date], median1, median2, median3, samples_per_segment: int = 10
 ) -> PhaseTrajectory:
-    """Raw 3D points on dates where all three community medians are defined,
-    plus the smoothed B-spline sample curve."""
-    per_curve = []
-    for dates, values in (median1, median2, median3):
-        per_curve.append(dict(zip(dates, np.asarray(values, dtype=float))))
-    common = [
-        d
-        for d in median1[0]
-        if all(d in pc and not np.isnan(pc[d]) for pc in per_curve)
-    ]
-    if not common:
+    """Raw 3D points on the dates where all three community medians (curves
+    over ``dates``) are defined, plus the smoothed B-spline sample curve."""
+    points = np.column_stack([median1, median2, median3]).astype(float)
+    common = ~np.isnan(points).any(axis=1)
+    if not common.any():
         raise InsufficientDataError("no date has all three community medians defined")
-    points = np.array([[pc[d] for pc in per_curve] for d in common])
+    points = points[common]
     smoothed = bspline_smooth(points, samples_per_segment=samples_per_segment)
-    return PhaseTrajectory(dates=common, points=points, smoothed=smoothed)
+    return PhaseTrajectory(
+        dates=[d for d, ok in zip(dates, common) if ok], points=points, smoothed=smoothed
+    )
 
 
 def _deboor(span: int, x: float, knots: np.ndarray, ctrl: np.ndarray, degree: int):
@@ -321,18 +291,14 @@ def write_membership_csv(matrix: MembershipMatrix, stream) -> None:
         writer.writerow([key.display] + ["" if lab is None else lab for lab in row])
 
 
-def write_medians_csv(medians: list, stream) -> None:
-    """``date,c1,c2,c3`` -- medians is a list of (dates, values) pairs."""
-    all_dates = sorted({d for dates, _ in medians for d in dates})
-    lookup = [dict(zip(dates, values)) for dates, values in medians]
+def write_medians_csv(dates: list[date], medians: list, stream) -> None:
+    """``date,c1,c2,c3`` -- one row per date; medians are curves over ``dates``."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["date"] + [f"c{i + 1}" for i in range(len(medians))])
-    for d in all_dates:
-        row = [d.isoformat()]
-        for lk in lookup:
-            v = lk.get(d, np.nan)
-            row.append("" if np.isnan(v) else fmt9(v))
-        writer.writerow(row)
+    for t, d in enumerate(dates):
+        writer.writerow(
+            [d.isoformat()] + ["" if np.isnan(m[t]) else fmt9(m[t]) for m in medians]
+        )
 
 
 def write_trajectory_csv(traj: PhaseTrajectory, stream) -> None:

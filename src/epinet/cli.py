@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, community, ingest, netbuild, transform
 from .errors import (
     CsvFormatError,
@@ -37,6 +39,7 @@ EXIT_STRUCTURE = 3
 
 INPUT_ERRORS = (
     FileNotFoundError,
+    IsADirectoryError,
     CsvFormatError,
     CsvParseError,
     DuplicateKeyError,
@@ -57,7 +60,6 @@ class RunConfig:
     rho: float = 0.0
     measure: SimilarityMeasure = SimilarityMeasure.PEARSON
     seed: int = 0
-    jobs: int = 1
 
     def as_dict(self) -> dict:
         return {
@@ -70,7 +72,6 @@ class RunConfig:
             "rho": self.rho,
             "measure": self.measure.value,
             "seed": self.seed,
-            "jobs": self.jobs,
         }
 
 
@@ -115,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--start", help="analysis start date, ISO (default 2020-01-22)")
         p.add_argument("--end", help="analysis end date, ISO (default 2022-05-29)")
         p.add_argument("--seed", type=int, help="community detection seed (default 0)")
-        p.add_argument("--jobs", type=int, help="max concurrent grid cells (default 1)")
         p.add_argument("--out", help="output directory")
     return parser
 
@@ -152,41 +152,31 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         rho=pick(args.rho, "rho", float, 0.0),
         measure=SimilarityMeasure(pick(args.measure, "measure", default="pearson")),
         seed=seed,
-        jobs=pick(args.jobs, "jobs", int, 1),
     )
 
 
-def load_cases(config: RunConfig) -> list[ingest.CaseSeries]:
+def load_cases(config: RunConfig) -> ingest.Panel:
     data = config.input_path.read_bytes()
     series = ingest.parse_cases_csv(data)
     if not series:
         raise InsufficientDataError("input contains no data rows")
-    clipped = []
-    for s in series:
-        # clamp the requested window to what the data provides
-        start = max(config.start, s.dates[0])
-        end = min(config.end, s.dates[-1])
-        if start > end:
-            continue
-        clipped.append(ingest.restrict_date_range(s, start, end))
-    if not clipped:
+    panel = ingest.Panel.from_series(series)
+    # clamp the requested window to what the data provides
+    start = max(config.start, panel.start)
+    end = min(config.end, panel.end)
+    if start > end:
         raise InsufficientDataError(
             f"no region overlaps the requested range {config.start}..{config.end}"
         )
-    # effective as_of: the requested end, clamped to what the data covers
-    as_of = min(config.end, max(s.dates[-1] for s in clipped))
+    panel = ingest.restrict_date_range(panel, start, end)
     selected = ingest.select_regions(
-        clipped, min_cumulative=config.min_cumulative, as_of=as_of
+        panel, min_cumulative=config.min_cumulative, as_of=end
     )
-    if not selected:
+    if not len(selected):
         raise InsufficientDataError(
             f"no region passes the selection filter (min_cases={config.min_cumulative})"
         )
     return selected
-
-
-def _transform_all(cases, alpha):
-    return [transform.to_exponent_series(s, alpha=alpha) for s in cases]
 
 
 def _write(path: Path, writer_fn) -> None:
@@ -198,21 +188,22 @@ def cmd_transform(config: RunConfig) -> int:
     import csv
 
     cases = load_cases(config)
-    exps = _transform_all(cases, config.alpha)
+    exps = transform.to_exponent_series(cases, alpha=config.alpha)
+    diffs = transform.daily_diffs(cases.values)
+    avgs = transform.moving_average_7(diffs)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write(config.output_dir / "selected.csv", lambda fh: ingest.write_long_csv(cases, fh))
+    days = [d.isoformat() for d in exps.dates]
     with (config.output_dir / "exponents.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["region", "date", "diff", "avg7", "exponent", "defined"])
-        for s, e in zip(cases, exps):
-            d_dates, diffs = transform.daily_diffs(s)
-            a_dates, avgs = transform.moving_average_7(d_dates, diffs)
-            diff_at = dict(zip(d_dates, diffs))
-            avg_at = dict(zip(a_dates, avgs))
-            for d, v, ok in zip(e.dates, e.values, e.defined):
+        # exponent day t is diff day t + WARMUP_DAYS - 1 and average day t + 1
+        rows = zip(exps.keys, diffs[:, transform.WARMUP_DAYS - 1 :], avgs[:, 1:], exps.values)
+        for key, d_row, a_row, e_row in rows:
+            for day, diff, avg, v in zip(days, d_row, a_row, e_row):
+                ok = not np.isnan(v)
                 writer.writerow(
-                    [e.key.display, d.isoformat(), fmt9(diff_at[d]), fmt9(avg_at[d]),
-                     fmt9(v), int(bool(ok))]
+                    [key.display, day, fmt9(diff), fmt9(avg), fmt9(v if ok else 0.0), int(ok)]
                 )
     _write_summary(config, config.output_dir / "summary.json", {"regions": len(exps)})
     return EXIT_OK
@@ -220,7 +211,7 @@ def cmd_transform(config: RunConfig) -> int:
 
 def _build(config: RunConfig):
     cases = load_cases(config)
-    exps = _transform_all(cases, config.alpha)
+    exps = transform.to_exponent_series(cases, alpha=config.alpha)
     net = netbuild.build_network(
         exps, rho=config.rho, measure=config.measure, alpha=config.alpha
     )
@@ -260,20 +251,21 @@ def cmd_pipeline(config: RunConfig) -> int:
 
     comms = part.communities()
     n_major = min(3, len(comms))
+    dates = exps.dates
     medians = []
     peaks_by_community = {}
     for label in range(n_major):
         members = {net.nodes[i] for i in comms[label]}
-        dates, values = analysis.median_curve(exps, members)
-        medians.append((dates, values))
+        values = analysis.median_curve(exps, members)
+        medians.append(values)
         peaks_by_community[label + 1] = analysis.detect_peaks(dates, values)
-    _write(out / "medians.csv", lambda fh: analysis.write_medians_csv(medians, fh))
+    _write(out / "medians.csv", lambda fh: analysis.write_medians_csv(dates, medians, fh))
     _write(out / "peaks.csv", lambda fh: analysis.write_peaks_csv(peaks_by_community, fh))
 
     trajectory_built = False
     if n_major == 3:
         try:
-            traj = analysis.build_trajectory(*medians)
+            traj = analysis.build_trajectory(dates, *medians)
         except InsufficientDataError:
             traj = None
         if traj is not None:
@@ -296,7 +288,7 @@ def cmd_pipeline(config: RunConfig) -> int:
 def cmd_grid(config: RunConfig) -> int:
     cases = load_cases(config)
     grid = analysis.GridSettings(seed=config.seed)
-    cells = analysis.run_grid(cases, grid, jobs=config.jobs)
+    cells = analysis.run_grid(cases, grid)
     reference = analysis.reference_settings()
 
     out = config.output_dir

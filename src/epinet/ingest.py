@@ -6,7 +6,9 @@ The expected input layout is the familiar wide table:
 
 with one row per region and one date column per day.  Regions are keyed by
 country plus optional province ("Country" or "Country: Province"); provinces
-are never aggregated into their country.
+are never aggregated into their country.  Parsing yields one ``CaseSeries``
+per row; ``Panel.from_series`` puts them on one date axis, and the window and
+selection filters work on that panel.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+
+import numpy as np
 
 from .errors import (
     CsvFormatError,
@@ -54,22 +58,48 @@ class CaseSeries:
     dates: list[date]
     cumulative: list[int]
 
-    def __post_init__(self):
-        if len(self.dates) != len(self.cumulative):
-            raise ValueError("dates and cumulative must have equal length")
-        if len(self.dates) < 2:
-            raise ValueError("a case series needs at least 2 days")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if b - a != timedelta(days=1):
-                raise ValueError(f"dates must be consecutive days, got {a} -> {b}")
 
-    def value_at(self, when: date) -> int:
-        idx = (when - self.dates[0]).days
-        if idx < 0 or idx >= len(self.dates):
-            raise DateRangeError(
-                f"{when} outside available range {self.dates[0]}..{self.dates[-1]}"
-            )
-        return self.cumulative[idx]
+@dataclass(eq=False)
+class Panel:
+    """Regions x days table on one date axis starting at ``start``.
+
+    ``values[r, t]`` belongs to region ``keys[r]`` on day ``start + t``; NaN
+    marks a day on which that region has no value.
+    """
+
+    keys: list[RegionKey]
+    start: date
+    values: np.ndarray  # (regions, days) float
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def days(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def end(self) -> date:
+        return self.start + timedelta(days=self.days - 1)
+
+    @property
+    def dates(self) -> list[date]:
+        return [self.start + timedelta(days=t) for t in range(self.days)]
+
+    @classmethod
+    def from_series(cls, series: list[CaseSeries]) -> Panel:
+        """Put the series on the axis spanning all of them; a region is NaN
+        outside its own date range.  Each series' dates must be consecutive."""
+        start = min(s.dates[0] for s in series)
+        end = max(s.dates[-1] for s in series)
+        axis = [start + timedelta(days=t) for t in range((end - start).days + 1)]
+        values = np.full((len(series), len(axis)), np.nan)
+        for row, s in zip(values, series):
+            off = (s.dates[0] - start).days
+            if s.dates != axis[off : off + len(s.dates)]:
+                raise ValueError(f"{s.key.display}: dates must be consecutive days")
+            row[off : off + len(s.dates)] = s.cumulative
+        return cls(keys=[s.key for s in series], start=start, values=values)
 
 
 def _parse_header_date(text: str, column: int) -> date:
@@ -86,12 +116,16 @@ def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
     """Parse a wide-format cumulative case CSV into one CaseSeries per row.
 
     Header dates may be M/D/YY (the upstream feed) or ISO YYYY-MM-DD
-    (synthetic fixtures).  Lat/Long are ignored.  Raises CsvFormatError for a
-    bad header, CsvParseError (with coordinates) for a bad cell, and
-    DuplicateKeyError when two rows key the same region.
+    (synthetic fixtures) and must be consecutive days.  Lat/Long are ignored.
+    Raises CsvFormatError for undecodable bytes or a bad header, CsvParseError
+    (with coordinates) for a bad cell, and DuplicateKeyError when two rows key
+    the same region.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8-sig")
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}")
     reader = csv.reader(io.StringIO(data))
     try:
         header = next(reader)
@@ -108,6 +142,9 @@ def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
                 f"header column {i + 1} is {header[i]!r}, expected {expected!r}"
             )
     dates = [_parse_header_date(cell, i + 5) for i, cell in enumerate(header[4:])]
+    for column, (a, b) in enumerate(zip(dates, dates[1:]), start=6):
+        if b - a != timedelta(days=1):
+            raise CsvFormatError(f"header column {column} is {b}, expected the day after {a}")
 
     out: list[CaseSeries] = []
     seen: set[RegionKey] = set()
@@ -137,75 +174,69 @@ def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
 
 
 def select_regions(
-    series: list[CaseSeries],
+    panel: Panel,
     min_cumulative: int = DEFAULT_MIN_CUMULATIVE,
     as_of: date = DEFAULT_END,
-) -> list[CaseSeries]:
-    """Keep regions with at least ``min_cumulative`` cases as of ``as_of``.
+) -> Panel:
+    """Keep the rows with at least ``min_cumulative`` cases as of ``as_of``.
 
-    If ``as_of`` is past a series' last date it is clamped to the last
-    available date (with a warning), so shorter fixtures still work.
+    If ``as_of`` is past the panel's last date it is clamped to that date
+    (with a warning), so shorter fixtures still work.  A region without a
+    value on that day is dropped.
     """
-    kept = []
-    for s in series:
-        when = as_of
-        if when > s.dates[-1]:
-            warnings.warn(
-                f"{s.key.display}: as_of {as_of} past last date {s.dates[-1]}, clamping",
-                stacklevel=2,
-            )
-            when = s.dates[-1]
-        if when < s.dates[0]:
-            continue
-        if s.value_at(when) >= min_cumulative:
-            kept.append(s)
-    return kept
-
-
-def restrict_date_range(
-    series: CaseSeries,
-    start: date = DEFAULT_START,
-    end: date = DEFAULT_END,
-) -> CaseSeries:
-    """Return the inclusive [start, end] sub-series."""
-    if start > end:
-        raise DateRangeError(f"start {start} after end {end}")
-    if start < series.dates[0] or end > series.dates[-1]:
-        raise DateRangeError(
-            f"requested {start}..{end} outside available "
-            f"{series.dates[0]}..{series.dates[-1]}"
-        )
-    i = (start - series.dates[0]).days
-    j = (end - series.dates[0]).days + 1
-    return CaseSeries(
-        key=series.key,
-        dates=series.dates[i:j],
-        cumulative=series.cumulative[i:j],
+    col = (as_of - panel.start).days
+    if col >= panel.days:
+        warnings.warn(f"as_of {as_of} past last date {panel.end}, clamping", stacklevel=2)
+        col = panel.days - 1
+    if col < 0:
+        keep = np.zeros(len(panel), dtype=bool)
+    else:
+        keep = panel.values[:, col] >= min_cumulative
+    return Panel(
+        keys=[k for k, ok in zip(panel.keys, keep) if ok],
+        start=panel.start,
+        values=panel.values[keep],
     )
 
 
-def write_long_csv(series: list[CaseSeries], stream) -> None:
-    """Write the normalized long-format CSV ``region,date,cumulative``."""
+def restrict_date_range(
+    panel: Panel,
+    start: date = DEFAULT_START,
+    end: date = DEFAULT_END,
+) -> Panel:
+    """Return the inclusive [start, end] columns of the panel."""
+    if start > end:
+        raise DateRangeError(f"start {start} after end {end}")
+    if start < panel.start or end > panel.end:
+        raise DateRangeError(
+            f"requested {start}..{end} outside available {panel.start}..{panel.end}"
+        )
+    i = (start - panel.start).days
+    j = (end - panel.start).days + 1
+    return Panel(keys=panel.keys, start=start, values=panel.values[:, i:j])
+
+
+def write_long_csv(panel: Panel, stream) -> None:
+    """Write the normalized long-format CSV ``region,date,cumulative``; days
+    without a value are left out."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["region", "date", "cumulative"])
-    for s in series:
-        for d, n in zip(s.dates, s.cumulative):
-            writer.writerow([s.key.display, d.isoformat(), n])
+    days = [d.isoformat() for d in panel.dates]
+    for key, row in zip(panel.keys, panel.values.tolist()):
+        for day, n in zip(days, row):
+            if n == n:  # NaN is the only value unequal to itself
+                writer.writerow([key.display, day, int(n)])
 
 
-def to_wide_csv(series: list[CaseSeries]) -> str:
-    """Serialize back to the wide layout (shared date axis required)."""
-    if not series:
-        return ",".join(EXPECTED_META_COLUMNS) + "\n"
-    dates = series[0].dates
-    for s in series[1:]:
-        if s.dates != dates:
-            raise ValueError("wide serialization needs a shared date axis")
+def to_wide_csv(panel: Panel) -> str:
+    """Serialize back to the wide layout; every day of every row needs a value."""
+    if np.isnan(panel.values).any():
+        raise ValueError("wide serialization needs a value on every day of every row")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(EXPECTED_META_COLUMNS) + [d.strftime("%-m/%-d/%y") for d in dates])
-    for s in series:
-        writer.writerow(
-            [s.key.province or "", s.key.country, "", ""] + [str(n) for n in s.cumulative]
-        )
+    writer.writerow(
+        list(EXPECTED_META_COLUMNS) + [d.strftime("%-m/%-d/%y") for d in panel.dates]
+    )
+    for key, row in zip(panel.keys, panel.values.astype(np.int64).tolist()):
+        writer.writerow([key.province or "", key.country, "", ""] + row)
     return buf.getvalue()

@@ -1,4 +1,5 @@
-"""Pairwise similarity between exponent series and thresholded network assembly.
+"""Similarity between the rows of an exponent panel and thresholded network
+assembly.
 
 Edges connect region pairs whose similarity is strictly greater than the
 threshold rho, with the similarity value as the edge weight.  Regions left
@@ -15,8 +16,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .errors import InsufficientDataError
-from .ingest import RegionKey
-from .transform import ExponentSeries
+from .ingest import Panel, RegionKey
 
 MIN_OVERLAP = 2  # fewer common defined points than this -> undefined similarity
 
@@ -101,52 +101,71 @@ def cosine(x, y) -> float | None:
 _SIMILARITY = {SimilarityMeasure.PEARSON: pearson, SimilarityMeasure.COSINE: cosine}
 
 
-def similarity(x, y, measure: SimilarityMeasure) -> float | None:
-    return _SIMILARITY[SimilarityMeasure(measure)](x, y)
+def _matrix_similarity(vals: np.ndarray, measure: SimilarityMeasure) -> np.ndarray:
+    """All-pairs similarity of NaN-free rows as one matrix product; NaN
+    where ``pearson``/``cosine`` return None for the pair."""
+    n, days = vals.shape
+    if days < MIN_OVERLAP:
+        return np.full((n, n), np.nan)
+    z = vals
+    undefined = np.zeros(n, dtype=bool)
+    if measure is SimilarityMeasure.PEARSON:
+        # mean of a constant row can be off by an ulp; test constancy directly
+        undefined = np.all(vals == vals[:, :1], axis=1)
+        z = vals - vals.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    undefined |= norms == 0.0
+    z = z / np.where(undefined, 1.0, norms)[:, None]
+    sims = np.clip(z @ z.T, -1.0, 1.0)
+    sims[undefined, :] = np.nan
+    sims[:, undefined] = np.nan
+    return sims
+
+
+def _pairwise_similarity(vals: np.ndarray, measure: SimilarityMeasure) -> np.ndarray:
+    """All-pairs similarity over pairwise-complete days (both rows not NaN)."""
+    sim_fn = _SIMILARITY[measure]
+    present = ~np.isnan(vals)
+    sims = np.full((len(vals), len(vals)), np.nan)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            both = present[i] & present[j]
+            s = sim_fn(vals[i][both], vals[j][both])
+            if s is not None:
+                sims[i, j] = s
+    return sims
 
 
 def build_network(
-    exps: list[ExponentSeries],
+    exps: Panel,
     rho: float = 0.0,
     measure: SimilarityMeasure = SimilarityMeasure.PEARSON,
     alpha: float | None = None,
 ) -> CorrelationNetwork:
-    """Assemble the thresholded similarity network.
+    """Assemble the thresholded similarity network over the panel's rows.
 
-    Similarities are computed over pairwise-complete observations: the dates
-    where both series have a defined exponent.  An edge exists iff the value
-    is defined and strictly greater than rho.  Regions with no surviving edge
-    are omitted from the node list; node order is input order restricted to
-    survivors.  ``alpha`` is recorded in the build settings only.
+    Similarities are computed over pairwise-complete observations: the days
+    on which neither row is NaN.  An edge exists iff the value is defined and
+    strictly greater than rho.  Regions with no surviving edge are omitted
+    from the node list; node order is row order restricted to survivors.
+    ``alpha`` is recorded in the build settings only.
     """
     measure = SimilarityMeasure(measure)
     if len(exps) < 2:
         raise InsufficientDataError(f"need >= 2 series to build a network, got {len(exps)}")
 
-    # Place every series on a shared date axis so masks line up.
-    start = min(e.dates[0] for e in exps)
-    end = max(e.dates[-1] for e in exps)
-    n_days = (end - start).days + 1
-    vals = np.full((len(exps), n_days), np.nan)
-    for r, e in enumerate(exps):
-        off = (e.dates[0] - start).days
-        v = np.where(e.defined, e.values, np.nan)
-        vals[r, off : off + len(v)] = v
-
-    sim_fn = _SIMILARITY[measure]
-    raw_edges: list[tuple[int, int, float]] = []
-    for i in range(len(exps)):
-        for j in range(i + 1, len(exps)):
-            both = ~np.isnan(vals[i]) & ~np.isnan(vals[j])
-            if both.sum() < MIN_OVERLAP:
-                continue
-            s = sim_fn(vals[i][both], vals[j][both])
-            if s is not None and s > rho:
-                raw_edges.append((i, j, s))
+    if np.isnan(exps.values).any():
+        sims = _pairwise_similarity(exps.values, measure)
+    else:
+        sims = _matrix_similarity(exps.values, measure)
+    rows, cols = np.triu_indices(len(exps), k=1)
+    upper = sims[rows, cols]
+    keep = upper > rho  # NaN (undefined) is never kept
+    raw_edges = list(zip(rows[keep].tolist(), cols[keep].tolist(), upper[keep].tolist()))
 
     connected = sorted({i for i, _, _ in raw_edges} | {j for _, j, _ in raw_edges})
     remap = {old: new for new, old in enumerate(connected)}
-    nodes = [exps[i].key for i in connected]
+    nodes = [exps.keys[i] for i in connected]
     edges = [(remap[i], remap[j], w) for i, j, w in raw_edges]
     settings = BuildSettings(
         rho=rho,

@@ -4,7 +4,8 @@ The change exponent for day t is ln(a_t / a_{t-1}) where a is the trailing
 7-day average of daily new cases, clipped to [-alpha, alpha].  Non-positive
 averages (zero stretches, negative reporting corrections) are floored at a
 small epsilon before the log so every day stays defined; the clip bounds the
-damage.
+damage.  Every step works along the last (day) axis, so it takes one region's
+row or a whole panel; NaN marks a missing day and propagates.
 
 Warm-up bookkeeping: the first diff consumes 1 source day, the 7-day window
 6 more, and the log-ratio 1 more, so the first exponent lands on source
@@ -13,13 +14,13 @@ index 8 and a series of length L yields L - 8 exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import date
+from datetime import timedelta
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, ParameterError
-from .ingest import CaseSeries, RegionKey
+from .ingest import Panel
 
 DEFAULT_ALPHA = 7.0
 DEFAULT_FLOOR_EPS = 1e-9
@@ -27,88 +28,61 @@ DEFAULT_FLOOR_EPS = 1e-9
 WARMUP_DAYS = 8  # 1 (diff) + 6 (window) + 1 (log ratio)
 
 
-@dataclass
-class ExponentSeries:
-    """One region's daily-change-exponent values with a defined-value mask."""
-
-    key: RegionKey
-    dates: list[date]
-    values: np.ndarray
-    defined: np.ndarray  # bool mask, same length as values
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.defined = np.asarray(self.defined, dtype=bool)
-        if not (len(self.dates) == len(self.values) == len(self.defined)):
-            raise ValueError("dates, values and defined must have equal length")
-
-
-def daily_diffs(series: CaseSeries) -> tuple[list[date], np.ndarray]:
-    """First differences of the cumulative counts.
+def daily_diffs(cumulative) -> np.ndarray:
+    """First differences of the cumulative counts along the last axis.
 
     Negative values (reporting corrections) pass through unchanged.
     """
-    if len(series.cumulative) < 2:
-        raise InsufficientDataError(
-            f"{series.key.display}: need >= 2 days for daily diffs"
-        )
-    counts = np.asarray(series.cumulative, dtype=float)
-    return series.dates[1:], np.diff(counts)
+    counts = np.asarray(cumulative, dtype=float)
+    if counts.shape[-1] < 2:
+        raise InsufficientDataError("need >= 2 days for daily diffs")
+    return np.diff(counts, axis=-1)
 
 
-def moving_average_7(dates: list[date], values: np.ndarray) -> tuple[list[date], np.ndarray]:
-    """Trailing 7-day mean: the current day and the six preceding days."""
+def moving_average_7(values) -> np.ndarray:
+    """Trailing 7-day mean along the last axis: the current day and the six
+    preceding days."""
     values = np.asarray(values, dtype=float)
-    if len(values) < 7:
-        raise InsufficientDataError(f"need >= 7 days for a 7-day average, got {len(values)}")
+    if values.shape[-1] < 7:
+        raise InsufficientDataError(
+            f"need >= 7 days for a 7-day average, got {values.shape[-1]}"
+        )
     # sum first, divide once: keeps constant inputs exactly constant
-    avg = np.convolve(values, np.ones(7), mode="valid") / 7.0
-    return dates[6:], avg
+    return sliding_window_view(values, 7, axis=-1).sum(axis=-1) / 7.0
 
 
 def change_exponents(
-    avgs: np.ndarray,
+    avgs,
     alpha: float = DEFAULT_ALPHA,
     floor_eps: float = DEFAULT_FLOOR_EPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped log-ratios of consecutive 7-day averages.
+) -> np.ndarray:
+    """Clipped log-ratios of consecutive 7-day averages along the last axis.
 
-    Returns (values, defined).  NaN inputs mark missing days; a log-ratio is
-    defined only where both neighbors are present.
+    NaN inputs mark missing days; a log-ratio is NaN (undefined) unless both
+    neighbors are present.  ``alpha`` may be infinite (no clipping).
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if floor_eps <= 0:
+    if not floor_eps > 0:
         raise ParameterError(f"floor_eps must be positive, got {floor_eps}")
-    avgs = np.asarray(avgs, dtype=float)
-    present = ~np.isnan(avgs)
-    floored = np.where(present, np.maximum(avgs, floor_eps), np.nan)
-    with np.errstate(invalid="ignore"):
-        ratios = np.log(floored[1:] / floored[:-1])
-    defined = present[1:] & present[:-1]
-    values = np.where(defined, np.clip(ratios, -alpha, alpha), 0.0)
-    return values, defined
+    floored = np.maximum(np.asarray(avgs, dtype=float), floor_eps)
+    return np.clip(np.log(floored[..., 1:] / floored[..., :-1]), -alpha, alpha)
 
 
 def to_exponent_series(
-    series: CaseSeries,
+    panel: Panel,
     alpha: float = DEFAULT_ALPHA,
     floor_eps: float = DEFAULT_FLOOR_EPS,
-) -> ExponentSeries:
-    """Full composition: diffs -> 7-day average -> clipped exponents."""
-    if len(series.cumulative) < WARMUP_DAYS + 1:
+) -> Panel:
+    """Full composition: diffs -> 7-day average -> clipped exponents, as a
+    panel that starts WARMUP_DAYS after the input."""
+    if panel.days < WARMUP_DAYS + 1:
         raise InsufficientDataError(
-            f"{series.key.display}: need >= {WARMUP_DAYS + 1} days, got {len(series.cumulative)}"
+            f"need >= {WARMUP_DAYS + 1} days, got {panel.days}"
         )
-    try:
-        d_dates, diffs = daily_diffs(series)
-        a_dates, avgs = moving_average_7(d_dates, diffs)
-        values, defined = change_exponents(avgs, alpha=alpha, floor_eps=floor_eps)
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{series.key.display}: {exc}") from exc
-    return ExponentSeries(
-        key=series.key,
-        dates=a_dates[1:],
-        values=values,
-        defined=defined,
+    avgs = moving_average_7(daily_diffs(panel.values))
+    return Panel(
+        keys=panel.keys,
+        start=panel.start + timedelta(days=WARMUP_DAYS),
+        values=change_exponents(avgs, alpha=alpha, floor_eps=floor_eps),
     )

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from epinet.ingest import RegionKey
+from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import BuildSettings, CorrelationNetwork, SimilarityMeasure
 from epinet.synthetic import make_planted_cases
 
@@ -84,4 +84,4 @@ def small_graph_suite():
 def planted():
     """30 synthetic regions in 3 groups of 10 with a planted partition."""
     cases, labels = make_planted_cases()
-    return cases, labels
+    return Panel.from_series(cases), labels

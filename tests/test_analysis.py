@@ -20,19 +20,16 @@ from epinet.analysis import (
 )
 from epinet.community import Partition, compare_partitions
 from epinet.errors import AlignmentError, InsufficientDataError, ParameterError
-from epinet.ingest import RegionKey
+from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.netbuild import BuildSettings, SimilarityMeasure
-from epinet.transform import ExponentSeries
 
 
-def exp_series(name, values, start=date(2021, 1, 1), defined=None):
-    values = np.asarray(values, dtype=float)
-    if defined is None:
-        defined = ~np.isnan(values)
-    dates = [start + timedelta(days=i) for i in range(len(values))]
-    return ExponentSeries(
-        key=RegionKey(country=name), dates=dates, values=np.nan_to_num(values),
-        defined=np.asarray(defined),
+def exp_panel(rows, start=date(2021, 1, 1)):
+    """Exponent panel from {name: values}; NaN marks an undefined day."""
+    return Panel(
+        keys=[RegionKey(country=name) for name in rows],
+        start=start,
+        values=np.array(list(rows.values()), dtype=float),
     )
 
 
@@ -43,41 +40,36 @@ def dated(values, start=date(2021, 1, 1)):
 
 class TestMedianCurve:
     def test_single_member(self):
-        e = exp_series("A", [1.0, -2.0, 0.5])
-        dates, med = median_curve([e], {e.key})
-        assert med.tolist() == [1.0, -2.0, 0.5]
-        assert dates == e.dates
+        exps = exp_panel({"A": [1.0, -2.0, 0.5], "B": [9.0, 9.0, 9.0]})
+        med = median_curve(exps, {exps.keys[0]})
+        assert med.tolist() == [1.0, -2.0, 0.5]  # one value per day of the panel
 
     def test_odd_count(self):
-        exps = [exp_series(n, [v]) for n, v in zip("ABC", (-1.0, 0.0, 5.0))]
-        _, med = median_curve(exps, {e.key for e in exps})
+        exps = exp_panel({n: [v] for n, v in zip("ABC", (-1.0, 0.0, 5.0))})
+        med = median_curve(exps, set(exps.keys))
         assert med.tolist() == [0.0]
 
     def test_even_count_mean_of_central(self):
-        exps = [exp_series(n, [v]) for n, v in zip("ABCD", (-1.0, 0.0, 2.0, 7.0))]
-        _, med = median_curve(exps, {e.key for e in exps})
+        exps = exp_panel({n: [v] for n, v in zip("ABCD", (-1.0, 0.0, 2.0, 7.0))})
+        med = median_curve(exps, set(exps.keys))
         assert med.tolist() == [1.0]
 
     def test_undefined_day_skipped(self):
-        exps = [
-            exp_series("A", [1.0, np.nan]),
-            exp_series("B", [3.0, np.nan]),
-        ]
-        _, med = median_curve(exps, {e.key for e in exps})
+        exps = exp_panel({"A": [1.0, np.nan], "B": [3.0, np.nan]})
+        med = median_curve(exps, set(exps.keys))
         assert med[0] == 2.0
         assert np.isnan(med[1])
 
     def test_empty_members(self):
         with pytest.raises(ParameterError):
-            median_curve([exp_series("A", [1.0])], set())
+            median_curve(exp_panel({"A": [1.0]}), set())
 
     def test_bounded_by_member_extremes(self):
         rng = np.random.default_rng(4)
-        exps = [exp_series(f"R{i}", rng.normal(size=30)) for i in range(7)]
-        _, med = median_curve(exps, {e.key for e in exps})
-        stack = np.vstack([e.values for e in exps])
-        assert np.all(med >= stack.min(axis=0) - 1e-12)
-        assert np.all(med <= stack.max(axis=0) + 1e-12)
+        exps = exp_panel({f"R{i}": rng.normal(size=30) for i in range(7)})
+        med = median_curve(exps, set(exps.keys))
+        assert np.all(med >= exps.values.min(axis=0) - 1e-12)
+        assert np.all(med <= exps.values.max(axis=0) + 1e-12)
 
 
 class TestDetectPeaks:
@@ -138,8 +130,6 @@ class TestRunGrid:
 
     def test_cell_error_recorded_not_raised(self):
         # two regions whose exponents are exactly anti-correlated: no edges
-        from epinet.ingest import CaseSeries
-
         start = date(2021, 1, 1)
         days = 30
         up = [int(1000 * 2 ** (0.1 * t)) for t in range(days)]
@@ -149,16 +139,8 @@ class TestRunGrid:
             CaseSeries(key=RegionKey(country="A"), dates=dates, cumulative=up),
             CaseSeries(key=RegionKey(country="B"), dates=dates, cumulative=flat),
         ]
-        cells = run_grid(cases, GridSettings())
+        cells = run_grid(Panel.from_series(cases), GridSettings())
         assert all(c.error is not None for c in cells)
-
-    def test_jobs_do_not_change_results(self, planted):
-        cases, _ = planted
-        seq = run_grid(cases, GridSettings(), jobs=1)
-        par = run_grid(cases, GridSettings(), jobs=8)
-        for a, b in zip(seq, par):
-            assert a.settings == b.settings
-            assert a.partition.assignment == b.partition.assignment
 
 
 def _cell(settings, nodes, assignment):
@@ -240,31 +222,27 @@ class TestOrderRows:
 
 class TestTrajectory:
     def test_all_zero_medians_pinned_at_origin(self):
-        m = dated([0.0] * 10)
-        traj = build_trajectory(m, m, m)
+        dates, m = dated([0.0] * 10)
+        traj = build_trajectory(dates, m, m, m)
         assert np.all(traj.points == 0.0)
         assert np.allclose(traj.smoothed, 0.0)
 
     def test_undefined_date_dropped(self):
-        m1 = dated([1.0, 2.0, 3.0])
-        m2 = dated([1.0, np.nan, 3.0])
-        m3 = dated([1.0, 2.0, 3.0])
-        traj = build_trajectory(m1, m2, m3)
+        dates, m1 = dated([1.0, 2.0, 3.0])
+        traj = build_trajectory(dates, m1, [1.0, np.nan, 3.0], m1)
         assert len(traj.points) == 2
-        assert traj.dates == [m1[0][0], m1[0][2]]
+        assert traj.dates == [dates[0], dates[2]]
 
     def test_single_common_date(self):
-        m = dated([1.5])
+        dates, m = dated([1.5])
         with pytest.raises(InsufficientDataError):
             # one point is not enough to smooth
-            build_trajectory(m, m, m)
+            build_trajectory(dates, m, m, m)
 
     def test_no_common_date(self):
-        m1 = dated([np.nan, 1.0])
-        m2 = dated([1.0, np.nan])
-        m3 = dated([1.0, 1.0])
+        dates, m1 = dated([np.nan, 1.0])
         with pytest.raises(InsufficientDataError):
-            build_trajectory(m1, m2, m3)
+            build_trajectory(dates, m1, [1.0, np.nan], [1.0, 1.0])
 
 
 class TestBSpline:

@@ -1,13 +1,14 @@
 import io
 import math
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 
 from epinet.errors import InsufficientDataError
-from epinet.ingest import RegionKey
+from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import (
+    MIN_OVERLAP,
     SimilarityMeasure,
     build_network,
     cosine,
@@ -16,16 +17,14 @@ from epinet.netbuild import (
     write_edge_csv,
     write_graphml,
 )
-from epinet.transform import ExponentSeries
 
 
-def exp_series(name, values, start=date(2021, 1, 1), defined=None):
-    values = np.asarray(values, dtype=float)
-    if defined is None:
-        defined = np.ones(len(values), dtype=bool)
-    dates = [start + timedelta(days=i) for i in range(len(values))]
-    return ExponentSeries(
-        key=RegionKey(country=name), dates=dates, values=values, defined=np.asarray(defined)
+def exp_panel(rows, start=date(2021, 1, 1)):
+    """Exponent panel from {name: values}; NaN marks an undefined day."""
+    return Panel(
+        keys=[RegionKey(country=name) for name in rows],
+        start=start,
+        values=np.array(list(rows.values()), dtype=float),
     )
 
 
@@ -106,6 +105,30 @@ def test_similarity_matches_independent_oracle(fn, ref):
         else:
             assert got == pytest.approx(want, abs=1e-12)
 
+    # build_network on NaN-free panels takes all pairs at once
+    measure = SimilarityMeasure(fn.__name__)
+    for days in [1, 2] + rng.integers(3, 60, size=30).tolist():
+        rows = rng.normal(scale=rng.uniform(0.1, 10), size=(int(rng.integers(2, 9)), days))
+        rows[0] = rng.normal()  # constant row
+        if rng.random() < 0.5:
+            rows[1] = 0.0
+        panel = exp_panel({f"R{i}": row for i, row in enumerate(rows)})
+        want = {}
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                if days >= MIN_OVERLAP:
+                    want[(i, j)] = ref(list(rows[i]), list(rows[j]))
+        for rho in (-1.0, 0.0, 0.3):
+            net = build_network(panel, rho=rho, measure=measure)
+            row_of = [panel.keys.index(key) for key in net.nodes]
+            got = {(row_of[a], row_of[b]): w for a, b, w in net.edges}
+            for pair, r in want.items():
+                if r is not None and abs(r - rho) <= 1e-12:
+                    got.pop(pair, None)  # too close to rho to call
+                elif r is not None and r > rho:
+                    assert got.pop(pair) == pytest.approx(r, abs=1e-12)
+            assert got == {}
+
 
 def test_symmetry_full_precision():
     rng = np.random.default_rng(5)
@@ -117,67 +140,61 @@ def test_symmetry_full_precision():
 
 class TestBuildNetwork:
     def test_identical_series_triangle(self):
-        exps = [exp_series(n, [1, 2, 3, 1, 5]) for n in "ABC"]
+        exps = exp_panel({n: [1, 2, 3, 1, 5] for n in "ABC"})
         net = build_network(exps, rho=0.0)
         assert net.n == 3
         assert sorted((a, b) for a, b, _ in net.edges) == [(0, 1), (0, 2), (1, 2)]
         assert all(w == pytest.approx(1.0, abs=1e-12) for _, _, w in net.edges)
 
     def test_exact_zero_correlation_excluded(self):
-        exps = [exp_series("A", [1, 2, 3]), exp_series("B", [1, -1, 1])]
+        exps = exp_panel({"A": [1, 2, 3], "B": [1, -1, 1]})
         assert pearson([1, 2, 3], [1, -1, 1]) == 0.0
         net = build_network(exps, rho=0.0)
         assert net.edges == []
         assert net.nodes == []  # isolated regions dropped
 
     def test_isolated_region_dropped(self):
-        exps = [
-            exp_series("A", [1, 2, 3, 4]),
-            exp_series("B", [1, 2, 3, 5]),
-            exp_series("C", [4, 3, 2, 1]),  # anti-correlated with both
-        ]
+        exps = exp_panel({
+            "A": [1, 2, 3, 4],
+            "B": [1, 2, 3, 5],
+            "C": [4, 3, 2, 1],  # anti-correlated with both
+        })
         net = build_network(exps, rho=0.0)
         assert [k.display for k in net.nodes] == ["A", "B"]
         assert all(k.display != "C" for k in net.nodes)
 
     def test_pairwise_complete_observations(self):
         # B undefined on the first two days; similarity uses the overlap only
-        exps = [
-            exp_series("A", [5, -5, 1, 2, 3]),
-            exp_series("B", [0, 0, 1, 2, 3], defined=[False, False, True, True, True]),
-        ]
+        exps = exp_panel({"A": [5, -5, 1, 2, 3], "B": [np.nan, np.nan, 1, 2, 3]})
         net = build_network(exps, rho=0.0)
         assert len(net.edges) == 1
         assert net.edges[0][2] == pytest.approx(1.0, abs=1e-12)
 
     def test_min_overlap(self):
-        exps = [
-            exp_series("A", [1, 2], defined=[True, False]),
-            exp_series("B", [1, 2], defined=[True, True]),
-        ]
+        exps = exp_panel({"A": [1, np.nan], "B": [1, 2]})
         net = build_network(exps, rho=-1.0)
         assert net.edges == []
 
     def test_fewer_than_two_series(self):
         with pytest.raises(InsufficientDataError):
-            build_network([exp_series("A", [1, 2, 3])])
+            build_network(exp_panel({"A": [1, 2, 3]}))
 
     def test_edge_count_monotone_in_rho(self):
         rng = np.random.default_rng(11)
-        exps = [exp_series(f"R{i}", rng.normal(size=40)) for i in range(8)]
+        exps = exp_panel({f"R{i}": rng.normal(size=40) for i in range(8)})
         counts = [
             len(build_network(exps, rho=r).edges) for r in (-1.0, 0.0, 0.3, 0.7, 0.95)
         ]
         assert counts == sorted(counts, reverse=True)
 
     def test_cosine_measure(self):
-        exps = [exp_series("A", [1, 2]), exp_series("B", [2, 1])]
+        exps = exp_panel({"A": [1, 2], "B": [2, 1]})
         net = build_network(exps, rho=0.0, measure=SimilarityMeasure.COSINE)
         assert net.edges[0][2] == pytest.approx(0.8, abs=1e-12)
 
     def test_deterministic_serialization(self):
         rng = np.random.default_rng(13)
-        exps = [exp_series(f"R{i}", rng.normal(size=30)) for i in range(6)]
+        exps = exp_panel({f"R{i}": rng.normal(size=30) for i in range(6)})
         outputs = []
         for _ in range(2):
             net = build_network(exps, rho=0.0)
@@ -196,7 +213,7 @@ def test_fmt9_nine_significant_digits():
 
 
 def test_edge_csv_format():
-    exps = [exp_series("A", [1, 2, 3, 4]), exp_series("B", [1, 2, 3, 5])]
+    exps = exp_panel({"A": [1, 2, 3, 4], "B": [1, 2, 3, 5]})
     net = build_network(exps, rho=0.0)
     buf = io.StringIO()
     write_edge_csv(net, buf)
@@ -208,7 +225,7 @@ def test_edge_csv_format():
 def test_graphml_well_formed():
     import xml.etree.ElementTree as ET
 
-    exps = [exp_series("A", [1, 2, 3, 4]), exp_series("B", [1, 2, 3, 5])]
+    exps = exp_panel({"A": [1, 2, 3, 4], "B": [1, 2, 3, 5]})
     net = build_network(exps, rho=0.0)
     buf = io.StringIO()
     write_graphml(net, buf)

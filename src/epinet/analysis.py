@@ -8,6 +8,7 @@ NaN marking undefined days.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -129,8 +130,34 @@ def run_cell(
 
 def run_grid(cases: Panel, grid: GridSettings) -> list[GridCell]:
     """Run every setting combination in grid order; per-cell failures are
-    recorded, not raised."""
-    return [run_cell(cases, s, seed=grid.seed) for s in grid.cells()]
+    recorded, not raised.
+
+    Each cell equals ``run_cell`` on its settings, error strings included,
+    but the transform runs once per alpha and the network is built once per
+    (alpha, measure), at the smallest rho of the grid; every rho cell takes
+    the edges of that network above its own rho.  (A step that fails is
+    tried again by the next cell that needs it, and fails the same way.)
+    """
+    base_rho = min((r for r in grid.rho_values if not math.isnan(r)), default=math.nan)
+    exps: dict[float, Panel] = {}
+    nets: dict[tuple, CorrelationNetwork] = {}
+    cells = []
+    for s in grid.cells():
+        cell = GridCell(settings=s)
+        try:
+            if s.alpha not in exps:
+                exps[s.alpha] = to_exponent_series(cases, alpha=s.alpha)
+            key = (s.alpha, s.measure)
+            if key not in nets:
+                nets[key] = build_network(
+                    exps[s.alpha], rho=base_rho, measure=s.measure, alpha=s.alpha
+                )
+            cell.network = nets[key].above(s.rho)
+            cell.partition = louvain(cell.network, seed=grid.seed)
+        except EpinetError as exc:
+            cell.error = f"{type(exc).__name__}: {exc}"
+        cells.append(cell)
+    return cells
 
 
 def reference_settings(grid: GridSettings | None = None) -> BuildSettings:

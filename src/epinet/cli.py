@@ -77,8 +77,12 @@ class RunConfig:
 
 def read_config_file(path: Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: config file is not UTF-8 text") from None
     values: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -125,17 +129,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         filevals = read_config_file(Path(args.config))
 
-    def pick(flag, key, parse=lambda s: s, default=None):
+    def convert(parse, value, origin):
+        try:
+            return parse(value)
+        except ValueError:
+            raise ParameterError(f"{origin}: invalid value {value!r}") from None
+
+    def pick(flag, key, parse=str, default=None):
         if flag is not None:
-            return flag
+            return convert(parse, flag, f"--{key.replace('_', '-')}")
         if key in filevals:
-            return parse(filevals[key])
+            return convert(parse, filevals[key], f"{args.config}: {key}")
         return default
 
     seed = pick(args.seed, "seed", int)
     if seed is None:
         env = os.environ.get("EPINET_SEED")
-        seed = int(env) if env else 0
+        seed = convert(int, env, "EPINET_SEED") if env else 0
 
     input_path = pick(args.input, "input")
     if input_path is None:
@@ -143,14 +153,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         input_path=Path(input_path),
         output_dir=Path(pick(args.out, "out", default="out")),
-        start=pick(_parse_date(args.start) if args.start else None, "start", _parse_date,
-                   ingest.DEFAULT_START),
-        end=pick(_parse_date(args.end) if args.end else None, "end", _parse_date,
-                 ingest.DEFAULT_END),
+        start=pick(args.start, "start", _parse_date, ingest.DEFAULT_START),
+        end=pick(args.end, "end", _parse_date, ingest.DEFAULT_END),
         min_cumulative=pick(args.min_cases, "min_cases", int, ingest.DEFAULT_MIN_CUMULATIVE),
         alpha=pick(args.alpha, "alpha", float, transform.DEFAULT_ALPHA),
         rho=pick(args.rho, "rho", float, 0.0),
-        measure=SimilarityMeasure(pick(args.measure, "measure", default="pearson")),
+        measure=pick(args.measure, "measure", SimilarityMeasure, SimilarityMeasure.PEARSON),
         seed=seed,
     )
 
@@ -226,7 +234,7 @@ def cmd_network(config: RunConfig) -> int:
     _write_summary(
         config,
         config.output_dir / "summary.json",
-        {"nodes": net.n, "edges": len(net.edges)},
+        {"nodes": net.n, "edges": len(net.weight)},
     )
     return EXIT_OK
 
@@ -278,7 +286,7 @@ def cmd_pipeline(config: RunConfig) -> int:
         out / "summary.json",
         {
             "partition": community.partition_summary(part),
-            "network": {"nodes": net.n, "edges": len(net.edges)},
+            "network": {"nodes": net.n, "edges": len(net.weight)},
             "trajectory_built": trajectory_built,
         },
     )
@@ -290,6 +298,10 @@ def cmd_grid(config: RunConfig) -> int:
     grid = analysis.GridSettings(seed=config.seed)
     cells = analysis.run_grid(cases, grid)
     reference = analysis.reference_settings()
+    ref_cell = next((c for c in cells if c.settings == reference), None)
+    if ref_cell is None or ref_cell.partition is None:
+        msg = ref_cell.error if ref_cell else "reference cell missing"
+        raise InsufficientStructureError(f"reference grid cell failed: {msg}")
 
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -307,11 +319,6 @@ def cmd_grid(config: RunConfig) -> int:
     with (out / "grid_cells.json").open("w") as fh:
         json.dump(summaries, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    ref_cell = next((c for c in cells if c.settings == reference), None)
-    if ref_cell is None or ref_cell.partition is None:
-        msg = ref_cell.error if ref_cell else "reference cell missing"
-        raise InsufficientStructureError(f"reference grid cell failed: {msg}")
 
     matrix = analysis.order_rows(analysis.align_labels(cells, reference))
     _write(out / "membership_matrix.csv", lambda fh: analysis.write_membership_csv(matrix, fh))

@@ -53,24 +53,24 @@ def modularity_of(
     resolution: float = 1.0,
 ) -> float:
     """Recompute Q of an assignment from scratch (self-loop-free convention)."""
+    dense: dict[int, int] = {}  # label -> index, in order of first appearance
+    community = np.empty(net.n, dtype=np.intp)
     for i in range(net.n):
         if i not in assignment:
             raise CoverageError(f"node {i} ({net.nodes[i].display}) missing from assignment")
-    two_m = 2.0 * sum(w for _, _, w in net.edges)
+        community[i] = dense.setdefault(assignment[i], len(dense))
+    two_m = 2.0 * sum(net.weight.tolist())
     if two_m <= 0:
         raise InsufficientStructureError("network has no positive edge weight")
-    deg = np.zeros(net.n)
-    internal = 0.0
-    for a, b, w in net.edges:
-        deg[a] += w
-        deg[b] += w
-        if assignment[a] == assignment[b]:
-            internal += 2.0 * w
-    tot = {}
-    for i in range(net.n):
-        tot[assignment[i]] = tot.get(assignment[i], 0.0) + deg[i]
+    # degrees accumulate edge by edge, one end after the other
+    ends = np.column_stack([net.src, net.dst]).ravel()
+    deg = np.bincount(ends, weights=np.repeat(net.weight, 2), minlength=net.n)
+    same = community[net.src] == community[net.dst]
+    # one addition at a time, in edge order (np.sum adds pairwise and rounds differently)
+    internal = float(np.cumsum(2.0 * net.weight[same])[-1]) if same.any() else 0.0
+    tot = np.bincount(community, weights=deg, minlength=len(dense))
     q = internal / two_m
-    q -= resolution * sum((s / two_m) ** 2 for s in tot.values())
+    q -= resolution * sum((s / two_m) ** 2 for s in tot)
     return q
 
 
@@ -85,45 +85,40 @@ def _fingerprint(net: CorrelationNetwork, seed, resolution) -> dict:
     }
 
 
-class _Level:
-    """Working graph for one aggregation level: adjacency dicts + self loops."""
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
+    """``(indptr, indices, data)`` of the entries, each row keeping the order
+    in which its entries are given."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], data[order]
 
-    def __init__(self, neighbors: list[dict[int, float]], selfw: list[float]):
-        self.neighbors = neighbors
-        self.selfw = selfw
-        self.deg = [sum(nb.values()) + s for nb, s in zip(neighbors, selfw)]
-        self.n = len(neighbors)
 
-
-def _local_moving(level: _Level, order: list[int], two_m: float, resolution: float):
+def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: float):
     """Phase 1: greedy node moves.  Returns (community of each node, moved?)."""
-    comm = list(range(level.n))
-    tot = list(level.deg)
+    n = len(deg)
+    rows = [(indices[a:b], data[a:b]) for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    comm = np.arange(n)
+    tot = deg.copy()
     any_move = False
     while True:
         moved_in_sweep = False
         for i in order:
-            ki = level.deg[i]
+            ki = deg[i]
             cur = comm[i]
-            # weight from i to each neighboring community (i excluded)
-            w_to = {}
-            for j, w in level.neighbors[i].items():
-                w_to[comm[j]] = w_to.get(comm[j], 0.0) + w
+            nbr_comm = comm[rows[i][0]]
+            # weight from i to each community (i excluded); candidates are the
+            # communities of i's neighbours, whatever their weights sum to
+            w_to = np.bincount(nbr_comm, weights=rows[i][1], minlength=n)
+            other = np.bincount(nbr_comm, minlength=n) == 0
+            other[cur] = False
             # take i out while scoring candidates
             tot[cur] -= ki
-            candidates = set(w_to) | {cur}
-
-            def score(c):
-                return (2.0 * w_to.get(c, 0.0)) / two_m - resolution * 2.0 * ki * tot[c] / (
-                    two_m * two_m
-                )
-
-            scores = {c: score(c) for c in candidates}
-            best_score = max(scores.values())
-            if scores[cur] == best_score:
+            score = (2.0 * w_to) / two_m - resolution * 2.0 * ki * tot / (two_m * two_m)
+            score[other] = -np.inf
+            best = int(score.argmax())  # smallest label among the best
+            if score[cur] == score[best]:
                 best = cur  # stay on ties: bias toward stability
-            else:
-                best = min(c for c, s in scores.items() if s == best_score)
             tot[best] += ki
             if best != cur:
                 comm[i] = best
@@ -134,26 +129,38 @@ def _local_moving(level: _Level, order: list[int], two_m: float, resolution: flo
     return comm, any_move
 
 
-def _aggregate(level: _Level, comm: list[int]) -> tuple[_Level, dict[int, int]]:
-    """Phase 2: contract communities into super-nodes with self-loop weights."""
-    labels = sorted(set(comm))
-    remap = {lab: idx for idx, lab in enumerate(labels)}
-    k = len(labels)
-    neighbors: list[dict[int, float]] = [dict() for _ in range(k)]
-    selfw = [0.0] * k
-    for i in range(level.n):
-        ci = remap[comm[i]]
-        selfw[ci] += level.selfw[i]
-        for j, w in level.neighbors[i].items():
-            cj = remap[comm[j]]
-            if ci == cj:
-                selfw[ci] += w  # each internal edge hits this twice (i->j, j->i)
-            elif ci < cj:
-                neighbors[ci][cj] = neighbors[ci].get(cj, 0.0) + w
-    for a in range(k):
-        for b, w in list(neighbors[a].items()):
-            neighbors[b][a] = w
-    return _Level(neighbors, selfw), remap
+def _aggregate(indptr, indices, data, selfw, new: np.ndarray, k: int):
+    """Phase 2: contract communities into super-nodes with self-loop weights.
+
+    ``new`` maps each node to its super-node 0..k-1.  Every sum adds its terms
+    in the order the nodes, and within a node its entries, come; a super-node
+    lists first its higher neighbours in the order they were first reached,
+    then its lower ones in ascending order.
+    """
+    n = len(new)
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    ci, cj = new[row], new[indices]
+    # each node's own self-loop weight comes just before its entries
+    at_self = indptr[:-1] + np.arange(n)
+    at_entry = np.arange(len(indices)) + row + 1
+    target = np.empty(n + len(indices), dtype=np.intp)
+    weight = np.empty(n + len(indices))
+    target[at_self], weight[at_self] = new, selfw
+    target[at_entry] = np.where(ci == cj, ci, k)  # bin k collects the rest
+    weight[at_entry] = data
+    new_selfw = np.bincount(target, weights=weight, minlength=k + 1)[:k]
+
+    up = ci < cj
+    pairs, first, inverse = np.unique(
+        ci[up] * k + cj[up], return_index=True, return_inverse=True
+    )
+    w = np.bincount(inverse, weights=data[up])
+    a, b = pairs // k, pairs % k
+    lower = np.repeat([False, True], len(pairs))
+    # within a row: higher neighbours by first contribution, then lower ones by index
+    order = np.lexsort((np.concatenate([first, a]), lower))
+    rows, cols, w = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
+    return (*_csr(k, rows[order], cols[order], w[order]), new_selfw)
 
 
 def louvain(
@@ -169,44 +176,53 @@ def louvain(
     by descending community size with the smallest member index breaking
     ties.
     """
-    if not net.edges:
+    if not len(net.weight):
         raise InsufficientStructureError("network has no edges")
-    two_m = 2.0 * sum(w for _, _, w in net.edges)
+    two_m = 2.0 * sum(net.weight.tolist())
+    if two_m <= 0:
+        raise InsufficientStructureError("network has no positive edge weight")
 
-    neighbors: list[dict[int, float]] = [dict() for _ in range(net.n)]
-    for a, b, w in net.edges:
-        neighbors[a][b] = neighbors[a].get(b, 0.0) + w
-        neighbors[b][a] = neighbors[b].get(a, 0.0) + w
-    level = _Level(neighbors, [0.0] * net.n)
+    # each edge enters both rows, so a row lists its edges in edge order
+    indptr, indices, data = _csr(
+        net.n,
+        np.column_stack([net.src, net.dst]).ravel(),
+        np.column_stack([net.dst, net.src]).ravel(),
+        np.repeat(net.weight, 2),
+    )
+    selfw = np.zeros(net.n)
 
     rng = random.Random(seed)
     # canonical identity of each current super-node, for order stability
     # under input permutation: level 0 uses display names, deeper levels the
     # smallest member name.
-    canon = [net.nodes[i].display for i in range(net.n)]
-    node_of = list(range(net.n))  # original node -> current super-node
+    canon = [key.display for key in net.nodes]
+    node_of = np.arange(net.n)  # original node -> current super-node
 
     while True:
-        order = sorted(range(level.n), key=lambda i: canon[i])
+        n = len(canon)
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        deg = np.bincount(row, weights=data, minlength=n) + selfw
+        order = sorted(range(n), key=canon.__getitem__)
         rng.shuffle(order)
-        comm, improved = _local_moving(level, order, two_m, resolution)
+        comm, improved = _local_moving(indptr, indices, data, deg, order, two_m, resolution)
         if not improved:
             break
-        level, remap = _aggregate(level, comm)
-        node_of = [remap[comm[c]] for c in node_of]
-        new_canon = [None] * level.n
-        for sup, name in zip((remap[c] for c in comm), canon):
+        labels, new = np.unique(comm, return_inverse=True)
+        indptr, indices, data, selfw = _aggregate(indptr, indices, data, selfw, new, len(labels))
+        node_of = new[node_of]
+        new_canon = [None] * len(labels)
+        for sup, name in zip(new.tolist(), canon):
             if new_canon[sup] is None or name < new_canon[sup]:
                 new_canon[sup] = name
         canon = new_canon
 
     # dense labels by descending size, ties by smallest member node index
     members: dict[int, list[int]] = {}
-    for node, sup in enumerate(node_of):
+    for node, sup in enumerate(node_of.tolist()):
         members.setdefault(sup, []).append(node)
-    ranked = sorted(members.items(), key=lambda kv: (-len(kv[1]), min(kv[1])))
+    ranked = sorted(members.values(), key=lambda nodes: (-len(nodes), nodes[0]))
     assignment = {}
-    for label, (_, nodes) in enumerate(ranked):
+    for label, nodes in enumerate(ranked):
         for node in nodes:
             assignment[node] = label
     q = modularity_of(net, assignment, resolution=resolution)
@@ -240,7 +256,7 @@ def brute_force_best(net: CorrelationNetwork) -> Partition:
     Intended as a test oracle; limited to 12 nodes.  Ties go to the
     lexicographically smallest canonical label vector.
     """
-    if not net.edges:
+    if not len(net.weight):
         raise InsufficientStructureError("network has no edges")
     if net.n > BRUTE_FORCE_MAX_NODES:
         raise PartitionSizeError(

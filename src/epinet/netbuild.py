@@ -9,13 +9,13 @@ without any edge are dropped from the node list entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, ParameterError
 from .ingest import Panel, RegionKey
 
 MIN_OVERLAP = 2  # fewer common defined points than this -> undefined similarity
@@ -42,22 +42,70 @@ def _num(x: float) -> str:
 
 @dataclass
 class CorrelationNetwork:
-    """Weighted undirected graph over region keys; weights are similarities."""
+    """Weighted undirected graph over region keys; weights are similarities.
+
+    Edge ``e`` joins nodes ``src[e] < dst[e]`` with weight ``weight[e]``;
+    networks from ``build_network`` list their edges in row-major order.
+    """
 
     nodes: list[RegionKey]
-    edges: list[tuple[int, int, float]]  # (a, b, weight) with a < b
+    src: np.ndarray  # int
+    dst: np.ndarray  # int
+    weight: np.ndarray  # float
     build_settings: BuildSettings
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """The edges as ``(a, b, weight)`` tuples."""
+        return list(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
+
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            a[i, j] = w
-            a[j, i] = w
+        a[self.src, self.dst] = self.weight
+        a[self.dst, self.src] = self.weight
         return a
+
+    def above(self, rho: float) -> CorrelationNetwork:
+        """The sub-network of edges with weight strictly above ``rho``, without
+        the nodes it leaves isolated.  Equal to ``build_network`` at ``rho``
+        on the panel this network was built from."""
+        _check_rho(rho)
+        if rho < self.build_settings.rho:
+            raise ParameterError(
+                f"rho {rho} is below this network's threshold {self.build_settings.rho}"
+            )
+        keep = self.weight > rho
+        return _without_isolated(
+            self.nodes,
+            self.src[keep],
+            self.dst[keep],
+            self.weight[keep],
+            replace(self.build_settings, rho=rho),
+        )
+
+
+def _check_rho(rho: float) -> None:
+    if math.isnan(rho):
+        raise ParameterError(f"rho must be a number, got {rho}")
+
+
+def _without_isolated(nodes, src, dst, weight, settings) -> CorrelationNetwork:
+    """Network over the nodes that keep an edge, renumbered in their order."""
+    used = np.zeros(len(nodes), dtype=bool)
+    used[src] = True
+    used[dst] = True
+    new_index = np.cumsum(used) - 1
+    return CorrelationNetwork(
+        nodes=[nodes[i] for i in np.flatnonzero(used).tolist()],
+        src=new_index[src],
+        dst=new_index[dst],
+        weight=weight,
+        build_settings=settings,
+    )
 
 
 def pearson(x, y) -> float | None:
@@ -148,11 +196,13 @@ def build_network(
     on which neither row is NaN.  An edge exists iff the value is defined and
     strictly greater than rho.  Regions with no surviving edge are omitted
     from the node list; node order is row order restricted to survivors.
-    ``alpha`` is recorded in the build settings only.
+    ``alpha`` is recorded in the build settings only.  A NaN rho raises
+    ``ParameterError``.
     """
     measure = SimilarityMeasure(measure)
     if len(exps) < 2:
         raise InsufficientDataError(f"need >= 2 series to build a network, got {len(exps)}")
+    _check_rho(rho)
 
     if np.isnan(exps.values).any():
         sims = _pairwise_similarity(exps.values, measure)
@@ -161,18 +211,12 @@ def build_network(
     rows, cols = np.triu_indices(len(exps), k=1)
     upper = sims[rows, cols]
     keep = upper > rho  # NaN (undefined) is never kept
-    raw_edges = list(zip(rows[keep].tolist(), cols[keep].tolist(), upper[keep].tolist()))
-
-    connected = sorted({i for i, _, _ in raw_edges} | {j for _, j, _ in raw_edges})
-    remap = {old: new for new, old in enumerate(connected)}
-    nodes = [exps.keys[i] for i in connected]
-    edges = [(remap[i], remap[j], w) for i, j, w in raw_edges]
     settings = BuildSettings(
         rho=rho,
         alpha=alpha if alpha is not None else float("nan"),
         measure=measure,
     )
-    return CorrelationNetwork(nodes=nodes, edges=edges, build_settings=settings)
+    return _without_isolated(exps.keys, rows[keep], cols[keep], upper[keep], settings)
 
 
 def fmt9(x: float) -> str:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from epinet.ingest import Panel, RegionKey
@@ -8,10 +9,13 @@ from epinet.synthetic import make_planted_cases
 
 
 def make_net(n, edges, rho=0.0, alpha=7.0, measure=SimilarityMeasure.PEARSON):
-    """Small hand-built network with nodes N00..N<n-1>."""
+    """Small hand-built network with nodes N00..N<n-1> and ``(a, b, w)`` edges."""
+    src, dst, weight = (np.array(col) for col in zip(*edges)) if edges else ([], [], [])
     return CorrelationNetwork(
         nodes=[RegionKey(country=f"N{i:02d}") for i in range(n)],
-        edges=[(a, b, float(w)) for a, b, w in edges],
+        src=np.asarray(src, dtype=np.intp),
+        dst=np.asarray(dst, dtype=np.intp),
+        weight=np.asarray(weight, dtype=float),
         build_settings=BuildSettings(rho=rho, alpha=alpha, measure=measure),
     )
 

@@ -15,6 +15,7 @@ from epinet.analysis import (
     median_curve,
     order_rows,
     reference_settings,
+    run_cell,
     run_grid,
     write_membership_csv,
 )
@@ -108,8 +109,6 @@ class TestRunGrid:
                             measures=(SimilarityMeasure.PEARSON,))
         cells = run_grid(cases, grid)
         assert len(cells) == 1
-        from epinet.analysis import run_cell
-
         direct = run_cell(cases, reference_settings(), seed=0)
         assert cells[0].partition.assignment == direct.partition.assignment
 
@@ -129,18 +128,59 @@ class TestRunGrid:
             assert agreement == 1.0, cell.settings.label()
 
     def test_cell_error_recorded_not_raised(self):
-        # two regions whose exponents are exactly anti-correlated: no edges
-        start = date(2021, 1, 1)
-        days = 30
-        up = [int(1000 * 2 ** (0.1 * t)) for t in range(days)]
-        flat = [1000] * days
-        dates = [start + timedelta(days=i) for i in range(days)]
-        cases = [
-            CaseSeries(key=RegionKey(country="A"), dates=dates, cumulative=up),
-            CaseSeries(key=RegionKey(country="B"), dates=dates, cumulative=flat),
-        ]
-        cells = run_grid(Panel.from_series(cases), GridSettings())
+        cells = run_grid(anti_correlated_pair(), GridSettings())
         assert all(c.error is not None for c in cells)
+
+    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated"])
+    def test_shared_grid_equals_cell_by_cell(self, planted, fixture):
+        if fixture == "planted":
+            cases = planted[0]
+            # unsorted, with a repeated rho and alpha and a NaN rho that fails
+            grid = GridSettings(
+                rho_values=(0.1, 0.0, float("nan"), 0.1, -0.05),
+                alpha_values=(9.0, 5.0, 9.0),
+                measures=(SimilarityMeasure.COSINE, SimilarityMeasure.PEARSON),
+                seed=4,
+            )
+        else:
+            cases, grid = anti_correlated_pair(), GridSettings()
+        shared = run_grid(cases, grid)
+        assert [c.settings.label() for c in shared] == [s.label() for s in grid.cells()]
+        for cell, settings in zip(shared, grid.cells()):
+            alone = run_cell(cases, settings, seed=grid.seed)
+            assert cell.error == alone.error
+            if alone.network is None:
+                assert cell.network is None
+            else:
+                assert cell.network.nodes == alone.network.nodes
+                assert cell.network.build_settings.label() == settings.label()
+                for field in ("src", "dst", "weight"):
+                    assert np.array_equal(
+                        getattr(cell.network, field), getattr(alone.network, field)
+                    )
+            if alone.partition is None:
+                assert cell.partition is None
+            else:
+                assert cell.partition.assignment == alone.partition.assignment
+                assert cell.partition.modularity == alone.partition.modularity
+        if fixture == "planted":
+            assert sum(c.error is not None for c in shared) == 6  # the NaN rho cells
+        else:
+            assert all(c.error is not None for c in shared)
+
+
+def anti_correlated_pair():
+    """Two regions whose exponents are exactly anti-correlated: no edges."""
+    start = date(2021, 1, 1)
+    days = 30
+    up = [int(1000 * 2 ** (0.1 * t)) for t in range(days)]
+    flat = [1000] * days
+    dates = [start + timedelta(days=i) for i in range(days)]
+    cases = [
+        CaseSeries(key=RegionKey(country="A"), dates=dates, cumulative=up),
+        CaseSeries(key=RegionKey(country="B"), dates=dates, cumulative=flat),
+    ]
+    return Panel.from_series(cases)
 
 
 def _cell(settings, nodes, assignment):

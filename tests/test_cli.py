@@ -79,9 +79,28 @@ class TestPipeline:
         rc = main(["pipeline", "--input", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("fault", ["date_gap", "not_utf8", "directory", "alpha_nan"])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "date_gap",
+            "not_utf8",
+            "directory",
+            "alpha_nan",
+            "rho_nan",
+            "config_seed",
+            "config_measure",
+            "config_date",
+            "config_not_utf8",
+        ],
+    )
     def test_input_fault_exit_2(self, fixture_csv, tmp_path, capsys, fault):
         bad = tmp_path / "bad.csv"
+        cfg = tmp_path / "run.cfg"
+        config_lines = {
+            "config_seed": "seed = abc",
+            "config_measure": "measure = foo",
+            "config_date": "start = 2020-13-45",
+        }
         flags = []
         if fault == "date_gap":
             bad.write_text(fixture_csv.read_text().replace(",1/3/21,", ",1/4/21,", 1))
@@ -89,8 +108,14 @@ class TestPipeline:
             bad.write_bytes(fixture_csv.read_bytes().replace(b"Group1", b"Gr\xffup1", 1))
         elif fault == "directory":
             bad.mkdir()
+        elif fault in ("alpha_nan", "rho_nan"):
+            bad, flags = fixture_csv, [f"--{fault.split('_')[0]}", "nan"]
+        elif fault == "config_not_utf8":
+            cfg.write_bytes(b"seed = \xff\n")
+            bad, flags = fixture_csv, ["--config", str(cfg)]
         else:
-            bad, flags = fixture_csv, ["--alpha", "nan"]
+            cfg.write_text(config_lines[fault] + "\n")
+            bad, flags = fixture_csv, ["--config", str(cfg)]
         out = tmp_path / "out"
         rc = main(["pipeline", "--input", str(bad), "--out", str(out)] + flags)
         captured = capsys.readouterr()
@@ -167,7 +192,7 @@ class TestGrid:
         main(["grid", "--input", str(fixture_csv), "--out", str(out)])
         assert read_bytes_map(out) == first
 
-    def test_edgeless_reference_exit_3(self, tmp_path):
+    def test_edgeless_reference_exit_3(self, tmp_path, capsys):
         start = date(2021, 1, 1)
         days = 30
         dates = [start + timedelta(days=i) for i in range(days)]
@@ -179,10 +204,15 @@ class TestGrid:
         ]
         path = tmp_path / "flat.csv"
         path.write_text(to_wide_csv(Panel.from_series(cases)))
-        rc = main(["grid", "--input", str(path), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["grid", "--input", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
         assert rc == 3
-        errors = json.loads((tmp_path / "o" / "grid_errors.json").read_text())
-        assert len(errors) == 18
+        assert not out.exists()  # nothing is written when the reference fails
+        assert len(captured.out.splitlines()) == 1
+        payload = json.loads(captured.out)
+        assert payload["error"] == "InsufficientStructureError"
+        assert "reference grid cell failed" in payload["message"]
 
 
 class TestStageCommands:

@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -53,6 +55,128 @@ class TestModularityOf:
             labels = rng.integers(0, 3, size=net.n)
             q = modularity_of(net, {i: int(l) for i, l in enumerate(labels)})
             assert -0.5 - 1e-12 <= q <= 1.0
+
+
+    @pytest.mark.parametrize("resolution", [1.0, 2.5])
+    def test_matches_dense_formula_with_negative_weights(self, resolution):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(60):
+            net = random_net(rng, int(rng.integers(2, 25)), low=-0.6)
+            adj = net.adjacency()
+            two_m = adj.sum()
+            if len(net.weight) == 0 or two_m <= 0:
+                continue
+            k = adj.sum(axis=1)
+            labels = rng.integers(0, 4, size=net.n)
+            same = labels[:, None] == labels[None, :]
+            want = float((adj - resolution * np.outer(k, k) / two_m)[same].sum()) / two_m
+            got = modularity_of(net, {i: int(l) for i, l in enumerate(labels)}, resolution)
+            assert got == pytest.approx(want, abs=1e-12)
+            checked += 1
+        assert checked > 40
+
+
+def random_net(rng, n, low=0.0, p=0.5, unit=False):
+    """Random graph on n nodes with weights uniform in [low, 1), or all 1."""
+    pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < p]
+    weights = np.ones(len(pairs)) if unit else rng.uniform(low, 1.0, len(pairs))
+    return make_net(n, [(a, b, w) for (a, b), w in zip(pairs, weights)])
+
+
+def reference_modularity(net, assignment, resolution=1.0):
+    """Edge-by-edge Q, summing in the order ``modularity_of`` keeps."""
+    two_m = 2.0 * sum(w for _, _, w in net.edges)
+    deg = np.zeros(net.n)
+    internal = 0.0
+    for a, b, w in net.edges:
+        deg[a] += w
+        deg[b] += w
+        if assignment[a] == assignment[b]:
+            internal += 2.0 * w
+    tot = {}
+    for i in range(net.n):
+        tot[assignment[i]] = tot.get(assignment[i], 0.0) + deg[i]
+    q = internal / two_m
+    q -= resolution * sum((s / two_m) ** 2 for s in tot.values())
+    return q
+
+
+def added_in_order(values):
+    """One addition at a time (``sum`` of floats compensates from Python 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def reference_louvain(net, seed=0, resolution=1.0):
+    """Louvain on adjacency dicts, with the visit order, scores, tie rules,
+    sum orders and final labelling that ``louvain`` keeps on CSR arrays."""
+    two_m = 2.0 * sum(w for _, _, w in net.edges)
+    nbrs = [dict() for _ in range(net.n)]
+    for a, b, w in net.edges:
+        nbrs[a][b] = nbrs[a].get(b, 0.0) + w
+        nbrs[b][a] = nbrs[b].get(a, 0.0) + w
+    selfw = [0.0] * net.n
+    rng = random.Random(seed)
+    canon = [key.display for key in net.nodes]
+    node_of = list(range(net.n))
+    while True:
+        n = len(nbrs)
+        deg = [added_in_order(nb.values()) + s for nb, s in zip(nbrs, selfw)]
+        order = sorted(range(n), key=lambda i: canon[i])
+        rng.shuffle(order)
+        comm, tot, improved, moved = list(range(n)), list(deg), False, True
+        while moved:
+            moved = False
+            for i in order:
+                ki, cur = deg[i], comm[i]
+                w_to = {}
+                for j, w in nbrs[i].items():
+                    w_to[comm[j]] = w_to.get(comm[j], 0.0) + w
+                tot[cur] -= ki
+                scores = {
+                    c: (2.0 * w_to.get(c, 0.0)) / two_m
+                    - resolution * 2.0 * ki * tot[c] / (two_m * two_m)
+                    for c in set(w_to) | {cur}
+                }
+                top = max(scores.values())
+                best = cur if scores[cur] == top else min(c for c, v in scores.items() if v == top)
+                tot[best] += ki
+                if best != cur:
+                    comm[i] = best
+                    moved = improved = True
+        if not improved:
+            break
+        remap = {lab: idx for idx, lab in enumerate(sorted(set(comm)))}
+        k = len(remap)
+        new_nbrs = [dict() for _ in range(k)]
+        new_self = [0.0] * k
+        for i in range(n):
+            ci = remap[comm[i]]
+            new_self[ci] += selfw[i]
+            for j, w in nbrs[i].items():
+                cj = remap[comm[j]]
+                if ci == cj:
+                    new_self[ci] += w
+                elif ci < cj:
+                    new_nbrs[ci][cj] = new_nbrs[ci].get(cj, 0.0) + w
+        for a in range(k):
+            for b, w in list(new_nbrs[a].items()):
+                new_nbrs[b][a] = w
+        new_canon = [None] * k
+        for i, name in enumerate(canon):
+            sup = remap[comm[i]]
+            if new_canon[sup] is None or name < new_canon[sup]:
+                new_canon[sup] = name
+        nbrs, selfw, canon = new_nbrs, new_self, new_canon
+        node_of = [remap[comm[c]] for c in node_of]
+    members = {}
+    for node, sup in enumerate(node_of):
+        members.setdefault(sup, []).append(node)
+    ranked = sorted(members.values(), key=lambda m: (-len(m), m[0]))
+    return {node: label for label, m in enumerate(ranked) for node in m}
 
 
 class TestBruteForce:
@@ -148,8 +272,8 @@ class TestLouvain:
             pedges = [
                 (min(inv[a], inv[b]), max(inv[a], inv[b]), w) for a, b, w in net.edges
             ]
-            pnet = make_net(net.n, [])
-            pnet.nodes, pnet.edges = pnodes, pedges
+            pnet = make_net(net.n, pedges)
+            pnet.nodes = pnodes
             part = louvain(pnet, seed=3)
             assert part.modularity == pytest.approx(base.modularity, abs=1e-12)
             # same partition up to relabeling: compare by region key groupings
@@ -160,6 +284,41 @@ class TestLouvain:
                 return sorted(map(frozenset, out.values()), key=sorted)
 
             assert groups(net, base) == groups(pnet, part)
+
+    def test_same_decisions_as_dict_reference(self):
+        rng = np.random.default_rng(5)
+        nets = list(small_graph_suite().values()) + [
+            # a neighbour community whose weights sum to exactly 0 is still a
+            # candidate (it is the best move here: its total degree is negative)
+            make_net(7, [(0, 2, -1.0), (0, 5, 1.0), (0, 6, 0.5), (2, 4, -0.5), (2, 6, 0.5),
+                         (3, 4, -0.5), (3, 6, -1.0), (4, 6, 1.0), (5, 6, 0.5)]),
+            # at seed 7, resolution 5, a tie is settled by the order in which
+            # aggregated weights are added
+            make_net(8, [(0, 4, 0.4), (0, 5, 0.1), (0, 6, 0.8), (0, 7, 0.6), (1, 2, 0.8),
+                         (1, 4, 0.3), (1, 5, 0.7), (1, 6, 0.7), (1, 7, 0.1), (3, 4, 0.5),
+                         (3, 7, 0.5), (4, 5, 0.4), (4, 6, 0.6)]),
+        ]
+        for idx in range(18):
+            n = int(rng.integers(5, 40))
+            if idx % 3 == 0:
+                nets.append(random_net(rng, n, low=-0.4))  # negative weights
+            elif idx % 3 == 1:
+                nets.append(random_net(rng, n, unit=True))  # exact ties
+            else:
+                nets.append(random_net(rng, n, p=0.2))
+        for net in nets:
+            if len(net.weight) == 0 or net.weight.sum() <= 0:
+                continue
+            for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
+                part = louvain(net, seed=seed, resolution=resolution)
+                assert part.assignment == reference_louvain(net, seed, resolution)
+                assert part.modularity == reference_modularity(
+                    net, part.assignment, resolution
+                )
+
+    def test_no_positive_weight_raises(self):
+        with pytest.raises(InsufficientStructureError):
+            louvain(make_net(3, [(0, 1, 0.5), (1, 2, -0.5)]))
 
     def test_seed_recorded_in_fingerprint(self):
         part = louvain(bridge_of_triangles(), seed=42)

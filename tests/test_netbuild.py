@@ -5,7 +5,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from epinet.errors import InsufficientDataError
+from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import (
     MIN_OVERLAP,
@@ -186,6 +186,38 @@ class TestBuildNetwork:
             len(build_network(exps, rho=r).edges) for r in (-1.0, 0.0, 0.3, 0.7, 0.95)
         ]
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("measure", list(SimilarityMeasure))
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_above_equals_build_at_rho(self, measure, partial):
+        rng = np.random.default_rng(17)
+        latent = rng.normal(size=(3, 40))
+        rows = latent[rng.integers(0, 3, size=12)] + rng.normal(scale=1.5, size=(12, 40))
+        if partial:
+            rows[0, :5] = np.nan  # the pairwise-complete path
+        exps = exp_panel({f"R{i}": row for i, row in enumerate(rows)})
+        base = build_network(exps, rho=-0.3, measure=measure, alpha=5.0)
+        for r in (-0.3, -0.1, 0.0, 0.2, 0.5, 0.8, 1.0):
+            want = build_network(exps, rho=r, measure=measure, alpha=5.0)
+            got = base.above(r)
+            assert got.nodes == want.nodes
+            assert got.build_settings == want.build_settings
+            assert np.array_equal(got.src, want.src)
+            assert np.array_equal(got.dst, want.dst)
+            assert np.array_equal(got.weight, want.weight)
+        assert 0 < len(base.above(0.5).weight) < len(base.weight)
+        assert base.above(1.0).nodes == []
+
+    def test_nan_rho_rejected(self):
+        exps = exp_panel({"A": [1, 2, 3, 4], "B": [1, 2, 3, 5]})
+        with pytest.raises(ParameterError):
+            build_network(exps, rho=float("nan"))
+        net = build_network(exps, rho=0.0)
+        with pytest.raises(ParameterError):
+            net.above(float("nan"))
+        with pytest.raises(ParameterError):
+            net.above(-0.5)  # below the threshold the network was built at
+        assert len(build_network(exps, rho=float("inf")).weight) == 0
 
     def test_cosine_measure(self):
         exps = exp_panel({"A": [1, 2], "B": [2, 1]})

@@ -160,7 +160,8 @@ def run_grid(cases: Panel, grid: GridSettings) -> list[GridCell]:
     return cells
 
 
-def reference_settings(grid: GridSettings | None = None) -> BuildSettings:
+def reference_settings() -> BuildSettings:
+    """The cell every grid run's labels are aligned to."""
     return BuildSettings(rho=0.0, alpha=7.0, measure=SimilarityMeasure.PEARSON)
 
 
@@ -267,17 +268,6 @@ def build_trajectory(
     )
 
 
-def _deboor(span: int, x: float, knots: np.ndarray, ctrl: np.ndarray, degree: int):
-    d = [ctrl[j + span - degree].copy() for j in range(degree + 1)]
-    for r in range(1, degree + 1):
-        for j in range(degree, r - 1, -1):
-            lo = knots[j + span - degree]
-            hi = knots[j + 1 + span - r]
-            alpha = 0.0 if hi == lo else (x - lo) / (hi - lo)
-            d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
-    return d[degree]
-
-
 def bspline_smooth(points, samples_per_segment: int = 10) -> np.ndarray:
     """Clamped uniform cubic B-spline through the control polygon.
 
@@ -297,14 +287,19 @@ def bspline_smooth(points, samples_per_segment: int = 10) -> np.ndarray:
         [np.zeros(degree + 1), np.arange(1, n_spans), np.full(degree + 1, n_spans)]
     ).astype(float)
     total = n_spans * samples_per_segment
-    out = np.empty((total + 1, ctrl.shape[1]))
-    for s in range(total + 1):
-        x = n_spans * s / total
-        # knot span index: largest j with knots[j] <= x, capped at n-1
-        span = int(np.searchsorted(knots, x, side="right") - 1)
-        span = min(max(span, degree), n - 1)
-        out[s] = _deboor(span, x, knots, ctrl, degree)
-    return out
+    x = n_spans * np.arange(total + 1) / total
+    # knot span index: largest j with knots[j] <= x, within [degree, n-1]
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, degree, n - 1)
+    # de Boor's recursion, on every sample at once: d[:, j] is the j-th point
+    d = ctrl[span[:, None] - degree + np.arange(degree + 1)]
+    for r in range(1, degree + 1):
+        for j in range(degree, r - 1, -1):
+            lo = knots[j + span - degree]
+            hi = knots[j + 1 + span - r]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alpha = np.where(hi == lo, 0.0, (x - lo) / (hi - lo))[:, None]
+            d[:, j] = (1.0 - alpha) * d[:, j - 1] + alpha * d[:, j]
+    return d[:, degree]
 
 
 # ---------------------------------------------------------------------------

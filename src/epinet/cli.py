@@ -12,11 +12,13 @@ Exit codes: 0 success, 2 input/format errors, 3 insufficient structure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +40,7 @@ EXIT_INPUT = 2
 EXIT_STRUCTURE = 3
 
 INPUT_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     CsvFormatError,
     CsvParseError,
     DuplicateKeyError,
@@ -49,30 +50,54 @@ INPUT_ERRORS = (
 STRUCTURE_ERRORS = (InsufficientDataError, InsufficientStructureError)
 
 
+def _parse_date(text: str) -> date:
+    return datetime.strptime(text, "%Y-%m-%d").date()
+
+
+def _parse_count(text: str) -> int:
+    count = int(text)
+    if abs(count) > ingest.MAX_COUNT:  # the panel holds counts as floats
+        raise ValueError(text)
+    return count
+
+
+# Every run setting, keyed by its name in the config file, in RunConfig and in
+# summary.json: the conversion from text and the help text.  The flag is the
+# key with "-" for "_".
+SETTINGS = {
+    "input": (Path, "wide-format cumulative case CSV"),
+    "out": (Path, "output directory (default out)"),
+    "start": (_parse_date, "analysis start date, ISO (default 2020-01-22)"),
+    "end": (_parse_date, "analysis end date, ISO (default 2022-05-29)"),
+    "min_cases": (_parse_count, "cumulative case threshold for selection (default 100000)"),
+    "alpha": (float, "exponent clipping bound (default 7)"),
+    "rho": (float, "edge threshold (default 0)"),
+    "measure": (SimilarityMeasure, "similarity measure, pearson or cosine (default pearson)"),
+    "seed": (int, "community detection seed (default 0)"),
+}
+
+
 @dataclass
 class RunConfig:
-    input_path: Path
-    output_dir: Path
+    input: Path
+    out: Path = Path("out")
     start: date = ingest.DEFAULT_START
     end: date = ingest.DEFAULT_END
-    min_cumulative: int = ingest.DEFAULT_MIN_CUMULATIVE
+    min_cases: int = ingest.DEFAULT_MIN_CUMULATIVE
     alpha: float = transform.DEFAULT_ALPHA
     rho: float = 0.0
     measure: SimilarityMeasure = SimilarityMeasure.PEARSON
     seed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "input": str(self.input_path),
-            "out": str(self.output_dir),
-            "start": self.start.isoformat(),
-            "end": self.end.isoformat(),
-            "min_cases": self.min_cumulative,
-            "alpha": self.alpha,
-            "rho": self.rho,
-            "measure": self.measure.value,
-            "seed": self.seed,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """The JSON form of a setting: dates in ISO, paths and the measure as text."""
+    if isinstance(value, Enum):
+        return value.value
+    return str(value) if isinstance(value, (date, Path)) else value
 
 
 def read_config_file(path: Path) -> dict[str, str]:
@@ -93,78 +118,58 @@ def read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _parse_date(text: str) -> date:
-    return datetime.strptime(text, "%Y-%m-%d").date()
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParameterError (exit 2 with
+    the JSON error line); subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epinet",
         description="Epidemic case-count correlation-network community analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("pipeline", "full run: ingest -> transform -> network -> communities -> curves"),
-        ("grid", "robustness grid over rho x alpha x similarity measure"),
-        ("network", "stop after network construction (edges.csv, network.graphml)"),
-        ("transform", "stop after the exponent transform (exponents.csv)"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--input", help="wide-format cumulative case CSV")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--alpha", type=float, help="exponent clipping bound (default 7)")
-        p.add_argument("--rho", type=float, help="edge threshold (default 0)")
-        p.add_argument("--measure", choices=["pearson", "cosine"])
-        p.add_argument("--min-cases", type=int, dest="min_cases",
-                       help="cumulative case threshold for region selection (default 100000)")
-        p.add_argument("--start", help="analysis start date, ISO (default 2020-01-22)")
-        p.add_argument("--end", help="analysis end date, ISO (default 2022-05-29)")
-        p.add_argument("--seed", type=int, help="community detection seed (default 0)")
-        p.add_argument("--out", help="output directory")
+        for key, (_, text) in SETTINGS.items():
+            p.add_argument(_flag(key), help=text)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    filevals: dict[str, str] = {}
-    if args.config:
-        filevals = read_config_file(Path(args.config))
-
-    def convert(parse, value, origin):
+    """Each setting from its flag, else the config file, else (seed only)
+    EPINET_SEED, else the RunConfig default."""
+    filevals = read_config_file(Path(args.config)) if args.config else {}
+    env = {"seed": os.environ.get("EPINET_SEED") or None}
+    values = {}
+    for key, (parse, _) in SETTINGS.items():
+        sources = (
+            (getattr(args, key), _flag(key)),
+            (filevals.get(key), f"{args.config}: {key}"),
+            (env.get(key), "EPINET_SEED"),
+        )
+        text, origin = next(((t, o) for t, o in sources if t is not None), (None, None))
+        if text is None:
+            continue
         try:
-            return parse(value)
+            values[key] = parse(text)
         except ValueError:
-            raise ParameterError(f"{origin}: invalid value {value!r}") from None
-
-    def pick(flag, key, parse=str, default=None):
-        if flag is not None:
-            return convert(parse, flag, f"--{key.replace('_', '-')}")
-        if key in filevals:
-            return convert(parse, filevals[key], f"{args.config}: {key}")
-        return default
-
-    seed = pick(args.seed, "seed", int)
-    if seed is None:
-        env = os.environ.get("EPINET_SEED")
-        seed = convert(int, env, "EPINET_SEED") if env else 0
-
-    input_path = pick(args.input, "input")
-    if input_path is None:
+            raise ParameterError(f"{origin}: invalid value {text!r}") from None
+    if "input" not in values:
         raise ParameterError("no input file given (use --input or the config file)")
-    return RunConfig(
-        input_path=Path(input_path),
-        output_dir=Path(pick(args.out, "out", default="out")),
-        start=pick(args.start, "start", _parse_date, ingest.DEFAULT_START),
-        end=pick(args.end, "end", _parse_date, ingest.DEFAULT_END),
-        min_cumulative=pick(args.min_cases, "min_cases", int, ingest.DEFAULT_MIN_CUMULATIVE),
-        alpha=pick(args.alpha, "alpha", float, transform.DEFAULT_ALPHA),
-        rho=pick(args.rho, "rho", float, 0.0),
-        measure=pick(args.measure, "measure", SimilarityMeasure, SimilarityMeasure.PEARSON),
-        seed=seed,
-    )
+    return RunConfig(**values)
 
 
 def load_cases(config: RunConfig) -> ingest.Panel:
-    data = config.input_path.read_bytes()
+    data = config.input.read_bytes()
     series = ingest.parse_cases_csv(data)
     if not series:
         raise InsufficientDataError("input contains no data rows")
@@ -177,34 +182,37 @@ def load_cases(config: RunConfig) -> ingest.Panel:
             f"no region overlaps the requested range {config.start}..{config.end}"
         )
     panel = ingest.restrict_date_range(panel, start, end)
-    selected = ingest.select_regions(
-        panel, min_cumulative=config.min_cumulative, as_of=end
-    )
+    selected = ingest.select_regions(panel, min_cumulative=config.min_cases, as_of=end)
     if not len(selected):
         raise InsufficientDataError(
-            f"no region passes the selection filter (min_cases={config.min_cumulative})"
+            f"no region passes the selection filter (min_cases={config.min_cases})"
         )
     return selected
 
 
-def _write(path: Path, writer_fn) -> None:
-    with path.open("w", newline="") as fh:
-        writer_fn(fh)
+# A command returns its output files as {file name: writer(stream)} and the
+# entries it adds to summary.json; main writes them all.
 
 
-def cmd_transform(config: RunConfig) -> int:
-    import csv
+def _json(payload: dict):
+    def write(fh) -> None:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
+    return write
+
+
+def cmd_transform(config: RunConfig) -> tuple[dict, dict]:
+    """stop after the exponent transform (exponents.csv)"""
     cases = load_cases(config)
     exps = transform.to_exponent_series(cases, alpha=config.alpha)
     diffs = transform.daily_diffs(cases.values)
     avgs = transform.moving_average_7(diffs)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write(config.output_dir / "selected.csv", lambda fh: ingest.write_long_csv(cases, fh))
-    days = [d.isoformat() for d in exps.dates]
-    with (config.output_dir / "exponents.csv").open("w", newline="") as fh:
+
+    def write_exponents(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["region", "date", "diff", "avg7", "exponent", "defined"])
+        days = [d.isoformat() for d in exps.dates]
         # exponent day t is diff day t + WARMUP_DAYS - 1 and average day t + 1
         rows = zip(exps.keys, diffs[:, transform.WARMUP_DAYS - 1 :], avgs[:, 1:], exps.values)
         for key, d_row, a_row, e_row in rows:
@@ -213,8 +221,12 @@ def cmd_transform(config: RunConfig) -> int:
                 writer.writerow(
                     [key.display, day, fmt9(diff), fmt9(avg), fmt9(v if ok else 0.0), int(ok)]
                 )
-    _write_summary(config, config.output_dir / "summary.json", {"regions": len(exps)})
-    return EXIT_OK
+
+    files = {
+        "selected.csv": lambda fh: ingest.write_long_csv(cases, fh),
+        "exponents.csv": write_exponents,
+    }
+    return files, {"regions": len(exps)}
 
 
 def _build(config: RunConfig):
@@ -226,104 +238,77 @@ def _build(config: RunConfig):
     return exps, net
 
 
-def cmd_network(config: RunConfig) -> int:
+def _network_files(net) -> dict:
+    return {
+        "edges.csv": lambda fh: netbuild.write_edge_csv(net, fh),
+        "network.graphml": lambda fh: netbuild.write_graphml(net, fh),
+    }
+
+
+def cmd_network(config: RunConfig) -> tuple[dict, dict]:
+    """stop after network construction (edges.csv, network.graphml)"""
     _, net = _build(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write(config.output_dir / "edges.csv", lambda fh: netbuild.write_edge_csv(net, fh))
-    _write(config.output_dir / "network.graphml", lambda fh: netbuild.write_graphml(net, fh))
-    _write_summary(
-        config,
-        config.output_dir / "summary.json",
-        {"nodes": net.n, "edges": len(net.weight)},
-    )
-    return EXIT_OK
+    return _network_files(net), {"nodes": net.n, "edges": len(net.weight)}
 
 
-def _write_summary(config: RunConfig, path: Path, extra: dict) -> None:
-    payload = {"config": config.as_dict()}
-    payload.update(extra)
-    with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def cmd_pipeline(config: RunConfig) -> int:
+def cmd_pipeline(config: RunConfig) -> tuple[dict, dict]:
+    """full run: ingest -> transform -> network -> communities -> curves"""
     exps, net = _build(config)
     part = community.louvain(net, seed=config.seed)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
-    _write(out / "edges.csv", lambda fh: netbuild.write_edge_csv(net, fh))
-    _write(out / "network.graphml", lambda fh: netbuild.write_graphml(net, fh))
-    _write(out / "partition.csv", lambda fh: community.write_partition_csv(net, part, fh))
-
-    comms = part.communities()
-    n_major = min(3, len(comms))
     dates = exps.dates
-    medians = []
-    peaks_by_community = {}
-    for label in range(n_major):
-        members = {net.nodes[i] for i in comms[label]}
-        values = analysis.median_curve(exps, members)
-        medians.append(values)
-        peaks_by_community[label + 1] = analysis.detect_peaks(dates, values)
-    _write(out / "medians.csv", lambda fh: analysis.write_medians_csv(dates, medians, fh))
-    _write(out / "peaks.csv", lambda fh: analysis.write_peaks_csv(peaks_by_community, fh))
+    medians = [
+        analysis.median_curve(exps, {net.nodes[i] for i in members})
+        for members in part.communities()[:3]
+    ]
+    peaks = {
+        label: analysis.detect_peaks(dates, values)
+        for label, values in enumerate(medians, start=1)
+    }
+    files = _network_files(net)
+    files["partition.csv"] = lambda fh: community.write_partition_csv(net, part, fh)
+    files["medians.csv"] = lambda fh: analysis.write_medians_csv(dates, medians, fh)
+    files["peaks.csv"] = lambda fh: analysis.write_peaks_csv(peaks, fh)
 
-    trajectory_built = False
-    if n_major == 3:
+    traj = None
+    if len(medians) == 3:
         try:
             traj = analysis.build_trajectory(dates, *medians)
         except InsufficientDataError:
-            traj = None
-        if traj is not None:
-            _write(out / "trajectory.csv", lambda fh: analysis.write_trajectory_csv(traj, fh))
-            _write(out / "smoothed.csv", lambda fh: analysis.write_smoothed_csv(traj, fh))
-            trajectory_built = True
+            pass
+    if traj is not None:
+        files["trajectory.csv"] = lambda fh: analysis.write_trajectory_csv(traj, fh)
+        files["smoothed.csv"] = lambda fh: analysis.write_smoothed_csv(traj, fh)
 
-    _write_summary(
-        config,
-        out / "summary.json",
-        {
-            "partition": community.partition_summary(part),
-            "network": {"nodes": net.n, "edges": len(net.weight)},
-            "trajectory_built": trajectory_built,
-        },
-    )
-    return EXIT_OK
+    return files, {
+        "partition": community.partition_summary(part),
+        "network": {"nodes": net.n, "edges": len(net.weight)},
+        "trajectory_built": traj is not None,
+    }
 
 
-def cmd_grid(config: RunConfig) -> int:
+def cmd_grid(config: RunConfig) -> tuple[dict, dict]:
+    """robustness grid over rho x alpha x similarity measure"""
     cases = load_cases(config)
-    grid = analysis.GridSettings(seed=config.seed)
-    cells = analysis.run_grid(cases, grid)
+    cells = analysis.run_grid(cases, analysis.GridSettings(seed=config.seed))
     reference = analysis.reference_settings()
     ref_cell = next((c for c in cells if c.settings == reference), None)
     if ref_cell is None or ref_cell.partition is None:
         msg = ref_cell.error if ref_cell else "reference cell missing"
         raise InsufficientStructureError(f"reference grid cell failed: {msg}")
 
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    errors = {
-        c.settings.label(): c.error for c in cells if c.error is not None
-    }
-    with (out / "grid_errors.json").open("w") as fh:
-        json.dump(errors, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    errors = {c.settings.label(): c.error for c in cells if c.error is not None}
     summaries = {
         c.settings.label(): community.partition_summary(c.partition)
         for c in cells
         if c.partition is not None
     }
-    with (out / "grid_cells.json").open("w") as fh:
-        json.dump(summaries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     matrix = analysis.order_rows(analysis.align_labels(cells, reference))
-    _write(out / "membership_matrix.csv", lambda fh: analysis.write_membership_csv(matrix, fh))
-    _write_summary(config, out / "summary.json", {"cells": len(cells), "errors": len(errors)})
-    return EXIT_OK
+    files = {
+        "grid_errors.json": _json(errors),
+        "grid_cells.json": _json(summaries),
+        "membership_matrix.csv": lambda fh: analysis.write_membership_csv(matrix, fh),
+    }
+    return files, {"cells": len(cells), "errors": len(errors)}
 
 
 COMMANDS = {
@@ -335,10 +320,18 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command, then write its files and summary.json into ``--out``:
+    nothing else touches that directory, so a failed command leaves none."""
     try:
+        args = build_parser().parse_args(argv)
         config = resolve_config(args)
-        return COMMANDS[args.command](config)
+        files, summary = COMMANDS[args.command](config)
+        files["summary.json"] = _json({"config": config.as_dict(), **summary})
+        config.out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            with (config.out / name).open("w", newline="") as fh:
+                write(fh)
+        return EXIT_OK
     except INPUT_ERRORS as exc:
         _report_error(exc)
         return EXIT_INPUT

@@ -11,7 +11,6 @@ are fixed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -345,8 +344,3 @@ def partition_summary(part: Partition) -> dict:
         "community_sizes": sizes,
         "settings_fingerprint": part.settings_fingerprint,
     }
-
-
-def write_summary_json(part: Partition, stream) -> None:
-    json.dump(partition_summary(part), stream, indent=2, sort_keys=True)
-    stream.write("\n")

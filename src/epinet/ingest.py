@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -31,6 +32,7 @@ from .errors import (
 DEFAULT_MIN_CUMULATIVE = 100_000
 DEFAULT_START = date(2020, 1, 22)
 DEFAULT_END = date(2022, 5, 29)
+MAX_COUNT = int(sys.float_info.max)  # the panel holds counts as floats
 
 EXPECTED_META_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 
@@ -112,21 +114,30 @@ def _parse_header_date(text: str, column: int) -> date:
     raise CsvFormatError(f"unparseable date {text!r} in header column {column}")
 
 
+def _records(text: str):
+    """The CSV records of ``text``; malformed CSV raises CsvFormatError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num} is not valid CSV: {exc}") from None
+
+
 def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
     """Parse a wide-format cumulative case CSV into one CaseSeries per row.
 
     Header dates may be M/D/YY (the upstream feed) or ISO YYYY-MM-DD
     (synthetic fixtures) and must be consecutive days.  Lat/Long are ignored.
-    Raises CsvFormatError for undecodable bytes or a bad header, CsvParseError
-    (with coordinates) for a bad cell, and DuplicateKeyError when two rows key
-    the same region.
+    Raises CsvFormatError for undecodable bytes, malformed CSV or a bad
+    header, CsvParseError (with coordinates) for a bad or out-of-range cell,
+    and DuplicateKeyError when two rows key the same region.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}")
-    reader = csv.reader(io.StringIO(data))
+    reader = _records(data)
     try:
         header = next(reader)
     except StopIteration:
@@ -169,6 +180,11 @@ def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
                 raise CsvParseError(
                     f"non-numeric case count {cell!r}", row=row_no, column=col
                 )
+        if max(counts) > MAX_COUNT or min(counts) < -MAX_COUNT:
+            col = next(c for c, n in enumerate(counts, start=5) if abs(n) > MAX_COUNT)
+            raise CsvParseError(
+                f"case count {row[col - 1]!r} out of range", row=row_no, column=col
+            )
         out.append(CaseSeries(key=key, dates=list(dates), cumulative=counts))
     return out
 

@@ -336,6 +336,37 @@ class TestBSpline:
         with pytest.raises(InsufficientDataError):
             bspline_smooth(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("n", list(range(2, 12)) + [100, 851])
+    @pytest.mark.parametrize("samples", [1, 3, 10])
+    def test_equals_per_sample_de_boor(self, n, samples):
+        pts = np.random.default_rng(n).normal(size=(n, 3))
+        assert np.array_equal(bspline_smooth(pts, samples), reference_bspline(pts, samples))
+
+
+def reference_bspline(ctrl, samples_per_segment):
+    """The earlier per-sample de Boor loop, kept as the bit-for-bit reference."""
+    n = len(ctrl)
+    degree = min(3, n - 1)
+    n_spans = n - degree
+    knots = np.concatenate(
+        [np.zeros(degree + 1), np.arange(1, n_spans), np.full(degree + 1, n_spans)]
+    ).astype(float)
+    total = n_spans * samples_per_segment
+    out = np.empty((total + 1, ctrl.shape[1]))
+    for s in range(total + 1):
+        x = n_spans * s / total
+        span = int(np.searchsorted(knots, x, side="right") - 1)
+        span = min(max(span, degree), n - 1)
+        d = [ctrl[j + span - degree].copy() for j in range(degree + 1)]
+        for r in range(1, degree + 1):
+            for j in range(degree, r - 1, -1):
+                lo = knots[j + span - degree]
+                hi = knots[j + 1 + span - r]
+                alpha = 0.0 if hi == lo else (x - lo) / (hi - lo)
+                d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
+        out[s] = d[degree]
+    return out
+
 
 def test_membership_csv_layout():
     cells = [

@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epinet.cli import main
+from epinet.cli import SETTINGS, build_parser, main
 from epinet.ingest import CaseSeries, Panel, RegionKey, to_wide_csv
 from epinet.synthetic import make_planted_cases
 
@@ -91,11 +99,16 @@ class TestPipeline:
             "config_measure",
             "config_date",
             "config_not_utf8",
+            "bare_cr",
+            "huge_count",
+            "huge_min_cases",
+            "out_under_file",
         ],
     )
     def test_input_fault_exit_2(self, fixture_csv, tmp_path, capsys, fault):
         bad = tmp_path / "bad.csv"
         cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
         config_lines = {
             "config_seed": "seed = abc",
             "config_measure": "measure = foo",
@@ -106,6 +119,20 @@ class TestPipeline:
             bad.write_text(fixture_csv.read_text().replace(",1/3/21,", ",1/4/21,", 1))
         elif fault == "not_utf8":
             bad.write_bytes(fixture_csv.read_bytes().replace(b"Group1", b"Gr\xffup1", 1))
+        elif fault == "bare_cr":
+            bad.write_bytes(fixture_csv.read_bytes().replace(b"Group1", b"Gr\rup1", 1))
+        elif fault == "huge_count":
+            lines = fixture_csv.read_text().splitlines(keepends=True)
+            fields = lines[1].split(",")
+            fields[4] = "9" * 400
+            bad.write_text("".join([lines[0], ",".join(fields)] + lines[2:]))
+        elif fault == "huge_min_cases":
+            bad, flags = fixture_csv, ["--min-cases", "9" * 400]
+        elif fault == "out_under_file":
+            bad = fixture_csv
+            blocker = tmp_path / "file"
+            blocker.write_text("")
+            out = blocker / "sub"
         elif fault == "directory":
             bad.mkdir()
         elif fault in ("alpha_nan", "rho_nan"):
@@ -116,13 +143,38 @@ class TestPipeline:
         else:
             cfg.write_text(config_lines[fault] + "\n")
             bad, flags = fixture_csv, ["--config", str(cfg)]
-        out = tmp_path / "out"
         rc = main(["pipeline", "--input", str(bad), "--out", str(out)] + flags)
         captured = capsys.readouterr()
         assert rc == 2
         assert len(captured.out.splitlines()) == 1
         assert "error" in json.loads(captured.out)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "pipeline --input {csv} --out {out} --seed abc",
+            "pipeline --input {csv} --out {out} --measure foo",
+            "grid --input {csv} --out {out} --bogus 1",
+            "network --input {csv} --out {out} --rho",
+            "--input {csv} --out {out}",
+            "",
+        ],
+    )
+    def test_usage_error_exit_2(self, fixture_csv, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(argv.format(csv=fixture_csv, out=out).split())
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert len(captured.out.splitlines()) == 1
+        assert json.loads(captured.out)["error"] == "ParameterError"
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--help"])
+        assert exc.value.code == 0
+        assert "--min-cases" in capsys.readouterr().out
 
     def test_rerun_byte_identical(self, fixture_csv, tmp_path):
         out = tmp_path / "a"
@@ -133,6 +185,16 @@ class TestPipeline:
 
 
 class TestConfigFile:
+    def test_flags_config_keys_and_summary_share_one_table(self, fixture_csv, tmp_path):
+        out = tmp_path / "out"
+        main(["network", "--input", str(fixture_csv), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["config"]) == set(SETTINGS)
+        # the parser keeps every flag's text as given: SETTINGS converts it
+        flags = [f"--{key.replace('_', '-')}=x" for key in SETTINGS]
+        args = build_parser().parse_args(["network"] + flags)
+        assert all(getattr(args, key) == "x" for key in SETTINGS)
+
     def test_config_file_values(self, fixture_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -244,3 +306,93 @@ class TestStageCommands:
             "--min-cases", str(10**15),
         ])
         assert rc == 3  # nothing survives selection -> insufficient data
+
+
+# --- exit-code contract: exit 0, 2 or 3 for any input; on failure, one JSON
+# line and no output directory
+
+PLANTED_CSV = to_wide_csv(
+    Panel.from_series(make_planted_cases(per_group=4, days=40)[0])
+).encode()
+MUTATION_BYTES = [b"0", b"7", b"9" * 400, b",", b'"', b"\r", b"\xff", b"\x00"]
+# values each setting accepts, and values most settings reject
+GOOD_VALUES = {
+    "start": ["2020-01-01", "2021-01-10"],
+    "end": ["2021-01-03", "2021-02-05", "2030-01-01"],
+    "min_cases": ["0", "-1", "1" + "0" * 17],
+    "alpha": ["0.5", "7", "inf"],
+    "rho": ["-inf", "-1", "0.3", "0.99", "inf"],
+    "measure": ["pearson", "cosine"],
+    "seed": ["0", "-3", "9" * 30],
+}
+ODD_VALUES = ["nan", "abc", "", "1e400", "9" * 400, "2021-02-30", "2020-13-45", "0.3"]
+
+
+@st.composite
+def mutated_csv(draw):
+    data = bytearray(PLANTED_CSV)
+    edits = st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, len(data) - 1),
+        st.sampled_from(MUTATION_BYTES),
+    )
+    for edit, at, piece in draw(st.lists(edits, max_size=2)):
+        if edit == "replace":
+            data[at : at + 1] = piece
+        elif edit == "insert":
+            data[at:at] = piece
+        else:
+            del data[at : at + 1]
+    return bytes(data)
+
+
+@st.composite
+def drawn_settings(draw):
+    """{setting: (where, text)}, where is "flag" or "file"."""
+    keys = draw(st.lists(st.sampled_from(sorted(GOOD_VALUES)), unique=True, max_size=3))
+    return {
+        key: (
+            draw(st.sampled_from(["flag", "file"])),
+            draw(st.sampled_from(GOOD_VALUES[key]) | st.sampled_from(ODD_VALUES)),
+        )
+        for key in keys
+    }
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["pipeline", "grid", "network", "transform"]),
+    data=mutated_csv(),
+    drawn=drawn_settings(),
+    env_seed=st.sampled_from([None, None, None, "5", "abc"]),
+)
+def test_exit_code_contract(command, data, drawn, env_seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cases.csv").write_bytes(data)
+        out = tmp / "out"
+        argv = [command, "--input", str(tmp / "cases.csv"), "--out", str(out)]
+        for key, (where, text) in drawn.items():
+            if where == "flag":
+                argv.append(f"--{key.replace('_', '-')}={text}")
+        config = [f"{key} = {text}" for key, (where, text) in drawn.items() if where == "file"]
+        if config:
+            (tmp / "run.cfg").write_text("\n".join(config) + "\n")
+            argv += ["--config", str(tmp / "run.cfg")]
+        env = {} if env_seed is None else {"EPINET_SEED": env_seed}
+        stdout = io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                pytest.fail(f"SystemExit({exc.code}) escaped main for {argv}")
+        assert rc in (0, 2, 3), argv
+        if rc == 0:
+            assert stdout.getvalue() == ""
+            assert (out / "summary.json").is_file()
+        else:
+            lines = stdout.getvalue().splitlines()
+            assert len(lines) == 1, argv
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert not out.exists(), argv

@@ -13,8 +13,8 @@ from epinet.community import (
     compare_partitions,
     louvain,
     modularity_of,
+    partition_summary,
     write_partition_csv,
-    write_summary_json,
 )
 from epinet.errors import (
     ComparisonError,
@@ -384,9 +384,7 @@ def test_partition_csv_and_summary():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "region,community"
     assert len(lines) == 7
-    jbuf = io.StringIO()
-    write_summary_json(part, jbuf)
-    payload = json.loads(jbuf.getvalue())
+    payload = json.loads(json.dumps(partition_summary(part)))
     assert payload["community_sizes"] == [3, 3]
     assert payload["modularity"] == pytest.approx(5 / 14, rel=1e-8)
     assert payload["settings_fingerprint"]["seed"] == 0

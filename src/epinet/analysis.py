@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import product
@@ -28,7 +27,7 @@ from .netbuild import (
     CorrelationNetwork,
     SimilarityMeasure,
     build_network,
-    fmt9,
+    fmt9_all,
 )
 from .community import Partition, louvain
 from .transform import to_exponent_series
@@ -83,17 +82,24 @@ def median_curve(exps: Panel, members: set[RegionKey]) -> np.ndarray:
     """Per-day median of the defined member exponents, on the panel's axis.
 
     NaN where no member is defined that day.  Even member counts take the
-    mean of the two central values.
+    mean of the two central values.  Bit-equal to ``np.nanmedian`` over the
+    member rows, signed zeros included.
     """
     if not members:
         raise ParameterError("member set is empty")
     rows = np.array([k in members for k in exps.keys], dtype=bool)
     if not rows.any():
         raise ParameterError("no series matches the member set")
-    with warnings.catch_warnings():
-        # all-NaN days are a legitimate "undefined" result, not a warning
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return np.nanmedian(exps.values[rows], axis=0)
+    ranked = np.sort(exps.values[rows], axis=0)  # NaN sorts last
+    defined = np.count_nonzero(~np.isnan(ranked), axis=0)
+    days = np.arange(ranked.shape[1])
+    lo = ranked[np.maximum(defined - 1, 0) // 2, days]
+    hi = ranked[np.minimum(defined // 2, len(ranked) - 1), days]
+    # nanmedian's mean starts from +0.0, which turns a median of -0.0s into +0.0
+    with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf, max + max
+        median = (0.0 + lo + hi) / 2.0
+    median[defined == 0] = np.nan
+    return median
 
 
 def detect_peaks(dates: list[date], values: np.ndarray) -> list[date]:
@@ -317,24 +323,22 @@ def write_medians_csv(dates: list[date], medians: list, stream) -> None:
     """``date,c1,c2,c3`` -- one row per date; medians are curves over ``dates``."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["date"] + [f"c{i + 1}" for i in range(len(medians))])
-    for t, d in enumerate(dates):
-        writer.writerow(
-            [d.isoformat()] + ["" if np.isnan(m[t]) else fmt9(m[t]) for m in medians]
-        )
+    # fmt9 writes NaN as "nan"; an undefined median is left blank
+    columns = [["" if t == "nan" else t for t in fmt9_all(m)] for m in medians]
+    writer.writerows(zip([d.isoformat() for d in dates], *columns))
 
 
 def write_trajectory_csv(traj: PhaseTrajectory, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["date", "x", "y", "z"])
-    for d, (x, y, z) in zip(traj.dates, traj.points):
-        writer.writerow([d.isoformat(), fmt9(x), fmt9(y), fmt9(z)])
+    columns = [fmt9_all(c) for c in traj.points.T]
+    writer.writerows(zip([d.isoformat() for d in traj.dates], *columns))
 
 
 def write_smoothed_csv(traj: PhaseTrajectory, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["x", "y", "z"])
-    for x, y, z in traj.smoothed:
-        writer.writerow([fmt9(x), fmt9(y), fmt9(z)])
+    writer.writerows(zip(*(fmt9_all(c) for c in traj.smoothed.T)))
 
 
 def write_peaks_csv(peaks_by_community: dict[int, list[date]], stream) -> None:

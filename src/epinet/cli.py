@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     InsufficientStructureError,
     ParameterError,
 )
-from .netbuild import SimilarityMeasure, fmt9
+from .netbuild import SimilarityMeasure, fmt9_all
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -123,6 +124,9 @@ class _Parser(argparse.ArgumentParser):
     the JSON error line); subparsers are built from the same class."""
 
     def error(self, message):
+        if message.endswith("expected one argument"):
+            # argparse takes a value such as -1e-3 for a flag
+            message += "; write a negative value as --flag=value (e.g. --rho=-1e-3)"
         raise ParameterError(message)
 
 
@@ -213,14 +217,18 @@ def cmd_transform(config: RunConfig) -> tuple[dict, dict]:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["region", "date", "diff", "avg7", "exponent", "defined"])
         days = [d.isoformat() for d in exps.dates]
+        defined = ~np.isnan(exps.values)
         # exponent day t is diff day t + WARMUP_DAYS - 1 and average day t + 1
-        rows = zip(exps.keys, diffs[:, transform.WARMUP_DAYS - 1 :], avgs[:, 1:], exps.values)
-        for key, d_row, a_row, e_row in rows:
-            for day, diff, avg, v in zip(days, d_row, a_row, e_row):
-                ok = not np.isnan(v)
-                writer.writerow(
-                    [key.display, day, fmt9(diff), fmt9(avg), fmt9(v if ok else 0.0), int(ok)]
-                )
+        rows = zip(
+            exps.keys,
+            diffs[:, transform.WARMUP_DAYS - 1 :],
+            avgs[:, 1:],
+            np.where(defined, exps.values, 0.0),
+            defined.astype(int).tolist(),
+        )
+        for key, d_row, a_row, e_row, ok in rows:
+            texts = (fmt9_all(d_row), fmt9_all(a_row), fmt9_all(e_row))
+            writer.writerows(zip(repeat(key.display), days, *texts, ok))
 
     files = {
         "selected.csv": lambda fh: ingest.write_long_csv(cases, fh),

@@ -331,8 +331,7 @@ def write_partition_csv(net: CorrelationNetwork, part: Partition, stream) -> Non
 
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["region", "community"])
-    for i, key in enumerate(net.nodes):
-        writer.writerow([key.display, part.assignment[i]])
+    writer.writerows((name, part.assignment[i]) for i, name in enumerate(net.node_names))
 
 
 def partition_summary(part: Partition) -> dict:

@@ -120,7 +120,13 @@ def _records(text: str):
     try:
         yield from reader
     except csv.Error as exc:
-        raise CsvFormatError(f"line {reader.line_num} is not valid CSV: {exc}") from None
+        reason = str(exc)
+        if reason.startswith("new-line character seen in unquoted field"):
+            # csv's own advice (universal-newline mode) is for file objects
+            reason = (
+                "a field holds a bare carriage return; remove the carriage return from the field"
+            )
+        raise CsvFormatError(f"line {reader.line_num} is not valid CSV: {reason}") from None
 
 
 def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
@@ -239,9 +245,9 @@ def write_long_csv(panel: Panel, stream) -> None:
     writer.writerow(["region", "date", "cumulative"])
     days = [d.isoformat() for d in panel.dates]
     for key, row in zip(panel.keys, panel.values.tolist()):
-        for day, n in zip(days, row):
-            if n == n:  # NaN is the only value unequal to itself
-                writer.writerow([key.display, day, int(n)])
+        name = key.display
+        # NaN is the only value unequal to itself
+        writer.writerows((name, day, int(n)) for day, n in zip(days, row) if n == n)
 
 
 def to_wide_csv(panel: Panel) -> str:

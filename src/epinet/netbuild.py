@@ -8,10 +8,13 @@ without any edge are dropped from the node list entirely.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from xml.sax.saxutils import escape
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -46,6 +49,8 @@ class CorrelationNetwork:
 
     Edge ``e`` joins nodes ``src[e] < dst[e]`` with weight ``weight[e]``;
     networks from ``build_network`` list their edges in row-major order.
+    The fields are not changed after construction: ``node_names`` and
+    ``weight_text`` keep what the writers read.
     """
 
     nodes: list[RegionKey]
@@ -62,6 +67,16 @@ class CorrelationNetwork:
     def edges(self) -> list[tuple[int, int, float]]:
         """The edges as ``(a, b, weight)`` tuples."""
         return list(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
+
+    @cached_property
+    def node_names(self) -> list[str]:
+        """Each node's display string, built once for every writer."""
+        return [key.display for key in self.nodes]
+
+    @cached_property
+    def weight_text(self) -> list[str]:
+        """Each edge weight as ``fmt9`` text, formatted once for every writer."""
+        return fmt9_all(self.weight)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -224,14 +239,41 @@ def fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def fmt9_all(values) -> list[str]:
+    """``fmt9`` of each value of a 1-D float array, in order."""
+    return [format(x, ".9g") for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _escape(text: str) -> str:
+    """XML character data: ``&`` first, so the entities it makes stay intact."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # drop the empty last field and the line end
+
+
+def _write_lines(stream, lines) -> None:
+    """Write text lines joined in blocks: one call per block, not per line,
+    without holding the whole file in memory."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, 4096)):
+        stream.write(block)
+
+
+def _edge_text(net: CorrelationNetwork):
+    """``(a, b, weight text)`` for every edge, in order."""
+    return zip(net.src.tolist(), net.dst.tolist(), net.weight_text)
+
+
 def write_edge_csv(net: CorrelationNetwork, stream) -> None:
     """Edge-list CSV ``source,target,weight`` using display strings."""
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["source", "target", "weight"])
-    for a, b, w in net.edges:
-        writer.writerow([net.nodes[a].display, net.nodes[b].display, fmt9(w)])
+    names = [_csv_field(name) for name in net.node_names]
+    stream.write("source,target,weight\n")
+    _write_lines(stream, (f"{names[a]},{names[b]},{w}\n" for a, b, w in _edge_text(net)))
 
 
 def write_graphml(net: CorrelationNetwork, stream) -> None:
@@ -243,11 +285,18 @@ def write_graphml(net: CorrelationNetwork, stream) -> None:
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>\n'
         '  <graph id="G" edgedefault="undirected">\n'
     )
-    for i, key in enumerate(net.nodes):
-        stream.write(f'    <node id="n{i}"><data key="label">{escape(key.display)}</data></node>\n')
-    for a, b, w in net.edges:
-        stream.write(
-            f'    <edge source="n{a}" target="n{b}">'
-            f'<data key="weight">{fmt9(w)}</data></edge>\n'
-        )
+    _write_lines(
+        stream,
+        (
+            f'    <node id="n{i}"><data key="label">{_escape(name)}</data></node>\n'
+            for i, name in enumerate(net.node_names)
+        ),
+    )
+    _write_lines(
+        stream,
+        (
+            f'    <edge source="n{a}" target="n{b}"><data key="weight">{w}</data></edge>\n'
+            for a, b, w in _edge_text(net)
+        ),
+    )
     stream.write("  </graph>\n</graphml>\n")

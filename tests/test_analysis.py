@@ -1,4 +1,6 @@
+import csv
 import io
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -17,12 +19,15 @@ from epinet.analysis import (
     reference_settings,
     run_cell,
     run_grid,
+    write_medians_csv,
     write_membership_csv,
+    write_smoothed_csv,
+    write_trajectory_csv,
 )
 from epinet.community import Partition, compare_partitions
 from epinet.errors import AlignmentError, InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
-from epinet.netbuild import BuildSettings, SimilarityMeasure
+from epinet.netbuild import BuildSettings, SimilarityMeasure, fmt9
 
 
 def exp_panel(rows, start=date(2021, 1, 1)):
@@ -71,6 +76,48 @@ class TestMedianCurve:
         med = median_curve(exps, set(exps.keys))
         assert np.all(med >= exps.values.min(axis=0) - 1e-12)
         assert np.all(med <= exps.values.max(axis=0) + 1e-12)
+
+
+def nanmedian_panels(seed, count, members_range=(1, 10), days_range=(1, 12)):
+    """Random exponent panels with ties, +-0.0, +-inf, the largest float, NaN
+    and all-NaN days, each with a random member set of odd or even size."""
+    rng = np.random.default_rng(seed)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, np.finfo(float).max])
+    for _ in range(count):
+        n = int(rng.integers(*members_range))
+        days = int(rng.integers(*days_range))
+        vals = rng.normal(size=(n, days)).round(1)
+        mask = rng.random(vals.shape) < 0.4
+        vals[mask] = rng.choice(specials, size=int(mask.sum()))
+        vals[:, rng.random(days) < 0.15] = np.nan
+        zeros = rng.random(days) < 0.2
+        vals[:, zeros] = rng.choice([0.0, -0.0, np.nan], size=(n, int(zeros.sum())))
+        keys = [RegionKey(country=f"R{i}") for i in range(n)]
+        rows = rng.random(n) < 0.8
+        rows[int(rng.integers(n))] = True
+        yield Panel(keys=keys, start=date(2021, 1, 1), values=vals), rows
+
+
+class TestMedianEqualsNanmedian:
+    """``median_curve`` sorts instead of calling ``np.nanmedian``, whose small
+    path imports ``numpy.ma``; its bytes must not change."""
+
+    @staticmethod
+    def check(panel, rows):
+        members = {k for k, ok in zip(panel.keys, rows) if ok}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.nanmedian(panel.values[rows], axis=0)
+        assert median_curve(panel, members).tobytes() == expected.tobytes()
+
+    def test_small_panels_bit_equal(self):
+        for panel, rows in nanmedian_panels(seed=6, count=1500):
+            self.check(panel, rows)
+
+    def test_large_panels_bit_equal(self):
+        # 600 members and more take nanmedian's other path
+        for panel, rows in nanmedian_panels(7, 4, members_range=(700, 900), days_range=(3, 6)):
+            self.check(panel, rows)
 
 
 class TestDetectPeaks:
@@ -380,3 +427,48 @@ def test_membership_csv_layout():
     assert lines[0] == f"region,{REF.label()},{OTHER.label()}"
     assert lines[1] == "a,1,1"
     assert lines[2] == "b,2,"
+
+
+def reference_write_medians_csv(dates, medians, stream):
+    """The earlier row-by-row writers, kept as the byte-for-byte references."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["date"] + [f"c{i + 1}" for i in range(len(medians))])
+    for t, d in enumerate(dates):
+        writer.writerow(
+            [d.isoformat()] + ["" if np.isnan(m[t]) else fmt9(m[t]) for m in medians]
+        )
+
+
+def reference_write_trajectory_csv(traj, stream):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["date", "x", "y", "z"])
+    for d, (x, y, z) in zip(traj.dates, traj.points):
+        writer.writerow([d.isoformat(), fmt9(x), fmt9(y), fmt9(z)])
+
+
+def reference_write_smoothed_csv(traj, stream):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["x", "y", "z"])
+    for x, y, z in traj.smoothed:
+        writer.writerow([fmt9(x), fmt9(y), fmt9(z)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_curve_writers_equal_reference_bytes(seed):
+    rng = np.random.default_rng(seed)
+    days = 60
+    dates = dated(np.zeros(days))[0]
+    medians = rng.normal(scale=3.0, size=(3, days))
+    medians[rng.random((3, days)) < 0.1] = np.nan
+    medians[0, :6] = [0.1234567895, -0.0, 0.0, 1.0, -1e-300, 123456789.5]
+    traj = build_trajectory(dates, *medians)
+
+    def both(write, reference, *args):
+        got, expected = io.StringIO(), io.StringIO()
+        write(*args, got)
+        reference(*args, expected)
+        assert got.getvalue() == expected.getvalue()
+
+    both(write_medians_csv, reference_write_medians_csv, dates, list(medians))
+    both(write_trajectory_csv, reference_write_trajectory_csv, traj)
+    both(write_smoothed_csv, reference_write_smoothed_csv, traj)

@@ -3,17 +3,23 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epinet.cli import SETTINGS, build_parser, main
+import epinet
+from epinet import transform
+from epinet.cli import SETTINGS, RunConfig, build_parser, load_cases, main
 from epinet.ingest import CaseSeries, Panel, RegionKey, to_wide_csv
+from epinet.netbuild import fmt9
 from epinet.synthetic import make_planted_cases
 
 
@@ -23,6 +29,37 @@ def fixture_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "cases.csv"
     path.write_text(to_wide_csv(Panel.from_series(cases)))
     return path
+
+
+@pytest.fixture(scope="module")
+def awkward_csv(tmp_path_factory):
+    """The planted fixture with region names that CSV and XML must quote."""
+    cases, _ = make_planted_cases()
+    names = ["A&B", "<x>", 'Say "hi"', "Korea, South", "Ελλάδα", "a&amp;b"]
+    for i, name in enumerate(names):
+        cases[i].key = RegionKey(country=name, province="Réunion" if i % 2 else None)
+    path = tmp_path_factory.mktemp("data") / "awkward.csv"
+    path.write_text(to_wide_csv(Panel.from_series(cases)))
+    return path
+
+
+def reference_exponents_csv(cases, alpha):
+    """The earlier cell-by-cell ``exponents.csv`` writer, kept as the reference."""
+    exps = transform.to_exponent_series(cases, alpha=alpha)
+    diffs = transform.daily_diffs(cases.values)
+    avgs = transform.moving_average_7(diffs)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["region", "date", "diff", "avg7", "exponent", "defined"])
+    days = [d.isoformat() for d in exps.dates]
+    rows = zip(exps.keys, diffs[:, transform.WARMUP_DAYS - 1 :], avgs[:, 1:], exps.values)
+    for key, d_row, a_row, e_row in rows:
+        for day, diff, avg, v in zip(days, d_row, a_row, e_row):
+            ok = not np.isnan(v)
+            writer.writerow(
+                [key.display, day, fmt9(diff), fmt9(avg), fmt9(v if ok else 0.0), int(ok)]
+            )
+    return buf.getvalue()
 
 
 def read_bytes_map(out_dir):
@@ -149,6 +186,11 @@ class TestPipeline:
         assert len(captured.out.splitlines()) == 1
         assert "error" in json.loads(captured.out)
         assert not out.exists()
+        if fault == "bare_cr":
+            message = json.loads(captured.out)["message"]
+            assert message.startswith("line 2 ")
+            assert "remove the carriage return from the field" in message
+            assert "universal-newline" not in message
 
     @pytest.mark.parametrize(
         "argv",
@@ -169,6 +211,17 @@ class TestPipeline:
         assert len(captured.out.splitlines()) == 1
         assert json.loads(captured.out)["error"] == "ParameterError"
         assert not out.exists()
+
+    def test_negative_value_needs_equals_form(self, fixture_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["network", "--input", str(fixture_csv), "--out", str(out)]
+        rc = main(argv + ["--rho", "-1e-3"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "write a negative value as --flag=value" in json.loads(captured.out)["message"]
+        assert not out.exists()
+        assert main(argv + ["--rho=-1e-3"]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["rho"] == -1e-3
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -299,6 +352,13 @@ class TestStageCommands:
             long_rows = list(csv.DictReader(fh))
         assert {"region", "date", "cumulative"} == set(long_rows[0])
 
+    def test_exponents_equal_reference_bytes(self, awkward_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["transform", "--input", str(awkward_csv), "--out", str(out)]) == 0
+        cases = load_cases(RunConfig(input=awkward_csv))
+        expected = reference_exponents_csv(cases, transform.DEFAULT_ALPHA)
+        assert (out / "exponents.csv").read_bytes() == expected.encode()
+
     def test_min_cases_filter(self, fixture_csv, tmp_path):
         out = tmp_path / "out"
         rc = main([
@@ -396,3 +456,29 @@ def test_exit_code_contract(command, data, drawn, env_seed):
             assert len(lines) == 1, argv
             assert set(json.loads(lines[0])) == {"error", "message"}
             assert not out.exists(), argv
+
+
+def test_commands_skip_unneeded_imports(fixture_csv, tmp_path):
+    """xml.sax (which loads urllib, http.client and ssl) and numpy.ma cost
+    start-up time and serve no output; neither pipeline nor grid loads them."""
+    out = str(tmp_path / "out")
+    code = (
+        "import json, sys\n"
+        "from epinet.cli import main\n"
+        f"codes = [main([c, '--input', {str(fixture_csv)!r}, '--out', {out!r} + c])"
+        " for c in ('pipeline', 'grid')]\n"
+        "heavy = ('xml.sax', 'urllib.request', 'numpy.ma')\n"
+        "print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    src = str(Path(epinet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == []

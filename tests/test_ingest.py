@@ -1,3 +1,4 @@
+import csv
 import io
 from datetime import date, timedelta
 
@@ -193,3 +194,33 @@ def test_long_csv_output():
     assert lines[0] == "region,date,cumulative"
     assert lines[1] == "A,2022-05-01,1"
     assert lines[2] == "A,2022-05-02,2"
+
+
+def reference_write_long_csv(panel, stream):
+    """The earlier row-by-row writer, kept as the byte-for-byte reference."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["region", "date", "cumulative"])
+    days = [d.isoformat() for d in panel.dates]
+    for key, row in zip(panel.keys, panel.values.tolist()):
+        for day, n in zip(days, row):
+            if n == n:
+                writer.writerow([key.display, day, int(n)])
+
+
+def test_long_csv_equals_reference_bytes():
+    rng = np.random.default_rng(3)
+    names = ["A&B", 'Say "hi"', "Korea, South", "Ελλάδα", "Plain"]
+    series = [
+        CaseSeries(
+            key=RegionKey(country=name, province="Réunion" if i % 2 else None),
+            dates=[date(2022, 5, 1) + timedelta(days=i + t) for t in range(20)],
+            cumulative=rng.integers(-10, 10**12, size=20).tolist(),
+        )
+        for i, name in enumerate(names)
+    ]
+    series[0].cumulative[0] = 2**60 + 1  # the panel holds 2**60, and both write that
+    panel = Panel.from_series(series)  # ragged: NaN days are left out
+    got, expected = io.StringIO(), io.StringIO()
+    write_long_csv(panel, got)
+    reference_write_long_csv(panel, expected)
+    assert got.getvalue() == expected.getvalue()

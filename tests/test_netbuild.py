@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 from datetime import date
@@ -9,6 +10,8 @@ from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import (
     MIN_OVERLAP,
+    BuildSettings,
+    CorrelationNetwork,
     SimilarityMeasure,
     build_network,
     cosine,
@@ -267,3 +270,98 @@ def test_graphml_well_formed():
     assert len(edges) == 1
     weight = float(edges[0].find(f"{ns}data").text)
     assert weight == pytest.approx(net.edges[0][2], rel=1e-8)
+
+
+def reference_write_edge_csv(net, stream):
+    """The earlier edge-by-edge writer, kept as the byte-for-byte reference."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["source", "target", "weight"])
+    for a, b, w in net.edges:
+        writer.writerow([net.nodes[a].display, net.nodes[b].display, fmt9(w)])
+
+
+def reference_write_graphml(net, stream):
+    """The earlier GraphML writer, escaping with xml.sax; the reference."""
+    from xml.sax.saxutils import escape
+
+    stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    stream.write(
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="label" for="node" attr.name="label" attr.type="string"/>\n'
+        '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>\n'
+        '  <graph id="G" edgedefault="undirected">\n'
+    )
+    for i, key in enumerate(net.nodes):
+        stream.write(f'    <node id="n{i}"><data key="label">{escape(key.display)}</data></node>\n')
+    for a, b, w in net.edges:
+        stream.write(
+            f'    <edge source="n{a}" target="n{b}">'
+            f'<data key="weight">{fmt9(w)}</data></edge>\n'
+        )
+    stream.write("  </graph>\n</graphml>\n")
+
+
+AWKWARD_KEYS = [
+    RegionKey(country="A&B"),
+    RegionKey(country="<x>", province="P & <q>"),
+    RegionKey(country='Say "hi"'),
+    RegionKey(country="Korea, South"),
+    RegionKey(country="France", province="Réunion"),
+    RegionKey(country="Ελλάδα"),
+    RegionKey(country="a&amp;b >&<"),
+    RegionKey(country="Plain"),
+    RegionKey(country=""),
+    RegionKey(country="Line\nbreak", province="car\rriage"),
+    RegionKey(country=" padded ", province="semi;colon'"),
+]
+
+# negative, exactly 1, and values whose 9th significant digit rounds
+AWKWARD_WEIGHTS = [
+    -0.5, 1.0, -1.0, 0.1234567895, 0.12345678949999999, 0.9999999996, -0.99999999951,
+    1 / 3, 1e-10, -2.5e-300, 0.5, 123.4567885, 0.0, -0.0,
+]
+
+
+def awkward_network(seed):
+    rng = np.random.default_rng(seed)
+    src, dst = np.triu_indices(len(AWKWARD_KEYS), k=1)
+    weight = rng.uniform(-1.0, 1.0, size=len(src))
+    weight[: len(AWKWARD_WEIGHTS)] = AWKWARD_WEIGHTS
+    rng.shuffle(weight)
+    return CorrelationNetwork(
+        nodes=list(AWKWARD_KEYS),
+        src=src,
+        dst=dst,
+        weight=weight,
+        build_settings=BuildSettings(rho=-1.0, alpha=7.0, measure=SimilarityMeasure.PEARSON),
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "writer, reference",
+    [(write_edge_csv, reference_write_edge_csv), (write_graphml, reference_write_graphml)],
+)
+def test_writers_equal_reference_bytes(seed, writer, reference):
+    net = awkward_network(seed)
+    expected = io.StringIO()
+    reference(net, expected)
+    # twice: the second call reads the names and weights formatted by the first
+    for _ in range(2):
+        buf = io.StringIO()
+        writer(net, buf)
+        assert buf.getvalue().encode() == expected.getvalue().encode()
+
+
+def test_graphml_escapes_ampersand_first():
+    import xml.etree.ElementTree as ET
+
+    buf = io.StringIO()
+    write_graphml(awkward_network(0), buf)
+    assert "a&amp;amp;b &gt;&amp;&lt;" in buf.getvalue()
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    data = list(ET.fromstring(buf.getvalue()).iter(f"{ns}data"))[: len(AWKWARD_KEYS)]
+    # an XML parser reads an empty element as None and a carriage return as "\n"
+    assert [d.text or "" for d in data] == [
+        key.display.replace("\r", "\n") for key in AWKWARD_KEYS
+    ]

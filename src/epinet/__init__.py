@@ -1,5 +1,11 @@
 """Correlation-network community analysis of epidemic case-count time series."""
 
+import os
+
+# Before any submodule imports numpy: a second OpenBLAS thread saves netbuild's Gram
+# product under 1 ms at 300 regions, but its idle spin made `grid` there use 1.14 s CPU in 0.78 s.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .ingest import (
     CaseSeries,
     Panel,

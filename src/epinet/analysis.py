@@ -106,14 +106,9 @@ def detect_peaks(dates: list[date], values: np.ndarray) -> list[date]:
     """Dates where the curve turns from positive to non-positive
     (growth switching to decline), over consecutive defined days."""
     values = np.asarray(values, dtype=float)
-    out = []
-    for t in range(1, len(values)):
-        a, b = values[t - 1], values[t]
-        if np.isnan(a) or np.isnan(b):
-            continue
-        if a > 0 and b <= 0:
-            out.append(dates[t])
-    return out
+    # NaN compares false both ways, so a day next to an undefined one is no peak.
+    turns = (values[:-1] > 0) & (values[1:] <= 0)
+    return [dates[t] for t in np.flatnonzero(turns) + 1]
 
 
 def run_cell(
@@ -336,9 +331,10 @@ def write_trajectory_csv(traj: PhaseTrajectory, stream) -> None:
 
 
 def write_smoothed_csv(traj: PhaseTrajectory, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["x", "y", "z"])
-    writer.writerows(zip(*(fmt9_all(c) for c in traj.smoothed.T)))
+    # "%.9g" writes a float as fmt9 does; one format call covers every row.
+    rows = traj.smoothed
+    stream.write("x,y,z\n")
+    stream.write(("%.9g,%.9g,%.9g\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_peaks_csv(peaks_by_community: dict[int, list[date]], stream) -> None:

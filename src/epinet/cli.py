@@ -104,7 +104,7 @@ def _plain(value):
 def read_config_file(path: Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file; '#' starts a comment."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ParameterError(f"{path}: config file is not UTF-8 text") from None
     values: dict[str, str] = {}
@@ -337,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         files["summary.json"] = _json({"config": config.as_dict(), **summary})
         config.out.mkdir(parents=True, exist_ok=True)
         for name, write in files.items():
-            with (config.out / name).open("w", newline="") as fh:
+            with (config.out / name).open("w", encoding="utf-8", newline="") as fh:
                 write(fh)
         return EXIT_OK
     except INPUT_ERRORS as exc:

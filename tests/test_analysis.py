@@ -120,7 +120,38 @@ class TestMedianEqualsNanmedian:
             self.check(panel, rows)
 
 
+def reference_detect_peaks(dates, values):
+    """The earlier day-by-day loop, kept as the reference."""
+    values = np.asarray(values, dtype=float)
+    out = []
+    for t in range(1, len(values)):
+        a, b = values[t - 1], values[t]
+        if np.isnan(a) or np.isnan(b):
+            continue
+        if a > 0 and b <= 0:
+            out.append(dates[t])
+    return out
+
+
+def peak_curves(seed):
+    """Seeded curves of lengths 0-2 and longer, mixing signs, +-0 and NaN runs."""
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 2, 3, 40, 852):
+        values = rng.choice([-1.0, 0.0, -0.0, np.nan], size=n, p=[0.35, 0.1, 0.1, 0.45])
+        values *= -1.0 + 2.0 * (rng.random(n) < 0.5)  # flips signs, -0.0 included
+        values[np.isfinite(values)] *= rng.random(np.isfinite(values).sum()) + 0.5
+        for _ in range(n // 10):  # NaN runs
+            start = rng.integers(n)
+            values[start : start + rng.integers(1, 8)] = np.nan
+        yield dated(values)
+
+
 class TestDetectPeaks:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_day_by_day_loop(self, seed):
+        for dates, values in peak_curves(seed):
+            assert detect_peaks(dates, values) == reference_detect_peaks(dates, values)
+
     def test_single_sign_change(self):
         dates, values = dated([0.5, 0.2, -0.1, -0.3])
         assert detect_peaks(dates, values) == [dates[2]]

@@ -470,15 +470,81 @@ def test_commands_skip_unneeded_imports(fixture_csv, tmp_path):
         "heavy = ('xml.sax', 'urllib.request', 'numpy.ma')\n"
         "print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))\n"
     )
+    codes, loaded = run_python(code, os.environ)
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+def run_python(code, env, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's epinet
+    and return the JSON value of its last line of output."""
     src = str(Path(epinet.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
+        cwd=cwd,
         capture_output=True,
         text=True,
         check=True,
     )
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
-    assert loaded == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_commands(commands, csv_path, workdir, env, args=()):
+    """Run each command on ``csv_path`` with ``args`` in one fresh interpreter
+    under ``env``, with ``--out`` the command's name relative to ``workdir``
+    (summary.json records it); return the interpreter's locale encoding and
+    each command's exit code and output files."""
+    code = (
+        "import json, locale\n"
+        "from epinet.cli import main\n"
+        f"codes = [main([c, '--input', {str(csv_path)!r}, '--out', c, *{list(args)!r}])"
+        f" for c in {list(commands)!r}]\n"
+        "print(json.dumps([locale.getpreferredencoding(False), codes]))\n"
+    )
+    workdir.mkdir()
+    encoding, codes = run_python(code, env, cwd=workdir)
+    return encoding, {c: (code, read_bytes_map(workdir / c)) for c, code in zip(commands, codes)}
+
+
+def test_files_are_utf8_under_an_ascii_locale(awkward_csv, tmp_path):
+    """Non-ASCII region names are written, and a config file is read, as UTF-8
+    whatever the locale, as the input CSV is read."""
+    commands = ("pipeline", "grid", "network", "transform")
+    config = tmp_path / "names.cfg"
+    config.write_text("# Zürich, Ελλάδα\nmin_cases = 100000\n", encoding="utf-8")
+    args = ("--config", str(config))
+    ascii_env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    encoding, got = run_commands(commands, awkward_csv, tmp_path / "c", ascii_env, args)
+    if "utf" in encoding.lower():
+        pytest.skip(f"the C locale's encoding is {encoding} here")
+    utf8_env = {**os.environ, "PYTHONUTF8": "1"}
+    _, expected = run_commands(commands, awkward_csv, tmp_path / "utf8", utf8_env, args)
+    assert {c: code for c, (code, _) in got.items()} == dict.fromkeys(commands, 0)
+    assert got == expected
+
+
+def test_import_defaults_openblas_to_one_thread():
+    """OpenBLAS's idle worker busy-waits on a second core after each Gram
+    product, so importing epinet starts no worker unless the caller asks."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    code = (
+        "import json, os, epinet\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')),"
+        " os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert run_python(code, unset) == [1, "1"]
+    assert run_python(code, {**unset, "OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+
+def test_outputs_equal_across_blas_thread_counts(fixture_csv, tmp_path):
+    commands = ("pipeline", "grid")
+    runs = [
+        run_commands(commands, fixture_csv, tmp_path / n, {**os.environ, "OPENBLAS_NUM_THREADS": n})
+        for n in ("1", "2")
+    ]
+    assert runs[0][1] == runs[1][1]
+    assert [code for code, _ in runs[0][1].values()] == [0, 0]

@@ -15,7 +15,9 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from enum import Enum
@@ -173,6 +175,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def load_cases(config: RunConfig) -> ingest.Panel:
+    if config.start > config.end:
+        raise DateRangeError(f"start {config.start} after end {config.end}")
     data = config.input.read_bytes()
     series = ingest.parse_cases_csv(data)
     if not series:
@@ -327,18 +331,52 @@ COMMANDS = {
 }
 
 
+# Every file name a command writes.  An existing --out is replaced as a whole,
+# so one holding anything else is refused rather than deleted.
+OUTPUT_FILES = frozenset({
+    "summary.json",
+    "selected.csv", "exponents.csv",
+    "edges.csv", "network.graphml",
+    "partition.csv", "medians.csv", "peaks.csv", "trajectory.csv", "smoothed.csv",
+    "grid_errors.json", "grid_cells.json", "membership_matrix.csv",
+})
+
+
+def _write_outputs(out: Path, files: dict) -> None:
+    """Write ``files`` into a new directory beside ``out``, then swap it in
+    for ``out``.  Until the swap ``out`` keeps its earlier contents, and a
+    failure at any point, a KeyboardInterrupt included, leaves ``out`` as it
+    was or absent, never half-written, and no temporary directory.
+
+    An existing ``out`` must be a directory holding only OUTPUT_FILES.
+    """
+    if out.exists() and not (out.is_dir() and {p.name for p in out.iterdir()} <= OUTPUT_FILES):
+        raise ParameterError(f"--out {out} holds files that epinet does not write")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    try:
+        new = work / "new"
+        new.mkdir()
+        for name, write in files.items():
+            with (new / name).open("w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        if out.exists():
+            out.rename(work / "old")
+        new.rename(out)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command, then write its files and summary.json into ``--out``:
-    nothing else touches that directory, so a failed command leaves none."""
+    nothing else touches that directory, so a failed command leaves it as it
+    was."""
     try:
         args = build_parser().parse_args(argv)
         config = resolve_config(args)
         files, summary = COMMANDS[args.command](config)
         files["summary.json"] = _json({"config": config.as_dict(), **summary})
-        config.out.mkdir(parents=True, exist_ok=True)
-        for name, write in files.items():
-            with (config.out / name).open("w", encoding="utf-8", newline="") as fh:
-                write(fh)
+        _write_outputs(config.out, files)
         return EXIT_OK
     except INPUT_ERRORS as exc:
         _report_error(exc)

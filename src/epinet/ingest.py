@@ -9,6 +9,10 @@ country plus optional province ("Country" or "Country: Province"); provinces
 are never aggregated into their country.  Parsing yields one ``CaseSeries``
 per row; ``Panel.from_series`` puts them on one date axis, and the window and
 selection filters work on that panel.
+
+Count cells in the feed's own shape (plain ASCII ``-?[0-9]+``) are read in one
+``np.loadtxt`` call; any other input goes through a per-cell ``int()`` loop,
+which accepts what ``int`` accepts and names the row and column of a bad cell.
 """
 
 from __future__ import annotations
@@ -54,11 +58,15 @@ class RegionKey:
 
 @dataclass
 class CaseSeries:
-    """One region's dated cumulative positive-case counts (daily cadence)."""
+    """One region's dated cumulative positive-case counts (daily cadence).
+
+    ``parse_cases_csv`` gives a float row for ``cumulative``; ``from_series``
+    also takes a list of ints.
+    """
 
     key: RegionKey
     dates: list[date]
-    cumulative: list[int]
+    cumulative: np.ndarray
 
 
 @dataclass(eq=False)
@@ -91,15 +99,20 @@ class Panel:
     @classmethod
     def from_series(cls, series: list[CaseSeries]) -> Panel:
         """Put the series on the axis spanning all of them; a region is NaN
-        outside its own date range.  Each series' dates must be consecutive."""
+        outside its own date range.  Each series' dates must be consecutive;
+        series that share one dates list have it checked once."""
         start = min(s.dates[0] for s in series)
         end = max(s.dates[-1] for s in series)
         axis = [start + timedelta(days=t) for t in range((end - start).days + 1)]
         values = np.full((len(series), len(axis)), np.nan)
+        offsets: dict[int, int] = {}  # id of a checked dates list -> its first column
         for row, s in zip(values, series):
-            off = (s.dates[0] - start).days
-            if s.dates != axis[off : off + len(s.dates)]:
-                raise ValueError(f"{s.key.display}: dates must be consecutive days")
+            off = offsets.get(id(s.dates))
+            if off is None:
+                off = (s.dates[0] - start).days
+                if s.dates != axis[off : off + len(s.dates)]:
+                    raise ValueError(f"{s.key.display}: dates must be consecutive days")
+                offsets[id(s.dates)] = off
             row[off : off + len(s.dates)] = s.cumulative
         return cls(keys=[s.key for s in series], start=start, values=values)
 
@@ -114,9 +127,17 @@ def _parse_header_date(text: str, column: int) -> date:
     raise CsvFormatError(f"unparseable date {text!r} in header column {column}")
 
 
-def _records(text: str):
-    """The CSV records of ``text``; malformed CSV raises CsvFormatError."""
-    reader = csv.reader(io.StringIO(text))
+def _physical_lines(lines: list[str]):
+    """The lines of the text that ``lines`` was split from at each "\\n", as
+    io.StringIO yields them: each with its newline, and no empty last line."""
+    for line in lines[:-1]:
+        yield line + "\n"
+    if lines[-1]:
+        yield lines[-1]
+
+
+def _records(reader):
+    """The records of a csv ``reader``; malformed CSV raises CsvFormatError."""
     try:
         yield from reader
     except csv.Error as exc:
@@ -129,49 +150,76 @@ def _records(text: str):
         raise CsvFormatError(f"line {reader.line_num} is not valid CSV: {reason}") from None
 
 
-def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
-    """Parse a wide-format cumulative case CSV into one CaseSeries per row.
+# Count text after translation: a digit or "-" becomes "0", a field or line
+# separator stays, and any other byte becomes "x".
+_COUNT_SHAPE = bytes(
+    b if b in b",\n" else ord("0") if b in b"-0123456789" else ord("x") for b in range(256)
+)
+# A count of at most 18 characters fits int64, so loadtxt never overflows
+# (numpy < 2 reads an overflowing integer through a float, with only a warning).
+_LONGEST_FIELD = 18
 
-    Header dates may be M/D/YY (the upstream feed) or ISO YYYY-MM-DD
-    (synthetic fixtures) and must be consecutive days.  Lat/Long are ignored.
-    Raises CsvFormatError for undecodable bytes, malformed CSV or a bad
-    header, CsvParseError (with coordinates) for a bad or out-of-range cell,
-    and DuplicateKeyError when two rows key the same region.
+
+def _exact_rows(lines: list[str], days: int) -> tuple[list[RegionKey], np.ndarray] | None:
+    """Keys and counts of the data ``lines`` (without their newlines) when
+    there is at least one and every non-empty line is four CSV metadata fields
+    and then ``days`` fields of ASCII ``-?[0-9]+`` text, with no duplicate
+    key; otherwise None, and the per-cell loop decides.
+
+    The counts are read by one ``np.loadtxt`` call.  The metadata fields go
+    through ``csv`` as they would within the whole line: counts hold no
+    quote, so the record must end, and a bare carriage return must not end it.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}")
-    reader = _records(data)
+    metas: list[str] = []
+    counts: list[str] = []
+    for line in lines:
+        if line.endswith("\r"):
+            line = line[:-1]
+        if not line:
+            continue
+        # the metadata end at the comma before the last days - 1 commas
+        k = line.count(",") - (days - 1)
+        if k < 4 or "\r" in line:
+            return None
+        tail = line.split(",", k)[-1]
+        if not tail:  # loadtxt would skip it as a blank line
+            return None
+        metas.append(line[: len(line) - len(tail) - 1])
+        counts.append(tail)
+    text = "\n".join(counts)
+    if not text or not text.isascii():
+        return None
+    shape = text.encode().translate(_COUNT_SHAPE)
+    if b"x" in shape or b"0" * (_LONGEST_FIELD + 1) in shape:
+        return None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError("empty input: no header row")
+        values = np.loadtxt(counts, dtype=np.int64, delimiter=",", ndmin=2)
+        records = list(csv.reader(metas, strict=True))
+    except (ValueError, csv.Error):
+        return None
+    if len(records) != len(metas):
+        return None
+    keys: list[RegionKey] = []
+    for record in records:
+        if len(record) != 4:
+            return None
+        keys.append(RegionKey(country=record[1].strip(), province=record[0].strip() or None))
+    if len(set(keys)) != len(keys):
+        return None
+    return keys, values.astype(np.float64)
 
-    if len(header) < 5:
-        raise CsvFormatError(
-            f"header has {len(header)} columns, need the 4 metadata columns plus dates"
-        )
-    for i, expected in enumerate(EXPECTED_META_COLUMNS):
-        if header[i].strip() != expected:
-            raise CsvFormatError(
-                f"header column {i + 1} is {header[i]!r}, expected {expected!r}"
-            )
-    dates = [_parse_header_date(cell, i + 5) for i, cell in enumerate(header[4:])]
-    for column, (a, b) in enumerate(zip(dates, dates[1:]), start=6):
-        if b - a != timedelta(days=1):
-            raise CsvFormatError(f"header column {column} is {b}, expected the day after {a}")
 
-    out: list[CaseSeries] = []
+def _checked_rows(records, width: int) -> tuple[list[RegionKey], np.ndarray]:
+    """Keys and counts of the data ``records``, converted cell by cell with
+    ``int()``; the first fault raises, naming its row (and column)."""
+    keys: list[RegionKey] = []
+    rows: list[list[int]] = []
     seen: set[RegionKey] = set()
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(records, start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        if len(row) != len(header):
-            raise CsvFormatError(
-                f"row {row_no} has {len(row)} fields, header has {len(header)}"
-            )
+        if len(row) != width:
+            raise CsvFormatError(f"row {row_no} has {len(row)} fields, header has {width}")
         province = row[0].strip() or None
         country = row[1].strip()
         key = RegionKey(country=country, province=province)
@@ -191,8 +239,54 @@ def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
             raise CsvParseError(
                 f"case count {row[col - 1]!r} out of range", row=row_no, column=col
             )
-        out.append(CaseSeries(key=key, dates=list(dates), cumulative=counts))
-    return out
+        keys.append(key)
+        rows.append(counts)
+    return keys, np.array(rows, dtype=np.float64).reshape(len(rows), width - 4)
+
+
+def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
+    """Parse a wide-format cumulative case CSV into one CaseSeries per row.
+
+    Header dates may be M/D/YY (the upstream feed) or ISO YYYY-MM-DD
+    (synthetic fixtures) and must be consecutive days.  Lat/Long are ignored.
+    Each ``cumulative`` is a float row of one (regions, days) array, and all
+    rows share one ``dates`` list.
+    Raises CsvFormatError for undecodable bytes, malformed CSV or a bad
+    header, CsvParseError (with coordinates) for a bad or out-of-range cell,
+    and DuplicateKeyError when two rows key the same region.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}")
+    lines = data.split("\n")
+    reader = csv.reader(_physical_lines(lines))
+    records = _records(reader)
+    try:
+        header = next(records)
+    except StopIteration:
+        raise CsvFormatError("empty input: no header row")
+
+    if len(header) < 5:
+        raise CsvFormatError(
+            f"header has {len(header)} columns, need the 4 metadata columns plus dates"
+        )
+    for i, expected in enumerate(EXPECTED_META_COLUMNS):
+        if header[i].strip() != expected:
+            raise CsvFormatError(
+                f"header column {i + 1} is {header[i]!r}, expected {expected!r}"
+            )
+    dates = [_parse_header_date(cell, i + 5) for i, cell in enumerate(header[4:])]
+    for column, (a, b) in enumerate(zip(dates, dates[1:]), start=6):
+        if b - a != timedelta(days=1):
+            raise CsvFormatError(f"header column {column} is {b}, expected the day after {a}")
+
+    rows = _exact_rows(lines[reader.line_num :], len(dates))
+    if rows is None:
+        rows = _checked_rows(records, len(header))
+    keys, values = rows
+    return [CaseSeries(key=key, dates=dates, cumulative=row) for key, row in zip(keys, values)]
 
 
 def select_regions(

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epinet
-from epinet import transform
-from epinet.cli import SETTINGS, RunConfig, build_parser, load_cases, main
+from epinet import analysis, transform
+from epinet.cli import OUTPUT_FILES, SETTINGS, RunConfig, build_parser, load_cases, main
+from epinet.errors import InsufficientDataError
 from epinet.ingest import CaseSeries, Panel, RegionKey, to_wide_csv
 from epinet.netbuild import fmt9
 from epinet.synthetic import make_planted_cases
@@ -140,6 +141,7 @@ class TestPipeline:
             "huge_count",
             "huge_min_cases",
             "out_under_file",
+            "start_after_end",
         ],
     )
     def test_input_fault_exit_2(self, fixture_csv, tmp_path, capsys, fault):
@@ -172,6 +174,8 @@ class TestPipeline:
             out = blocker / "sub"
         elif fault == "directory":
             bad.mkdir()
+        elif fault == "start_after_end":
+            bad, flags = fixture_csv, ["--start", "2022-01-01", "--end", "2021-01-01"]
         elif fault in ("alpha_nan", "rho_nan"):
             bad, flags = fixture_csv, [f"--{fault.split('_')[0]}", "nan"]
         elif fault == "config_not_utf8":
@@ -191,6 +195,19 @@ class TestPipeline:
             assert message.startswith("line 2 ")
             assert "remove the carriage return from the field" in message
             assert "universal-newline" not in message
+        if fault == "start_after_end":
+            assert json.loads(captured.out) == {
+                "error": "DateRangeError",
+                "message": "start 2022-01-01 after end 2021-01-01",
+            }
+
+    def test_window_outside_the_data_exit_3(self, fixture_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--start", "2023-01-01", "--end", "2023-02-01"]
+        rc = main(["pipeline", "--input", str(fixture_csv), "--out", str(out)] + argv)
+        assert rc == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "InsufficientDataError"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -235,6 +252,60 @@ class TestPipeline:
         first = read_bytes_map(out)
         main(["pipeline", "--input", str(fixture_csv), "--out", str(out)])
         assert read_bytes_map(out) == first
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    @pytest.mark.parametrize("exc", [InsufficientDataError("stopped"), KeyboardInterrupt()])
+    def test_failed_write_leaves_out_as_it_was(self, fixture_csv, tmp_path, capsys, earlier, exc):
+        out = tmp_path / "out"
+        if earlier:
+            assert main(["network", "--input", str(fixture_csv), "--out", str(out)]) == 0
+        before = read_bytes_map(out) if earlier else None
+
+        def half_written(traj, fh):  # the last data file pipeline writes
+            fh.write("date,x,y\n" * 100)
+            raise exc
+
+        argv = ["pipeline", "--input", str(fixture_csv), "--out", str(out)]
+        with mock.patch.object(analysis, "write_smoothed_csv", half_written):
+            if isinstance(exc, KeyboardInterrupt):
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            else:
+                assert main(argv) == 3
+        assert (read_bytes_map(out) if out.exists() else None) == before
+        assert [p.name for p in tmp_path.iterdir()] == (["out"] if earlier else [])
+
+    def test_out_is_replaced_as_a_whole(self, fixture_csv, tmp_path):
+        """Each command's files replace the last one's: no stale file survives,
+        and every file a command writes is one that a rerun may replace."""
+        out = tmp_path / "out"
+        written = {}
+        for command in ("transform", "network", "grid", "pipeline", "transform"):
+            assert main([command, "--input", str(fixture_csv), "--out", str(out)]) == 0
+            written[command] = {p.name for p in out.iterdir()}
+        assert written["network"] == {"edges.csv", "network.graphml", "summary.json"}
+        assert written["pipeline"] == PIPELINE_FILES
+        assert written["transform"] == {"selected.csv", "exponents.csv", "summary.json"}
+        assert set().union(*written.values()) == OUTPUT_FILES
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_out_holding_other_files_is_refused(self, fixture_csv, tmp_path, capsys):
+        argv = ["network", "--input", str(fixture_csv), "--out"]
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "summary.json").write_text("{}")
+        (data / "notes.txt").write_text("keep")
+        blocker = tmp_path / "file"
+        blocker.write_text("keep")
+        for out in (data, blocker):
+            assert main(argv + [str(out)]) == 2
+            assert json.loads(capsys.readouterr().out)["error"] == "ParameterError"
+        assert (data / "notes.txt").read_text() == blocker.read_text() == "keep"
+        assert sorted(p.name for p in data.iterdir()) == ["notes.txt", "summary.json"]
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(argv + [str(empty)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "empty", "file"]
 
 
 class TestConfigFile:

@@ -1,10 +1,14 @@
 import csv
 import io
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epinet import ingest
 from epinet.errors import (
     CsvFormatError,
     CsvParseError,
@@ -31,7 +35,7 @@ def test_parse_basic_row():
     assert len(series) == 1
     s = series[0]
     assert s.key.display == "Albania"
-    assert s.cumulative == [0, 0, 1]
+    assert s.cumulative.tolist() == [0, 0, 1]
     assert s.dates == [date(2020, 1, 22), date(2020, 1, 23), date(2020, 1, 24)]
 
 
@@ -87,7 +91,7 @@ def test_parse_duplicate_key():
 
 def test_parse_negative_corrections_kept():
     csv = HEADER + "\n,X,0,0,10,8,12\n"
-    assert parse_cases_csv(csv)[0].cumulative == [10, 8, 12]
+    assert parse_cases_csv(csv)[0].cumulative.tolist() == [10, 8, 12]
 
 
 def _mkseries(name, counts, start=date(2022, 5, 1)):
@@ -177,7 +181,7 @@ def test_wide_round_trip():
     again = parse_cases_csv(to_wide_csv(Panel.from_series(series)))
     assert [s.key for s in again] == [s.key for s in series]
     assert [s.dates for s in again] == [s.dates for s in series]
-    assert [s.cumulative for s in again] == [s.cumulative for s in series]
+    assert [s.cumulative.tolist() for s in again] == [s.cumulative.tolist() for s in series]
 
 
 def test_shared_date_axis():
@@ -224,3 +228,137 @@ def test_long_csv_equals_reference_bytes():
     write_long_csv(panel, got)
     reference_write_long_csv(panel, expected)
     assert got.getvalue() == expected.getvalue()
+
+
+# --- the one-call reader of feed-shaped count text against the per-cell loop
+
+CELLS = ["0", "7", "-3", "-0", "007", "123456789012345678", str(2**53 + 1), str(-(2**53) - 1)]
+# counts int() takes that the feed never has, counts neither takes, counts past int64
+ODD_CELLS = [
+    '"5"', "+5", "1_000", " 7 ", "\u0663", "", "-", "1-2", "5#", "1e3", "nan",
+    "\ufeff5", str(2**63), "9" * 19, "9" * 20, "-" + "9" * 19, "9" * 400,
+]
+NAMES = [
+    "Albania", "Korea, South", 'Say "hi", then go', "New\nYork", "Ελλάδα", "", " pad ", "Gr\rup",
+]
+PROVINCES = ["", "New South Wales", "Bonaire, Sint Eustatius and Saba"]
+RAW_PIECES = ["\r", '"', ",", "\n", "\ufeff"]
+
+
+@st.composite
+def feed_like_csv(draw):
+    """A wide case CSV of 3 days: mostly feed-shaped rows, with odd cells,
+    short and long rows, repeated keys, blank and all-comma lines, CRLF or LF
+    per line, an optional BOM and an optional raw character inserted
+    anywhere after the header."""
+    days = 3
+    lines = [HEADER]
+    for _ in range(draw(st.integers(0, 5))):
+        meta = [
+            draw(st.sampled_from(PROVINCES)),
+            draw(st.sampled_from(NAMES)),
+            draw(st.sampled_from(["", "41.15", "-33.87"])),
+            draw(st.sampled_from(["", "20.17"])),
+        ]
+        cells = draw(st.lists(st.sampled_from(CELLS), min_size=days, max_size=days))
+        edit = draw(st.sampled_from(["none"] * 9 + ["odd", "short", "long", "repeat", "blank"]))
+        if edit == "odd":
+            cells[draw(st.integers(0, days - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif edit == "short":
+            cells.pop()
+        elif edit == "long":
+            cells.append("1")
+        elif edit == "repeat" and len(lines) > 1:
+            lines.append(lines[-1])
+            continue
+        elif edit == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", ",,,,,,,", ",,,"])))
+            continue
+        buf = io.StringIO()
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        csv.writer(buf, lineterminator="\r\n", quoting=quoting).writerow(meta)
+        lines.append(buf.getvalue()[:-2] + "," + ",".join(cells))  # names with \r quoted
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text[:-1]  # no newline, or a bare \r, at the end
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(len(HEADER), len(text)))
+        text = text[:at] + draw(st.sampled_from(RAW_PIECES)) + text[at:]
+    if draw(st.booleans()):
+        return text
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+
+
+def _outcome(data):
+    """What parse_cases_csv makes of ``data``: keys, dates and the counts'
+    bytes, or the exception's type and message."""
+    try:
+        series = parse_cases_csv(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    counts = np.array([s.cumulative for s in series], dtype=np.float64)
+    return [s.key for s in series], [s.dates for s in series], counts.shape, counts.tobytes()
+
+
+def _per_cell_outcome(data):
+    with mock.patch.object(ingest, "_exact_rows", return_value=None):
+        return _outcome(data)
+
+
+@settings(max_examples=700, deadline=None, derandomize=True)
+@given(data=feed_like_csv())
+def test_one_call_reader_equals_per_cell_loop(data):
+    assert _outcome(data) == _per_cell_outcome(data)
+
+
+def test_one_call_reader_takes_feed_shaped_rows():
+    """Quoted names and provinces, Lat/Long, CRLF, blank lines, negative
+    corrections and 2**53 + 1 all stay on the one-call path."""
+    text = (
+        HEADER + "\r\n"
+        + ',"Korea, South",35.9,127.7,1,2,3\r\n'
+        + "\r\n"
+        + '"New South Wales",Australia,-33.87,151.2,10,8,12\r\n'
+        + f'"Say ""hi""",X,,,-0,007,{2**53 + 1}\r\n'
+    )
+    with mock.patch.object(ingest, "_checked_rows", side_effect=AssertionError("per-cell")):
+        got = _outcome(text.encode("utf-8"))
+    assert got == _per_cell_outcome(text)
+    names = ["Korea, South", "Australia: New South Wales", 'X: Say "hi"']
+    assert [k.display for k in got[0]] == names
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,2,3,4",  # four fields that could pass for metadata, with the counts' commas
+        ",X,0,1,2,3,4",  # one metadata field missing
+        ",X,0,0,0,1,2,3,4",  # one count too many
+        '"a,b,c,d,1,2,3,4\n",Y,0,0,4,5,6,7',  # a quoted name spanning lines
+        ',X,0,0,"1",2,3,4',  # a quoted count
+        ",X,0,0\r,1,2,3,4",  # a bare carriage return ending the metadata
+        ",X,0,0,+5,1_000, 7 ,\u0663",  # counts int() takes and the feed never has
+        ",X,0,0,1,2,3,4#5",  # loadtxt would read a comment
+        ",X,0,0,1,2,3,1e3",  # numpy < 2 would read an integer through a float
+        f",X,0,0,1,2,3,{2**63 - 1}",  # 19 digits, past the 18 that always fit int64
+        f",X,0,0,1,2,3,{10**19}",  # past int64
+        ",X,0,0,1,2,3,\ud800",  # not encodable
+        ',X,0,"0,1,2,3,4',  # a quote left open at the end of the input
+    ],
+)
+def test_rows_outside_the_feed_shape_take_the_per_cell_loop(row):
+    text = f"{HEADER},1/25/20\n{row}\n"
+    assert ingest._exact_rows(text.split("\n")[1:], 4) is None
+    assert _outcome(text) == _per_cell_outcome(text)
+
+
+def test_one_day_rows_with_an_empty_count():
+    text = "Province/State,Country/Region,Lat,Long,1/22/20\n,X,0,0,\n,Y,0,0,5\n"
+    assert ingest._exact_rows(text.split("\n")[1:], 1) is None
+    assert _outcome(text) == _per_cell_outcome(text)
+
+
+def test_counts_outside_the_feed_shape_still_parse():
+    text = f"{HEADER}\n,X,0,0,+5,1_000, 7 \n,Y,0,0,\u0663,{2**53 + 1},{10**20}\n"
+    rows = [s.cumulative.tolist() for s in parse_cases_csv(text)]
+    assert rows == [[5, 1000, 7], [3, 2**53, 1e20]]

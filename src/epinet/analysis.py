@@ -30,7 +30,7 @@ from .netbuild import (
     fmt9_all,
 )
 from .community import Partition, louvain
-from .transform import to_exponent_series
+from .transform import clip_exponents, to_exponent_series
 
 DEFAULT_RHO_VALUES = (0.0, 0.05, 0.1)
 DEFAULT_ALPHA_VALUES = (5.0, 7.0, 9.0)
@@ -134,24 +134,28 @@ def run_grid(cases: Panel, grid: GridSettings) -> list[GridCell]:
     recorded, not raised.
 
     Each cell equals ``run_cell`` on its settings, error strings included,
-    but the transform runs once per alpha and the network is built once per
-    (alpha, measure), at the smallest rho of the grid; every rho cell takes
-    the edges of that network above its own rho.  (A step that fails is
-    tried again by the next cell that needs it, and fails the same way.)
+    but the transform runs once, unclipped, and the network is built once
+    per (alpha, measure), at the smallest rho of the grid, from the clip of
+    that transform to alpha; every rho cell takes the edges of that network
+    above its own rho.  (A step that fails is tried again by the next cell
+    that needs it, and fails the same way.)
     """
     base_rho = min((r for r in grid.rho_values if not math.isnan(r)), default=math.nan)
-    exps: dict[float, Panel] = {}
+    unclipped: Panel | None = None
+    clipped: tuple[float, Panel] | None = None  # only the latest alpha's is kept
     nets: dict[tuple, CorrelationNetwork] = {}
     cells = []
     for s in grid.cells():
         cell = GridCell(settings=s)
         try:
-            if s.alpha not in exps:
-                exps[s.alpha] = to_exponent_series(cases, alpha=s.alpha)
             key = (s.alpha, s.measure)
             if key not in nets:
+                if unclipped is None:
+                    unclipped = to_exponent_series(cases, alpha=math.inf)
+                if clipped is None or clipped[0] != s.alpha:
+                    clipped = (s.alpha, clip_exponents(unclipped, s.alpha))
                 nets[key] = build_network(
-                    exps[s.alpha], rho=base_rho, measure=s.measure, alpha=s.alpha
+                    clipped[1], rho=base_rho, measure=s.measure, alpha=s.alpha
                 )
             cell.network = nets[key].above(s.rho)
             cell.partition = louvain(cell.network, seed=grid.seed)
@@ -166,11 +170,13 @@ def reference_settings() -> BuildSettings:
     return BuildSettings(rho=0.0, alpha=7.0, measure=SimilarityMeasure.PEARSON)
 
 
-def _community_key_sets(cell: GridCell) -> list[set[RegionKey]]:
-    out = [set() for _ in range(cell.partition.num_communities)]
-    for idx, lab in cell.partition.assignment.items():
-        out[lab].add(cell.network.nodes[idx])
-    return out
+def _rows_and_labels(cell: GridCell, row_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix row and the community label of each node of the cell's
+    partition; ``row_of`` maps the ``id`` of a region key to its row."""
+    nodes = cell.network.nodes
+    assignment = cell.partition.assignment
+    rows = [row_of[id(nodes[i])] for i in assignment]
+    return np.array(rows, dtype=np.intp), np.fromiter(assignment.values(), np.intp, len(rows))
 
 
 def align_labels(
@@ -188,28 +194,38 @@ def align_labels(
     if ref_cell.error is not None or ref_cell.partition is None:
         raise AlignmentError(f"reference cell failed: {ref_cell.error}")
 
-    ref_comms = _community_key_sets(ref_cell)  # label i -> aligned label i+1
-    k = len(ref_comms)
-
-    all_regions = sorted(
-        {key for c in results if c.network is not None for key in c.network.nodes},
-        key=lambda key: key.display,
-    )
+    # Networks of one grid share their key objects: hash each object once,
+    # then work on matrix rows.
+    key_of = {id(key): key for c in results if c.network is not None for key in c.network.nodes}
+    all_regions = sorted(dict.fromkeys(key_of.values()), key=lambda key: key.display)
     row_index = {key: r for r, key in enumerate(all_regions)}
+    row_of = {i: row_index[key] for i, key in key_of.items()}
     columns = [c.settings.label() for c in results]
     cells: list[list[int | None]] = [[None] * len(results) for _ in all_regions]
+
+    k = ref_cell.partition.num_communities  # reference label i -> aligned label i+1
+    ref_label = np.full(len(all_regions), -1, dtype=np.intp)
+    rows, labels = _rows_and_labels(ref_cell, row_of)
+    ref_label[rows] = labels
+    ref_sizes = np.bincount(labels, minlength=k)
 
     for col, cell in enumerate(results):
         if cell.partition is None:
             continue
-        run_comms = _community_key_sets(cell)
+        rows, labels = _rows_and_labels(cell, row_of)
+        kc = cell.partition.num_communities
+        sizes = np.bincount(labels, minlength=kc)
+        both = ref_label[rows] >= 0
+        inter = np.bincount(
+            ref_label[rows[both]] * kc + labels[both], minlength=k * kc
+        ).reshape(k, kc)
         pairs = []
-        for ri, rset in enumerate(ref_comms):
-            for ci, cset in enumerate(run_comms):
-                inter = len(rset & cset)
-                union = len(rset | cset)
+        for ri in range(k):
+            for ci in range(kc):
+                common = int(inter[ri, ci])
+                union = int(ref_sizes[ri]) + int(sizes[ci]) - common
                 if union:
-                    pairs.append((inter / union, ri, ci))
+                    pairs.append((common / union, ri, ci))
         pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
         mapping: dict[int, int] = {}
         used_ref: set[int] = set()
@@ -219,33 +235,37 @@ def align_labels(
             mapping[ci] = ri + 1
             used_ref.add(ri)
         fresh = k + 1
-        for ci in range(len(run_comms)):
+        for ci in range(kc):
             if ci not in mapping:
                 mapping[ci] = fresh
                 fresh += 1
-        for idx, lab in cell.partition.assignment.items():
-            cells[row_index[cell.network.nodes[idx]]][col] = mapping[lab]
+        for row, lab in zip(rows.tolist(), labels.tolist()):
+            cells[row][col] = mapping[lab]
 
     return MembershipMatrix(rows=all_regions, columns=columns, cells=cells)
 
 
 def order_rows(matrix: MembershipMatrix) -> MembershipMatrix:
     """Deterministic row order: majority aligned label, then the full label
-    tuple, then region display name."""
-
-    def row_key(r: int):
-        labels = [lab for lab in matrix.cells[r] if lab is not None]
-        if labels:
-            counts: dict[int, int] = {}
-            for lab in labels:
-                counts[lab] = counts.get(lab, 0) + 1
-            majority = min(sorted(counts), key=lambda lab: (-counts[lab], lab))
-        else:
-            majority = float("inf")
-        tup = tuple(lab if lab is not None else float("inf") for lab in matrix.cells[r])
-        return (majority, tup, matrix.rows[r].display)
-
-    order = sorted(range(len(matrix.rows)), key=row_key)
+    tuple, then region display name.  The majority is the most frequent label
+    of a row, the smallest on a tie; a missing label sorts after every label."""
+    n = len(matrix.rows)
+    labels = np.array(
+        [[math.inf if lab is None else lab for lab in row] for row in matrix.cells], dtype=float
+    ).reshape(n, len(matrix.columns))
+    present = labels != math.inf
+    values, codes = np.unique(labels[present], return_inverse=True)
+    rows = np.nonzero(present)[0]
+    counts = np.bincount(rows * len(values) + codes, minlength=n * len(values))
+    counts = counts.reshape(n, len(values))
+    majority = np.full(n, math.inf)
+    labelled = present.any(axis=1)
+    if labelled.any():
+        majority[labelled] = values[counts[labelled].argmax(axis=1)]
+    by_name = sorted(range(n), key=lambda r: matrix.rows[r].display)
+    name_rank = np.empty(n, dtype=np.intp)
+    name_rank[by_name] = np.arange(n)
+    order = np.lexsort([name_rank, *labels.T[::-1], majority]).tolist()
     return MembershipMatrix(
         rows=[matrix.rows[r] for r in order],
         columns=list(matrix.columns),

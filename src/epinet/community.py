@@ -58,16 +58,27 @@ def modularity_of(
         if i not in assignment:
             raise CoverageError(f"node {i} ({net.nodes[i].display}) missing from assignment")
         community[i] = dense.setdefault(assignment[i], len(dense))
-    two_m = 2.0 * sum(net.weight.tolist())
+    return _modularity(net, community, len(dense), _two_m(net), resolution)
+
+
+def _two_m(net: CorrelationNetwork) -> float:
+    """Twice the total edge weight, added one edge at a time in edge order (as
+    ``sum`` adds floats before Python 3.12, which compensates)."""
+    two_m = 2.0 * float(np.cumsum(net.weight)[-1]) if len(net.weight) else 0.0
     if two_m <= 0:
         raise InsufficientStructureError("network has no positive edge weight")
+    return two_m
+
+
+def _modularity(net, community: np.ndarray, k: int, two_m: float, resolution: float) -> float:
+    """Q of ``community`` (labels 0..k-1, in order of first appearance)."""
     # degrees accumulate edge by edge, one end after the other
     ends = np.column_stack([net.src, net.dst]).ravel()
     deg = np.bincount(ends, weights=np.repeat(net.weight, 2), minlength=net.n)
     same = community[net.src] == community[net.dst]
     # one addition at a time, in edge order (np.sum adds pairwise and rounds differently)
     internal = float(np.cumsum(2.0 * net.weight[same])[-1]) if same.any() else 0.0
-    tot = np.bincount(community, weights=deg, minlength=len(dense))
+    tot = np.bincount(community, weights=deg, minlength=k)
     q = internal / two_m
     q -= resolution * sum((s / two_m) ** 2 for s in tot)
     return q
@@ -87,22 +98,34 @@ def _fingerprint(net: CorrelationNetwork, seed, resolution) -> dict:
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
     """``(indptr, indices, data)`` of the entries, each row keeping the order
     in which its entries are given."""
-    order = np.argsort(rows, kind="stable")
+    # a stable sort on the narrowest keys is numpy's radix sort
+    order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr, cols[order], data[order]
 
 
+# Most cells (visits x communities) that one step of ``_unmoved`` scores at once.
+_CONFIRM_CELLS = 1 << 16
+
+
 def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: float):
-    """Phase 1: greedy node moves.  Returns (community of each node, moved?)."""
+    """Phase 1: greedy node moves.  Returns (community of each node, moved?).
+
+    The first sweep visits one node at a time.  Every later sweep first
+    confirms its leading visits that keep their community (``_unmoved``), then
+    visits one node at a time from the first that moves.
+    """
     n = len(deg)
     rows = [(indices[a:b], data[a:b]) for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
     comm = np.arange(n)
     tot = deg.copy()
     any_move = False
+    start = 0
+    visits = None
     while True:
         moved_in_sweep = False
-        for i in order:
+        for i in order[start:]:
             ki = deg[i]
             cur = comm[i]
             nbr_comm = comm[rows[i][0]]
@@ -125,7 +148,74 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: f
                 any_move = True
         if not moved_in_sweep:
             break
+        if visits is None:
+            visits = _visit_rows(indptr, indices, data, np.asarray(order))
+        start = _unmoved(visits, comm, tot, deg, two_m, resolution)
+        if start == n:
+            break
     return comm, any_move
+
+
+def _visit_rows(indptr, indices, data, order: np.ndarray):
+    """The rows of the nodes in visit ``order``: the visited node, the start
+    of each visit's entries, and each entry's visit, neighbour and weight."""
+    lengths = np.diff(indptr)[order]
+    ptr = np.zeros(len(order) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=ptr[1:])
+    take = np.repeat(indptr[order] - ptr[:-1], lengths) + np.arange(ptr[-1])
+    visit = np.repeat(np.arange(len(order)), lengths)
+    return order, ptr, visit, indices[take], data[take]
+
+
+def _unmoved(visits, comm, tot, deg, two_m: float, resolution: float) -> int:
+    """Number of leading visits of a sweep that keep their community, with
+    ``tot`` advanced past them exactly as visiting them one at a time would.
+
+    Scores all visits at once on the guess that none moves, in steps of at
+    most _CONFIRM_CELLS cells.  Only the communities in use can be
+    candidates; they are relabelled 0..k-1 in label order, which keeps the
+    smallest-label tie rule.  Scores are computed as ``_local_moving`` does,
+    operation by operation, so a visit keeps its community here exactly when
+    it would there.
+    """
+    order, ptr, visit, nbr, weight = visits
+    labels, lab = np.unique(comm, return_inverse=True)
+    k = len(labels)
+    own_all, ki_all, nbr_lab = lab[order], deg[order], lab[nbr]
+    running = tot[labels].tolist()
+    step = max(1, _CONFIRM_CELLS // k)
+    for p in range(0, len(order), step):
+        q = min(p + step, len(order))
+        m = q - p
+        e0, e1 = ptr[p], ptr[q]
+        # each visit's weight to each community, added in row order
+        code = (visit[e0:e1] - p) * k + nbr_lab[e0:e1]
+        w_to = np.bincount(code, weights=weight[e0:e1], minlength=m * k).reshape(m, k)
+        candidate = np.bincount(code, minlength=m * k).reshape(m, k) > 0
+        own, ki = own_all[p:q], ki_all[p:q]
+        # a visit that stays leaves its community's total at (tot - ki) + ki
+        start_tot = np.array(running)
+        after = np.empty(m)
+        for t, (c, x) in enumerate(zip(own.tolist(), ki.tolist())):
+            running[c] = after[t] = (running[c] - x) + x
+        # totals before each visit: for each community, the value after its
+        # last earlier visit in this step, else the value at the step's start
+        last = np.zeros((m, k), dtype=np.intp)
+        last[np.arange(1, m), own[:-1]] = np.arange(1, m)
+        np.maximum.accumulate(last, axis=0, out=last)
+        before = np.where(last == 0, start_tot, after[last - 1])
+        at = (np.arange(m), own)
+        seen = before.copy()
+        seen[at] -= ki
+        score = (2.0 * w_to) / two_m - resolution * 2.0 * ki[:, None] * seen / (two_m * two_m)
+        candidate[at] = True
+        score[~candidate] = -np.inf
+        moves = np.flatnonzero(score.max(axis=1) != score[at])
+        if len(moves):
+            tot[labels] = before[moves[0]]
+            return p + int(moves[0])
+    tot[labels] = running
+    return len(order)
 
 
 def _aggregate(indptr, indices, data, selfw, new: np.ndarray, k: int):
@@ -150,11 +240,10 @@ def _aggregate(indptr, indices, data, selfw, new: np.ndarray, k: int):
     new_selfw = np.bincount(target, weights=weight, minlength=k + 1)[:k]
 
     up = ci < cj
-    pairs, first, inverse = np.unique(
-        ci[up] * k + cj[up], return_index=True, return_inverse=True
-    )
+    codes = (ci[up] * k + cj[up]).astype(np.min_scalar_type(k * k))
+    pairs, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     w = np.bincount(inverse, weights=data[up])
-    a, b = pairs // k, pairs % k
+    a, b = np.divmod(pairs.astype(np.intp), k)
     lower = np.repeat([False, True], len(pairs))
     # within a row: higher neighbours by first contribution, then lower ones by index
     order = np.lexsort((np.concatenate([first, a]), lower))
@@ -177,9 +266,7 @@ def louvain(
     """
     if not len(net.weight):
         raise InsufficientStructureError("network has no edges")
-    two_m = 2.0 * sum(net.weight.tolist())
-    if two_m <= 0:
-        raise InsufficientStructureError("network has no positive edge weight")
+    two_m = _two_m(net)
 
     # each edge enters both rows, so a row lists its edges in edge order
     indptr, indices, data = _csr(
@@ -224,7 +311,11 @@ def louvain(
     for label, nodes in enumerate(ranked):
         for node in nodes:
             assignment[node] = label
-    q = modularity_of(net, assignment, resolution=resolution)
+    # modularity_of's labels: communities in order of their first node
+    first_seen = np.empty(net.n, dtype=np.intp)
+    for label, nodes in enumerate(members.values()):
+        first_seen[nodes] = label
+    q = _modularity(net, first_seen, len(members), two_m, resolution)
     return Partition(
         assignment=assignment,
         modularity=q,

@@ -127,6 +127,34 @@ def _parse_header_date(text: str, column: int) -> date:
     raise CsvFormatError(f"unparseable date {text!r} in header column {column}")
 
 
+def _header_dates(cells: list[str]) -> list[date]:
+    """The dates of the header's date ``cells``, which must be consecutive days.
+
+    When each cell after the first holds the text of the day after its
+    predecessor, in the first cell's style (the feed's unpadded M/D/YY or
+    ISO), only the first cell is parsed; otherwise every cell is parsed, and
+    the first bad or non-consecutive one raises.
+    """
+    texts = [cell.strip() for cell in cells]
+    first = _parse_header_date(texts[0], 5)
+    if len(texts) - 1 <= (date.max - first).days:
+        dates = [date.fromordinal(first.toordinal() + t) for t in range(len(texts))]
+        iso = "-" in texts[0]
+        # %y reads 69..99 as 19xx and 00..68 as 20xx
+        if iso or (1969 <= first.year and dates[-1].year <= 2068):
+            expected = [
+                d.isoformat() if iso else f"{d.month}/{d.day}/{d.year % 100:02d}"
+                for d in dates[1:]
+            ]
+            if texts[1:] == expected:
+                return dates
+    dates = [_parse_header_date(text, i + 5) for i, text in enumerate(texts)]
+    for column, (a, b) in enumerate(zip(dates, dates[1:]), start=6):
+        if b - a != timedelta(days=1):
+            raise CsvFormatError(f"header column {column} is {b}, expected the day after {a}")
+    return dates
+
+
 def _physical_lines(lines: list[str]):
     """The lines of the text that ``lines`` was split from at each "\\n", as
     io.StringIO yields them: each with its newline, and no empty last line."""
@@ -277,10 +305,7 @@ def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
             raise CsvFormatError(
                 f"header column {i + 1} is {header[i]!r}, expected {expected!r}"
             )
-    dates = [_parse_header_date(cell, i + 5) for i, cell in enumerate(header[4:])]
-    for column, (a, b) in enumerate(zip(dates, dates[1:]), start=6):
-        if b - a != timedelta(days=1):
-            raise CsvFormatError(f"header column {column} is {b}, expected the day after {a}")
+    dates = _header_dates(header[4:])
 
     rows = _exact_rows(lines[reader.line_num :], len(dates))
     if rows is None:

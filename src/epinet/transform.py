@@ -51,6 +51,11 @@ def moving_average_7(values) -> np.ndarray:
     return sliding_window_view(values, 7, axis=-1).sum(axis=-1) / 7.0
 
 
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+
+
 def change_exponents(
     avgs,
     alpha: float = DEFAULT_ALPHA,
@@ -61,12 +66,18 @@ def change_exponents(
     NaN inputs mark missing days; a log-ratio is NaN (undefined) unless both
     neighbors are present.  ``alpha`` may be infinite (no clipping).
     """
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     if not floor_eps > 0:
         raise ParameterError(f"floor_eps must be positive, got {floor_eps}")
     floored = np.maximum(np.asarray(avgs, dtype=float), floor_eps)
     return np.clip(np.log(floored[..., 1:] / floored[..., :-1]), -alpha, alpha)
+
+
+def clip_exponents(exps: Panel, alpha: float) -> Panel:
+    """``exps`` clipped to [-alpha, alpha].  On the unclipped series
+    (``alpha=inf``) this equals ``to_exponent_series`` at ``alpha``."""
+    _check_alpha(alpha)
+    return Panel(keys=exps.keys, start=exps.start, values=np.clip(exps.values, -alpha, alpha))
 
 
 def to_exponent_series(

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import warnings
 from datetime import date, timedelta
 
@@ -209,7 +210,7 @@ class TestRunGrid:
         cells = run_grid(anti_correlated_pair(), GridSettings())
         assert all(c.error is not None for c in cells)
 
-    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated"])
+    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated", "bad_alpha", "short"])
     def test_shared_grid_equals_cell_by_cell(self, planted, fixture):
         if fixture == "planted":
             cases = planted[0]
@@ -220,6 +221,13 @@ class TestRunGrid:
                 measures=(SimilarityMeasure.COSINE, SimilarityMeasure.PEARSON),
                 seed=4,
             )
+        elif fixture == "bad_alpha":
+            cases = planted[0]
+            grid = GridSettings(alpha_values=(0.0, 7.0, float("nan"), -1.0, float("inf")))
+        elif fixture == "short":  # too few days for one exponent
+            cases = Panel(keys=planted[0].keys, start=planted[0].start,
+                          values=planted[0].values[:, :8])
+            grid = GridSettings()
         else:
             cases, grid = anti_correlated_pair(), GridSettings()
         shared = run_grid(cases, grid)
@@ -243,6 +251,9 @@ class TestRunGrid:
                 assert cell.partition.modularity == alone.partition.modularity
         if fixture == "planted":
             assert sum(c.error is not None for c in shared) == 6  # the NaN rho cells
+        elif fixture == "bad_alpha":
+            assert sum(c.error is not None for c in shared) == 18
+            assert sum(c.error is None for c in shared) == 12
         else:
             assert all(c.error is not None for c in shared)
 
@@ -314,6 +325,76 @@ class TestAlignLabels:
         bad = GridCell(settings=REF, error="boom")
         with pytest.raises(AlignmentError):
             align_labels([bad], REF)
+
+
+def reference_align(results, reference):
+    """``align_labels`` on sets of region keys."""
+    def key_sets(cell):
+        out = [set() for _ in range(cell.partition.num_communities)]
+        for idx, lab in cell.partition.assignment.items():
+            out[lab].add(cell.network.nodes[idx])
+        return out
+
+    ref_comms = key_sets(next(c for c in results if c.settings == reference))
+    k = len(ref_comms)
+    rows = sorted({key for c in results if c.network is not None for key in c.network.nodes},
+                  key=lambda key: key.display)
+    row_index = {key: r for r, key in enumerate(rows)}
+    cells = [[None] * len(results) for _ in rows]
+    for col, cell in enumerate(results):
+        if cell.partition is None:
+            continue
+        run_comms = key_sets(cell)
+        pairs = sorted(
+            ((len(r & c) / len(r | c), ri, ci) for ri, r in enumerate(ref_comms)
+             for ci, c in enumerate(run_comms) if r | c),
+            key=lambda p: (-p[0], p[1], p[2]),
+        )
+        mapping, used = {}, set()
+        for jac, ri, ci in pairs:
+            if jac > 0 and ci not in mapping and ri not in used:
+                mapping[ci] = ri + 1
+                used.add(ri)
+        for ci in range(len(run_comms)):
+            mapping.setdefault(ci, k + 1 + sum(v > k for v in mapping.values()))
+        for idx, lab in cell.partition.assignment.items():
+            cells[row_index[cell.network.nodes[idx]]][col] = mapping[lab]
+    return rows, cells
+
+
+def reference_order(matrix):
+    """``order_rows`` by a Python sort key per row."""
+    def row_key(r):
+        labels = [lab for lab in matrix.cells[r] if lab is not None]
+        counts = {lab: labels.count(lab) for lab in labels}
+        majority = min(counts, key=lambda lab: (-counts[lab], lab)) if labels else math.inf
+        tup = tuple(math.inf if lab is None else lab for lab in matrix.cells[r])
+        return (majority, tup, matrix.rows[r].display)
+
+    order = sorted(range(len(matrix.rows)), key=row_key)
+    return [matrix.rows[r] for r in order], [matrix.cells[r] for r in order]
+
+
+def test_align_and_order_equal_set_and_sort_key_references():
+    # equal keys in distinct objects, regions missing from some runs, failed
+    # runs, unused labels, and rows whose labels tie, so their names decide
+    rng = np.random.default_rng(4)
+    names = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    settings = [REF, OTHER] + [BuildSettings(rho=r, alpha=7.0, measure=SimilarityMeasure.COSINE)
+                               for r in (0.0, 0.05, 0.1)]
+    for _ in range(200):
+        results = []
+        for s in settings:
+            nodes = [n for n in names if rng.random() < 0.8] or ["a"]
+            k = int(rng.integers(1, 5))
+            cell = _cell(s, nodes, {i: int(rng.integers(0, k)) for i in range(len(nodes))})
+            if s != REF and rng.random() < 0.1:
+                cell.partition = None
+            results.append(cell)
+        matrix = align_labels(results, REF)
+        assert (matrix.rows, matrix.cells) == reference_align(results, REF)
+        ordered = order_rows(matrix)
+        assert (ordered.rows, ordered.cells) == reference_order(matrix)
 
 
 class TestOrderRows:

@@ -2,11 +2,13 @@ import io
 import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import bridge_of_triangles, clique_edges, make_net, small_graph_suite
+from epinet import community
 from epinet.community import (
     Partition,
     brute_force_best,
@@ -84,9 +86,17 @@ def random_net(rng, n, low=0.0, p=0.5, unit=False):
     return make_net(n, [(a, b, w) for (a, b), w in zip(pairs, weights)])
 
 
+def added_in_order(values):
+    """One addition at a time (``sum`` of floats compensates from Python 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_modularity(net, assignment, resolution=1.0):
     """Edge-by-edge Q, summing in the order ``modularity_of`` keeps."""
-    two_m = 2.0 * sum(w for _, _, w in net.edges)
+    two_m = 2.0 * added_in_order(w for _, _, w in net.edges)
     deg = np.zeros(net.n)
     internal = 0.0
     for a, b, w in net.edges:
@@ -102,18 +112,10 @@ def reference_modularity(net, assignment, resolution=1.0):
     return q
 
 
-def added_in_order(values):
-    """One addition at a time (``sum`` of floats compensates from Python 3.12)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def reference_louvain(net, seed=0, resolution=1.0):
     """Louvain on adjacency dicts, with the visit order, scores, tie rules,
     sum orders and final labelling that ``louvain`` keeps on CSR arrays."""
-    two_m = 2.0 * sum(w for _, _, w in net.edges)
+    two_m = 2.0 * added_in_order(w for _, _, w in net.edges)
     nbrs = [dict() for _ in range(net.n)]
     for a, b, w in net.edges:
         nbrs[a][b] = nbrs[a].get(b, 0.0) + w
@@ -177,6 +179,82 @@ def reference_louvain(net, seed=0, resolution=1.0):
         members.setdefault(sup, []).append(node)
     ranked = sorted(members.values(), key=lambda m: (-len(m), m[0]))
     return {node: label for label, m in enumerate(ranked) for node in m}
+
+
+def confirm_pass_cases(visits, comm, deg, start):
+    """What one confirm pass met, from its arguments and its result ``start``
+    (the visits it scored are those up to the first that moves)."""
+    order, ptr, visit, nbr, weight = visits
+    n = len(order)
+    scored = min(start + 1, n)
+    labels, lab = np.unique(comm, return_inverse=True)
+    k = len(labels)
+    end = ptr[scored]
+    code = visit[:end] * k + lab[nbr[:end]]
+    sums = np.bincount(code, weights=weight[:end], minlength=scored * k)
+    counts = np.bincount(code, minlength=scored * k)
+    own = np.arange(scored) * k + lab[order[:scored]]
+    rival = np.ones(scored * k, dtype=bool)
+    rival[own] = False
+    return {
+        "mid_sweep": 0 < start < n,
+        "whole_sweep": start == n,
+        # a super-node has a self-loop, so its degree is positive without edges
+        "isolated_super_node": bool(np.any((np.diff(ptr[: scored + 1]) == 0)
+                                           & (deg[order[:scored]] > 0))),
+        "zero_sum_candidate": bool(np.any((counts > 0) & (sums == 0) & rival)),
+        "several_steps": scored > max(1, community._CONFIRM_CELLS // k),
+    }
+
+
+def reference_unmoved(net, deg, order, comm, tot, two_m, resolution):
+    """The first visit of ``order`` that leaves its community, visiting one
+    node at a time from ``comm`` and ``tot``, and the totals just before it."""
+    nbrs = [[] for _ in range(net.n)]
+    for a, b, w in net.edges:
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    tot = tot.tolist()
+    for t, i in enumerate(order.tolist()):
+        ki, cur = float(deg[i]), int(comm[i])
+        w_to = {}
+        for j, w in nbrs[i]:
+            w_to[int(comm[j])] = w_to.get(int(comm[j]), 0.0) + w
+        before = tot[cur]
+        tot[cur] -= ki
+        scores = {
+            c: (2.0 * w_to.get(c, 0.0)) / two_m
+            - resolution * 2.0 * ki * tot[c] / (two_m * two_m)
+            for c in set(w_to) | {cur}
+        }
+        if max(scores.values()) > scores[cur]:
+            tot[cur] = before
+            return t, np.array(tot)
+        tot[cur] += ki
+    return len(order), np.array(tot)
+
+
+def confirm_pass_nets():
+    """Graphs on which the confirm pass stops mid-sweep, confirms whole
+    sweeps, meets an isolated super-node and meets a zero-sum candidate."""
+    # a ring of 12 triangles merges at level 1, where the lone triangle beside
+    # it is a super-node without edges
+    ring = []
+    for c in range(12):
+        ring += clique_edges(range(3 * c, 3 * c + 3))
+        ring.append((3 * c + 2, (3 * c + 3) % 36, 1.0))
+    nets = [make_net(39, [(min(a, b), max(a, b), w) for a, b, w in ring]
+                     + clique_edges([36, 37, 38]))]
+    rng = np.random.default_rng(1)
+    for _ in range(8):
+        # weights of +-0.5 and +-1 can add up to exactly 0
+        n = int(rng.integers(6, 16))
+        pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        weights = rng.choice([-1.0, -0.5, 0.5, 1.0], len(pairs))
+        nets.append(make_net(n, [(a, b, w) for (a, b), w in zip(pairs, weights)]))
+    for _ in range(6):
+        nets.append(random_net(rng, int(rng.integers(5, 40)), low=-0.2, p=0.3))
+    return [net for net in nets if len(net.weight) and net.weight.sum() > 0]
 
 
 class TestBruteForce:
@@ -315,6 +393,64 @@ class TestLouvain:
                 assert part.modularity == reference_modularity(
                     net, part.assignment, resolution
                 )
+
+    @pytest.mark.parametrize("cells", [1, 2, 7, None])
+    def test_confirm_pass_same_decisions_as_dict_reference(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(community, "_CONFIRM_CELLS", cells)
+        met = Counter()
+        unmoved = community._unmoved
+
+        def spy(visits, comm, tot, deg, two_m, resolution):
+            start = unmoved(visits, comm, tot, deg, two_m, resolution)
+            met.update(confirm_pass_cases(visits, comm, deg, start))
+            return start
+
+        monkeypatch.setattr(community, "_unmoved", spy)
+        for net in confirm_pass_nets():
+            for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
+                part = louvain(net, seed=seed, resolution=resolution)
+                assert part.assignment == reference_louvain(net, seed, resolution)
+                assert part.modularity == reference_modularity(
+                    net, part.assignment, resolution
+                )
+        cases = ["mid_sweep", "whole_sweep", "isolated_super_node", "zero_sum_candidate"]
+        if cells is not None:
+            cases.append("several_steps")
+        assert all(met[case] for case in cases), met
+
+    @pytest.mark.parametrize("cells", [1, 2, 7, None])
+    def test_unmoved_matches_visiting_one_at_a_time(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(community, "_CONFIRM_CELLS", cells)
+        rng = np.random.default_rng(8)
+        stops = Counter()
+        for net in confirm_pass_nets():
+            indptr, indices, data = community._csr(
+                net.n,
+                np.column_stack([net.src, net.dst]).ravel(),
+                np.column_stack([net.dst, net.src]).ravel(),
+                np.repeat(net.weight, 2),
+            )
+            deg = np.bincount(np.repeat(np.arange(net.n), np.diff(indptr)), weights=data,
+                              minlength=net.n)
+            two_m = 2.0 * added_in_order(net.weight.tolist())
+            order = rng.permutation(net.n)
+            visits = community._visit_rows(indptr, indices, data, order)
+            settled, _ = community._local_moving(indptr, indices, data, deg, order.tolist(),
+                                                 two_m, 1.0)
+            # a local optimum confirms a whole sweep; a node visited late and
+            # put alone stops it mid-sweep; random labels stop it early
+            late = settled.copy()
+            late[order[-2]] = np.setdiff1d(np.arange(net.n), settled)[0]
+            for comm in (settled, late, rng.choice(rng.permutation(net.n)[:4], net.n)):
+                tot = np.bincount(comm, weights=deg, minlength=net.n)
+                want_start, want_tot = reference_unmoved(net, deg, order, comm, tot, two_m, 1.0)
+                start = community._unmoved(visits, comm, tot, deg, two_m, 1.0)
+                assert start == want_start
+                assert np.array_equal(tot, want_tot)
+                stops["whole" if start == net.n else "mid" if start > 0 else "first"] += 1
+        assert stops["whole"] and stops["mid"] and stops["first"], stops
 
     def test_no_positive_weight_raises(self):
         with pytest.raises(InsufficientStructureError):

@@ -1,6 +1,6 @@
 import csv
 import io
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from unittest import mock
 
 import numpy as np
@@ -73,6 +73,73 @@ def test_parse_bad_header_date():
 def test_parse_header_date_gap_names_column():
     with pytest.raises(CsvFormatError, match="column 7"):
         parse_cases_csv("Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/25/20\n")
+
+
+def parsed_header(cells):
+    """The dates ``parse_cases_csv`` reads from the date ``cells``, or its error."""
+    text = ",".join(["Province/State,Country/Region,Lat,Long", *cells])
+    text += "\n,X,0,0," + ",".join(["1"] * len(cells)) + "\n"
+    try:
+        return parse_cases_csv(text)[0].dates
+    except CsvFormatError as exc:
+        return str(exc)
+
+
+def reference_header(cells):
+    """Every cell parsed by ``strptime``, then checked for consecutive days."""
+    dates = []
+    for column, text in enumerate(cells, start=5):
+        text = text.strip()
+        for fmt in ("%m/%d/%y", "%Y-%m-%d"):
+            try:
+                dates.append(datetime.strptime(text, fmt).date())
+                break
+            except ValueError:
+                pass
+        else:
+            return f"unparseable date {text!r} in header column {column}"
+    for column, (a, b) in enumerate(zip(dates, dates[1:]), start=6):
+        if b - a != timedelta(days=1):
+            return f"header column {column} is {b}, expected the day after {a}"
+    return dates
+
+
+def _feed(first, days):
+    return [f"{d.month}/{d.day}/{d:%y}" for d in (first + timedelta(t) for t in range(days))]
+
+
+def _iso(first, days):
+    return [(first + timedelta(t)).isoformat() for t in range(days)]
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        _feed(date(2020, 1, 22), 859),
+        _iso(date(2020, 12, 20), 20),
+        ["1/22/20"],
+        ["01/22/20", "01/23/20", "1/24/20"],  # zero-padded
+        [" 2/28/20 ", "2/29/20", "3/1/20"],  # padded with spaces
+        ["12/30/20", "12/31/20", "2021-01-01", "1/2/21"],  # feed and ISO mixed
+        ["1/22/20", "1/23/20", "1/25/20", "1/26/20"],  # gap
+        ["1/22/20", "1/23/20", "1/22/20"],  # repeated day
+        ["1/22/20", "1/24/20", "not-a-date"],  # a gap, then garbage
+        ["garbage", "1/23/20"],
+        ["1/22/20", "1/23/20", "13/1/20"],
+        ["12/30/68", "12/31/68", "1/1/69"],  # %y turns 69 into 1969
+        ["9999-12-30", "9999-12-31", "1/1/00"],  # no day after date.max
+        ["2021-03-01", "3/2/21", "2021-03-03"],
+    ],
+)
+def test_header_dates_equal_parsing_every_cell(cells):
+    assert parsed_header(cells) == reference_header(cells)
+
+
+@pytest.mark.parametrize("cells", [_feed(date(2020, 1, 22), 859), _iso(date(2020, 12, 20), 20)])
+def test_consecutive_header_parses_first_cell_only(cells):
+    with mock.patch.object(ingest, "_parse_header_date", wraps=ingest._parse_header_date) as parse:
+        assert parsed_header(cells) == reference_header(cells)
+    assert parse.call_count == 1
 
 
 def test_parse_non_numeric_cell_coordinates():

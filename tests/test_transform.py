@@ -11,6 +11,7 @@ from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.transform import (
     WARMUP_DAYS,
     change_exponents,
+    clip_exponents,
     daily_diffs,
     moving_average_7,
     to_exponent_series,
@@ -161,3 +162,30 @@ class TestComposition:
         base = to_exponent_series(panel_of(np.cumsum(daily).tolist()))
         scaled = to_exponent_series(panel_of(np.cumsum(daily * k).tolist()))
         assert np.allclose(base.values, scaled.values, atol=1e-9)
+
+
+class TestClipExponents:
+    def test_equals_transform_at_alpha(self):
+        # zero stretches and negative corrections send log-ratios past +-20
+        rng = np.random.default_rng(3)
+        daily = rng.integers(0, 1000, size=(4, 60))
+        daily[0, 10:20] = 0
+        daily[1, 30] = -5000
+        panel = Panel(keys=[RegionKey(country=c) for c in "ABCD"], start=date(2021, 1, 1),
+                      values=np.cumsum(daily, axis=1).astype(float))
+        panel.values[2, :5] = np.nan
+        unclipped = to_exponent_series(panel, alpha=math.inf)
+        for alpha in (1e-3, 5.0, 7.0, 9.0, math.inf):
+            want = to_exponent_series(panel, alpha=alpha)
+            got = clip_exponents(unclipped, alpha)
+            assert (got.keys, got.start) == (want.keys, want.start)
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_bad_alpha_as_transform(self, alpha):
+        panel = panel_of(np.arange(20) ** 2)
+        with pytest.raises(ParameterError) as want:
+            to_exponent_series(panel, alpha=alpha)
+        with pytest.raises(ParameterError) as got:
+            clip_exponents(to_exponent_series(panel, alpha=math.inf), alpha)
+        assert str(got.value) == str(want.value)

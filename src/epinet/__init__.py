@@ -20,8 +20,6 @@ from .netbuild import (
     CorrelationNetwork,
     SimilarityMeasure,
     build_network,
-    cosine,
-    pearson,
 )
 from .community import Partition, brute_force_best, compare_partitions, louvain, modularity_of
 from .analysis import (

@@ -1,8 +1,7 @@
 """Robustness grid, label alignment, community median curves, peak detection
 and the B-spline phase-space trajectory.
 
-Curves throughout this module are float arrays over one list of dates, with
-NaN marking undefined days.
+Curves throughout this module are float arrays over one list of dates.
 """
 
 from __future__ import annotations
@@ -79,27 +78,22 @@ class PhaseTrajectory:
 
 
 def median_curve(exps: Panel, members: set[RegionKey]) -> np.ndarray:
-    """Per-day median of the defined member exponents, on the panel's axis.
+    """Per-day median of the member exponents, on the panel's axis.
 
-    NaN where no member is defined that day.  Even member counts take the
-    mean of the two central values.  Bit-equal to ``np.nanmedian`` over the
-    member rows, signed zeros included.
+    Even member counts take the mean of the two central values.  Bit-equal
+    to ``np.nanmedian`` over the member rows, signed zeros included.
     """
     if not members:
         raise ParameterError("member set is empty")
     rows = np.array([k in members for k in exps.keys], dtype=bool)
     if not rows.any():
         raise ParameterError("no series matches the member set")
-    ranked = np.sort(exps.values[rows], axis=0)  # NaN sorts last
-    defined = np.count_nonzero(~np.isnan(ranked), axis=0)
-    days = np.arange(ranked.shape[1])
-    lo = ranked[np.maximum(defined - 1, 0) // 2, days]
-    hi = ranked[np.minimum(defined // 2, len(ranked) - 1), days]
+    ranked = np.sort(exps.values[rows], axis=0)
+    lo = ranked[(len(ranked) - 1) // 2]
+    hi = ranked[len(ranked) // 2]
     # nanmedian's mean starts from +0.0, which turns a median of -0.0s into +0.0
     with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf, max + max
-        median = (0.0 + lo + hi) / 2.0
-    median[defined == 0] = np.nan
-    return median
+        return (0.0 + lo + hi) / 2.0
 
 
 def detect_peaks(dates: list[date], values: np.ndarray) -> list[date]:
@@ -276,17 +270,11 @@ def order_rows(matrix: MembershipMatrix) -> MembershipMatrix:
 def build_trajectory(
     dates: list[date], median1, median2, median3, samples_per_segment: int = 10
 ) -> PhaseTrajectory:
-    """Raw 3D points on the dates where all three community medians (curves
-    over ``dates``) are defined, plus the smoothed B-spline sample curve."""
+    """Raw 3D points of the three community medians (curves over ``dates``),
+    plus the smoothed B-spline sample curve."""
     points = np.column_stack([median1, median2, median3]).astype(float)
-    common = ~np.isnan(points).any(axis=1)
-    if not common.any():
-        raise InsufficientDataError("no date has all three community medians defined")
-    points = points[common]
     smoothed = bspline_smooth(points, samples_per_segment=samples_per_segment)
-    return PhaseTrajectory(
-        dates=[d for d, ok in zip(dates, common) if ok], points=points, smoothed=smoothed
-    )
+    return PhaseTrajectory(dates=list(dates), points=points, smoothed=smoothed)
 
 
 def bspline_smooth(points, samples_per_segment: int = 10) -> np.ndarray:
@@ -338,8 +326,7 @@ def write_medians_csv(dates: list[date], medians: list, stream) -> None:
     """``date,c1,c2,c3`` -- one row per date; medians are curves over ``dates``."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["date"] + [f"c{i + 1}" for i in range(len(medians))])
-    # fmt9 writes NaN as "nan"; an undefined median is left blank
-    columns = [["" if t == "nan" else t for t in fmt9_all(m)] for m in medians]
+    columns = [fmt9_all(m) for m in medians]
     writer.writerows(zip([d.isoformat() for d in dates], *columns))
 
 

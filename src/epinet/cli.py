@@ -24,8 +24,6 @@ from enum import Enum
 from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, community, ingest, netbuild, transform
 from .errors import (
     CsvFormatError,
@@ -59,7 +57,7 @@ def _parse_date(text: str) -> date:
 
 def _parse_count(text: str) -> int:
     count = int(text)
-    if abs(count) > ingest.MAX_COUNT:  # the panel holds counts as floats
+    if abs(count) > ingest.MAX_COUNT:  # the bound of the CSV's counts
         raise ValueError(text)
     return count
 
@@ -177,11 +175,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def load_cases(config: RunConfig) -> ingest.Panel:
     if config.start > config.end:
         raise DateRangeError(f"start {config.start} after end {config.end}")
-    data = config.input.read_bytes()
-    series = ingest.parse_cases_csv(data)
-    if not series:
+    panel = ingest.parse_cases_csv(config.input.read_bytes())
+    if not len(panel):
         raise InsufficientDataError("input contains no data rows")
-    panel = ingest.Panel.from_series(series)
     # clamp the requested window to what the data provides
     start = max(config.start, panel.start)
     end = min(config.end, panel.end)
@@ -221,18 +217,12 @@ def cmd_transform(config: RunConfig) -> tuple[dict, dict]:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["region", "date", "diff", "avg7", "exponent", "defined"])
         days = [d.isoformat() for d in exps.dates]
-        defined = ~np.isnan(exps.values)
         # exponent day t is diff day t + WARMUP_DAYS - 1 and average day t + 1
-        rows = zip(
-            exps.keys,
-            diffs[:, transform.WARMUP_DAYS - 1 :],
-            avgs[:, 1:],
-            np.where(defined, exps.values, 0.0),
-            defined.astype(int).tolist(),
-        )
-        for key, d_row, a_row, e_row, ok in rows:
+        rows = zip(exps.keys, diffs[:, transform.WARMUP_DAYS - 1 :], avgs[:, 1:], exps.values)
+        for key, d_row, a_row, e_row in rows:
             texts = (fmt9_all(d_row), fmt9_all(a_row), fmt9_all(e_row))
-            writer.writerows(zip(repeat(key.display), days, *texts, ok))
+            # every exponent is defined; the column stays for the file format
+            writer.writerows(zip(repeat(key.display), days, *texts, repeat(1)))
 
     files = {
         "selected.csv": lambda fh: ingest.write_long_csv(cases, fh),

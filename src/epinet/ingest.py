@@ -6,9 +6,10 @@ The expected input layout is the familiar wide table:
 
 with one row per region and one date column per day.  Regions are keyed by
 country plus optional province ("Country" or "Country: Province"); provinces
-are never aggregated into their country.  Parsing yields one ``CaseSeries``
-per row; ``Panel.from_series`` puts them on one date axis, and the window and
-selection filters work on that panel.
+are never aggregated into their country.  Parsing yields one ``Panel``, a
+regions x days table on the header's date axis, and the window and selection
+filters work on that panel.  Counts are bounded at +-2**53, so every one is
+held exactly as a float and every exponent derived from them is finite.
 
 Count cells in the feed's own shape (plain ASCII ``-?[0-9]+``) are read in one
 ``np.loadtxt`` call; any other input goes through a per-cell ``int()`` loop,
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from itertools import repeat
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (
 DEFAULT_MIN_CUMULATIVE = 100_000
 DEFAULT_START = date(2020, 1, 22)
 DEFAULT_END = date(2022, 5, 29)
-MAX_COUNT = int(sys.float_info.max)  # the panel holds counts as floats
+MAX_COUNT = 2**53  # the panel holds counts as floats, exact up to here
 
 EXPECTED_META_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 
@@ -58,28 +59,29 @@ class RegionKey:
 
 @dataclass
 class CaseSeries:
-    """One region's dated cumulative positive-case counts (daily cadence).
-
-    ``parse_cases_csv`` gives a float row for ``cumulative``; ``from_series``
-    also takes a list of ints.
-    """
+    """One region's dated cumulative positive-case counts (daily cadence);
+    ``Panel.from_series`` stacks them."""
 
     key: RegionKey
     dates: list[date]
-    cumulative: np.ndarray
+    cumulative: np.ndarray | list[int]
 
 
 @dataclass(eq=False)
 class Panel:
     """Regions x days table on one date axis starting at ``start``.
 
-    ``values[r, t]`` belongs to region ``keys[r]`` on day ``start + t``; NaN
-    marks a day on which that region has no value.
+    ``values[r, t]`` belongs to region ``keys[r]`` on day ``start + t``; every
+    region has a value on every day, and a NaN value raises ValueError.
     """
 
     keys: list[RegionKey]
     start: date
     values: np.ndarray  # (regions, days) float
+
+    def __post_init__(self) -> None:
+        if np.isnan(self.values).any():
+            raise ValueError("a panel needs a value for every region on every day, not NaN")
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -98,23 +100,20 @@ class Panel:
 
     @classmethod
     def from_series(cls, series: list[CaseSeries]) -> Panel:
-        """Put the series on the axis spanning all of them; a region is NaN
-        outside its own date range.  Each series' dates must be consecutive;
-        series that share one dates list have it checked once."""
-        start = min(s.dates[0] for s in series)
-        end = max(s.dates[-1] for s in series)
-        axis = [start + timedelta(days=t) for t in range((end - start).days + 1)]
-        values = np.full((len(series), len(axis)), np.nan)
-        offsets: dict[int, int] = {}  # id of a checked dates list -> its first column
-        for row, s in zip(values, series):
-            off = offsets.get(id(s.dates))
-            if off is None:
-                off = (s.dates[0] - start).days
-                if s.dates != axis[off : off + len(s.dates)]:
-                    raise ValueError(f"{s.key.display}: dates must be consecutive days")
-                offsets[id(s.dates)] = off
-            row[off : off + len(s.dates)] = s.cumulative
-        return cls(keys=[s.key for s in series], start=start, values=values)
+        """Stack series that share one list of consecutive ``dates``, with a
+        count for each date; anything else raises ValueError."""
+        if not series:
+            raise ValueError("no series to stack")
+        dates = series[0].dates
+        if dates != [dates[0] + timedelta(days=t) for t in range(len(dates))]:
+            raise ValueError(f"{series[0].key.display}: dates must be consecutive days")
+        for s in series:
+            if s.dates is not dates and s.dates != dates:
+                raise ValueError(f"{s.key.display}: dates differ from {series[0].key.display}'s")
+            if len(s.cumulative) != len(dates):
+                raise ValueError(f"{s.key.display}: needs one count per date")
+        values = np.array([s.cumulative for s in series], dtype=np.float64)
+        return cls(keys=[s.key for s in series], start=dates[0], values=values)
 
 
 def _parse_header_date(text: str, column: int) -> date:
@@ -191,8 +190,8 @@ _LONGEST_FIELD = 18
 def _exact_rows(lines: list[str], days: int) -> tuple[list[RegionKey], np.ndarray] | None:
     """Keys and counts of the data ``lines`` (without their newlines) when
     there is at least one and every non-empty line is four CSV metadata fields
-    and then ``days`` fields of ASCII ``-?[0-9]+`` text, with no duplicate
-    key; otherwise None, and the per-cell loop decides.
+    and then ``days`` fields of ASCII ``-?[0-9]+`` text within +-MAX_COUNT,
+    with no duplicate key; otherwise None, and the per-cell loop decides.
 
     The counts are read by one ``np.loadtxt`` call.  The metadata fields go
     through ``csv`` as they would within the whole line: counts hold no
@@ -225,7 +224,7 @@ def _exact_rows(lines: list[str], days: int) -> tuple[list[RegionKey], np.ndarra
         records = list(csv.reader(metas, strict=True))
     except (ValueError, csv.Error):
         return None
-    if len(records) != len(metas):
+    if len(records) != len(metas) or (np.abs(values) > MAX_COUNT).any():
         return None
     keys: list[RegionKey] = []
     for record in records:
@@ -272,16 +271,15 @@ def _checked_rows(records, width: int) -> tuple[list[RegionKey], np.ndarray]:
     return keys, np.array(rows, dtype=np.float64).reshape(len(rows), width - 4)
 
 
-def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
-    """Parse a wide-format cumulative case CSV into one CaseSeries per row.
+def parse_cases_csv(data: bytes | str) -> Panel:
+    """Parse a wide-format cumulative case CSV into a panel, one row per
+    data row.
 
     Header dates may be M/D/YY (the upstream feed) or ISO YYYY-MM-DD
     (synthetic fixtures) and must be consecutive days.  Lat/Long are ignored.
-    Each ``cumulative`` is a float row of one (regions, days) array, and all
-    rows share one ``dates`` list.
     Raises CsvFormatError for undecodable bytes, malformed CSV or a bad
-    header, CsvParseError (with coordinates) for a bad or out-of-range cell,
-    and DuplicateKeyError when two rows key the same region.
+    header, CsvParseError (with coordinates) for a bad cell or a count past
+    +-MAX_COUNT, and DuplicateKeyError when two rows key the same region.
     """
     if isinstance(data, bytes):
         try:
@@ -311,7 +309,7 @@ def parse_cases_csv(data: bytes | str) -> list[CaseSeries]:
     if rows is None:
         rows = _checked_rows(records, len(header))
     keys, values = rows
-    return [CaseSeries(key=key, dates=dates, cumulative=row) for key, row in zip(keys, values)]
+    return Panel(keys=keys, start=dates[0], values=values)
 
 
 def select_regions(
@@ -322,8 +320,7 @@ def select_regions(
     """Keep the rows with at least ``min_cumulative`` cases as of ``as_of``.
 
     If ``as_of`` is past the panel's last date it is clamped to that date
-    (with a warning), so shorter fixtures still work.  A region without a
-    value on that day is dropped.
+    (with a warning), so shorter fixtures still work.
     """
     col = (as_of - panel.start).days
     if col >= panel.days:
@@ -358,21 +355,16 @@ def restrict_date_range(
 
 
 def write_long_csv(panel: Panel, stream) -> None:
-    """Write the normalized long-format CSV ``region,date,cumulative``; days
-    without a value are left out."""
+    """Write the normalized long-format CSV ``region,date,cumulative``."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["region", "date", "cumulative"])
     days = [d.isoformat() for d in panel.dates]
-    for key, row in zip(panel.keys, panel.values.tolist()):
-        name = key.display
-        # NaN is the only value unequal to itself
-        writer.writerows((name, day, int(n)) for day, n in zip(days, row) if n == n)
+    for key, row in zip(panel.keys, panel.values.astype(np.int64).tolist()):
+        writer.writerows(zip(repeat(key.display), days, row))
 
 
 def to_wide_csv(panel: Panel) -> str:
-    """Serialize back to the wide layout; every day of every row needs a value."""
-    if np.isnan(panel.values).any():
-        raise ValueError("wide serialization needs a value on every day of every row")
+    """Serialize back to the wide layout."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InsufficientDataError, ParameterError
 from .ingest import Panel, RegionKey
 
-MIN_OVERLAP = 2  # fewer common defined points than this -> undefined similarity
+MIN_OVERLAP = 2  # fewer days than this -> undefined similarity
 
 
 class SimilarityMeasure(str, Enum):
@@ -123,50 +123,10 @@ def _without_isolated(nodes, src, dst, weight, settings) -> CorrelationNetwork:
     )
 
 
-def pearson(x, y) -> float | None:
-    """Product-moment coefficient, or None when undefined (zero variance or
-    fewer than 2 points)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise ValueError("sequences must have equal length")
-    if len(x) < MIN_OVERLAP:
-        return None
-    # mean of a constant array can be off by an ulp; test constancy directly
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return None
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.dot(dx, dx))
-    sy = float(np.dot(dy, dy))
-    if sx == 0.0 or sy == 0.0:
-        return None
-    r = float(np.dot(dx, dy)) / math.sqrt(sx * sy)
-    return min(1.0, max(-1.0, r))
-
-
-def cosine(x, y) -> float | None:
-    """Uncentered cosine similarity, or None on a zero-norm vector."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise ValueError("sequences must have equal length")
-    if len(x) < MIN_OVERLAP:
-        return None
-    nx = float(np.dot(x, x))
-    ny = float(np.dot(y, y))
-    if nx == 0.0 or ny == 0.0:
-        return None
-    c = float(np.dot(x, y)) / math.sqrt(nx * ny)
-    return min(1.0, max(-1.0, c))
-
-
-_SIMILARITY = {SimilarityMeasure.PEARSON: pearson, SimilarityMeasure.COSINE: cosine}
-
-
 def _matrix_similarity(vals: np.ndarray, measure: SimilarityMeasure) -> np.ndarray:
-    """All-pairs similarity of NaN-free rows as one matrix product; NaN
-    where ``pearson``/``cosine`` return None for the pair."""
+    """All-pairs similarity of the rows as one matrix product; NaN where it
+    is undefined: for every pair when there are fewer than MIN_OVERLAP days,
+    and for a row of zero norm, or (pearson) a constant row."""
     n, days = vals.shape
     if days < MIN_OVERLAP:
         return np.full((n, n), np.nan)
@@ -185,20 +145,6 @@ def _matrix_similarity(vals: np.ndarray, measure: SimilarityMeasure) -> np.ndarr
     return sims
 
 
-def _pairwise_similarity(vals: np.ndarray, measure: SimilarityMeasure) -> np.ndarray:
-    """All-pairs similarity over pairwise-complete days (both rows not NaN)."""
-    sim_fn = _SIMILARITY[measure]
-    present = ~np.isnan(vals)
-    sims = np.full((len(vals), len(vals)), np.nan)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            both = present[i] & present[j]
-            s = sim_fn(vals[i][both], vals[j][both])
-            if s is not None:
-                sims[i, j] = s
-    return sims
-
-
 def build_network(
     exps: Panel,
     rho: float = 0.0,
@@ -207,10 +153,9 @@ def build_network(
 ) -> CorrelationNetwork:
     """Assemble the thresholded similarity network over the panel's rows.
 
-    Similarities are computed over pairwise-complete observations: the days
-    on which neither row is NaN.  An edge exists iff the value is defined and
-    strictly greater than rho.  Regions with no surviving edge are omitted
-    from the node list; node order is row order restricted to survivors.
+    An edge exists iff the similarity of the two rows is defined and strictly
+    greater than rho.  Regions with no surviving edge are omitted from the
+    node list; node order is row order restricted to survivors.
     ``alpha`` is recorded in the build settings only.  A NaN rho raises
     ``ParameterError``.
     """
@@ -219,10 +164,7 @@ def build_network(
         raise InsufficientDataError(f"need >= 2 series to build a network, got {len(exps)}")
     _check_rho(rho)
 
-    if np.isnan(exps.values).any():
-        sims = _pairwise_similarity(exps.values, measure)
-    else:
-        sims = _matrix_similarity(exps.values, measure)
+    sims = _matrix_similarity(exps.values, measure)
     rows, cols = np.triu_indices(len(exps), k=1)
     upper = sims[rows, cols]
     keep = upper > rho  # NaN (undefined) is never kept

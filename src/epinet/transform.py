@@ -5,7 +5,7 @@ The change exponent for day t is ln(a_t / a_{t-1}) where a is the trailing
 averages (zero stretches, negative reporting corrections) are floored at a
 small epsilon before the log so every day stays defined; the clip bounds the
 damage.  Every step works along the last (day) axis, so it takes one region's
-row or a whole panel; NaN marks a missing day and propagates.
+row or a whole panel; a NaN in an input array propagates.
 
 Warm-up bookkeeping: the first diff consumes 1 source day, the 7-day window
 6 more, and the log-ratio 1 more, so the first exponent lands on source

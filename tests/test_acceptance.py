@@ -8,6 +8,7 @@ import functools
 import math
 import os
 import time
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from epinet.ingest import (
     restrict_date_range,
     select_regions,
 )
-from epinet.netbuild import build_network, cosine, pearson
+from epinet.netbuild import SimilarityMeasure, build_network
 from epinet.synthetic import make_planted_cases
 from epinet.transform import to_exponent_series
 
@@ -92,6 +93,15 @@ def test_criterion_2_similarity():
         ny = math.sqrt(sum(b * b for b in y))
         return None if nx == 0 or ny == 0 else sum(a * b for a, b in zip(x, y)) / (nx * ny)
 
+    def network_weight(x, y, measure):
+        # the pair's edge weight, None if undefined; float warnings are errors
+        panel = Panel(keys=[RegionKey("x"), RegionKey("y")], start=date(2021, 1, 1),
+                      values=np.array([x, y]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            net = build_network(panel, rho=-math.inf, measure=measure)
+        return float(net.weight[0]) if len(net.weight) else None
+
     rng = np.random.default_rng(123)
     for _ in range(1000):
         n = int(rng.integers(2, 101))
@@ -102,8 +112,9 @@ def test_criterion_2_similarity():
             x = np.full(n, float(rng.normal()))  # zero variance
         elif roll < 0.08:
             y = np.zeros(n)  # zero norm
-        for mine, ref in ((pearson, ref_pearson), (cosine, ref_cosine)):
-            got, want = mine(x, y), ref(list(x), list(y))
+        for measure, ref in ((SimilarityMeasure.PEARSON, ref_pearson),
+                             (SimilarityMeasure.COSINE, ref_cosine)):
+            got, want = network_weight(x, y, measure), ref(list(x), list(y))
             if want is None:
                 assert got is None
             else:
@@ -178,7 +189,7 @@ def test_criterion_5_real_dataset():
     if not path or not Path(path).exists():
         pytest.skip("archived real dataset not available (set EPINET_JHU_CSV)")
     t0 = time.monotonic()
-    panel = Panel.from_series(parse_cases_csv(Path(path).read_bytes()))
+    panel = parse_cases_csv(Path(path).read_bytes())
     start = max(date(2020, 1, 22), panel.start)
     end = min(date(2022, 5, 29), panel.end)
     selected = select_regions(restrict_date_range(panel, start, end), 100_000, end)

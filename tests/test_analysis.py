@@ -32,7 +32,7 @@ from epinet.netbuild import BuildSettings, SimilarityMeasure, fmt9
 
 
 def exp_panel(rows, start=date(2021, 1, 1)):
-    """Exponent panel from {name: values}; NaN marks an undefined day."""
+    """Exponent panel from {name: values}."""
     return Panel(
         keys=[RegionKey(country=name) for name in rows],
         start=start,
@@ -61,12 +61,6 @@ class TestMedianCurve:
         med = median_curve(exps, set(exps.keys))
         assert med.tolist() == [1.0]
 
-    def test_undefined_day_skipped(self):
-        exps = exp_panel({"A": [1.0, np.nan], "B": [3.0, np.nan]})
-        med = median_curve(exps, set(exps.keys))
-        assert med[0] == 2.0
-        assert np.isnan(med[1])
-
     def test_empty_members(self):
         with pytest.raises(ParameterError):
             median_curve(exp_panel({"A": [1.0]}), set())
@@ -80,19 +74,18 @@ class TestMedianCurve:
 
 
 def nanmedian_panels(seed, count, members_range=(1, 10), days_range=(1, 12)):
-    """Random exponent panels with ties, +-0.0, +-inf, the largest float, NaN
-    and all-NaN days, each with a random member set of odd or even size."""
+    """Random exponent panels with ties, +-0.0, +-inf, the largest float and
+    all-zero days, each with a random member set of odd or even size."""
     rng = np.random.default_rng(seed)
-    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, np.finfo(float).max])
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.finfo(float).max])
     for _ in range(count):
         n = int(rng.integers(*members_range))
         days = int(rng.integers(*days_range))
         vals = rng.normal(size=(n, days)).round(1)
         mask = rng.random(vals.shape) < 0.4
         vals[mask] = rng.choice(specials, size=int(mask.sum()))
-        vals[:, rng.random(days) < 0.15] = np.nan
         zeros = rng.random(days) < 0.2
-        vals[:, zeros] = rng.choice([0.0, -0.0, np.nan], size=(n, int(zeros.sum())))
+        vals[:, zeros] = rng.choice([0.0, -0.0], size=(n, int(zeros.sum())))
         keys = [RegionKey(country=f"R{i}") for i in range(n)]
         rows = rng.random(n) < 0.8
         rows[int(rng.integers(n))] = True
@@ -426,22 +419,11 @@ class TestTrajectory:
         assert np.all(traj.points == 0.0)
         assert np.allclose(traj.smoothed, 0.0)
 
-    def test_undefined_date_dropped(self):
-        dates, m1 = dated([1.0, 2.0, 3.0])
-        traj = build_trajectory(dates, m1, [1.0, np.nan, 3.0], m1)
-        assert len(traj.points) == 2
-        assert traj.dates == [dates[0], dates[2]]
-
     def test_single_common_date(self):
         dates, m = dated([1.5])
         with pytest.raises(InsufficientDataError):
             # one point is not enough to smooth
             build_trajectory(dates, m, m, m)
-
-    def test_no_common_date(self):
-        dates, m1 = dated([np.nan, 1.0])
-        with pytest.raises(InsufficientDataError):
-            build_trajectory(dates, m1, [1.0, np.nan], [1.0, 1.0])
 
 
 class TestBSpline:
@@ -546,9 +528,7 @@ def reference_write_medians_csv(dates, medians, stream):
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["date"] + [f"c{i + 1}" for i in range(len(medians))])
     for t, d in enumerate(dates):
-        writer.writerow(
-            [d.isoformat()] + ["" if np.isnan(m[t]) else fmt9(m[t]) for m in medians]
-        )
+        writer.writerow([d.isoformat()] + [fmt9(m[t]) for m in medians])
 
 
 def reference_write_trajectory_csv(traj, stream):
@@ -571,7 +551,6 @@ def test_curve_writers_equal_reference_bytes(seed):
     days = 60
     dates = dated(np.zeros(days))[0]
     medians = rng.normal(scale=3.0, size=(3, days))
-    medians[rng.random((3, days)) < 0.1] = np.nan
     medians[0, :6] = [0.1234567895, -0.0, 0.0, 1.0, -1e-300, 123456789.5]
     traj = build_trajectory(dates, *medians)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epinet
-from epinet import analysis, transform
+from epinet import analysis, ingest, transform
 from epinet.cli import OUTPUT_FILES, SETTINGS, RunConfig, build_parser, load_cases, main
 from epinet.errors import InsufficientDataError
 from epinet.ingest import CaseSeries, Panel, RegionKey, to_wide_csv
@@ -139,6 +140,7 @@ class TestPipeline:
             "config_not_utf8",
             "bare_cr",
             "huge_count",
+            "count_past_bound",
             "huge_min_cases",
             "out_under_file",
             "start_after_end",
@@ -160,10 +162,10 @@ class TestPipeline:
             bad.write_bytes(fixture_csv.read_bytes().replace(b"Group1", b"Gr\xffup1", 1))
         elif fault == "bare_cr":
             bad.write_bytes(fixture_csv.read_bytes().replace(b"Group1", b"Gr\rup1", 1))
-        elif fault == "huge_count":
+        elif fault in ("huge_count", "count_past_bound"):
             lines = fixture_csv.read_text().splitlines(keepends=True)
             fields = lines[1].split(",")
-            fields[4] = "9" * 400
+            fields[4] = "9" * 400 if fault == "huge_count" else str(2**53 + 1)
             bad.write_text("".join([lines[0], ",".join(fields)] + lines[2:]))
         elif fault == "huge_min_cases":
             bad, flags = fixture_csv, ["--min-cases", "9" * 400]
@@ -190,6 +192,12 @@ class TestPipeline:
         assert len(captured.out.splitlines()) == 1
         assert "error" in json.loads(captured.out)
         assert not out.exists()
+        if fault == "count_past_bound":
+            # 2**53 + 1 has no float of its own; it is refused, not rounded
+            assert json.loads(captured.out) == {
+                "error": "CsvParseError",
+                "message": "case count '9007199254740993' out of range (row 2, column 5)",
+            }
         if fault == "bare_cr":
             message = json.loads(captured.out)["message"]
             assert message.startswith("line 2 ")
@@ -450,7 +458,7 @@ MUTATION_BYTES = [b"0", b"7", b"9" * 400, b",", b'"', b"\r", b"\xff", b"\x00"]
 GOOD_VALUES = {
     "start": ["2020-01-01", "2021-01-10"],
     "end": ["2021-01-03", "2021-02-05", "2030-01-01"],
-    "min_cases": ["0", "-1", "1" + "0" * 17],
+    "min_cases": ["0", "-1", str(2**53)],
     "alpha": ["0.5", "7", "inf"],
     "rho": ["-inf", "-1", "0.3", "0.99", "inf"],
     "measure": ["pearson", "cosine"],
@@ -527,6 +535,28 @@ def test_exit_code_contract(command, data, drawn, env_seed):
             assert len(lines) == 1, argv
             assert set(json.loads(lines[0])) == {"error", "message"}
             assert not out.exists(), argv
+
+
+def test_counts_at_the_bound_keep_every_exponent_finite(tmp_path):
+    """The 12-region planted CSV plus a region whose counts alternate between
+    -MAX_COUNT and MAX_COUNT (2**53): the counts are held exactly, and the
+    exponents made from them are finite, so every command exits 0 with
+    numpy's floating-point warnings as errors, and every exponent is defined."""
+    counts = [ingest.MAX_COUNT * (-1) ** (t + 1) for t in range(40)]  # ends on +
+    path = tmp_path / "bound.csv"
+    path.write_bytes(PLANTED_CSV + f",Bound,,,{','.join(map(str, counts))}\n".encode())
+    commands = ("pipeline", "grid", "network", "transform")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        codes = [main([c, "--input", str(path), "--out", str(tmp_path / c)]) for c in commands]
+    assert codes == [0, 0, 0, 0]
+    with (tmp_path / "transform" / "exponents.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["defined"] for row in rows} == {"1"}
+    assert {row["exponent"] for row in rows if row["region"] == "Bound"} == {"-7", "7"}
+    with (tmp_path / "transform" / "selected.csv").open() as fh:
+        bound = [int(row["cumulative"]) for row in csv.DictReader(fh) if row["region"] == "Bound"]
+    assert bound == [(-1) ** (t + 1) * 2**53 for t in range(40)]
 
 
 def test_commands_skip_unneeded_imports(fixture_csv, tmp_path):

@@ -31,33 +31,32 @@ HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/24/20"
 
 def test_parse_basic_row():
     csv = HEADER + "\n,Albania,41.15,20.17,0,0,1\n"
-    series = parse_cases_csv(csv)
-    assert len(series) == 1
-    s = series[0]
-    assert s.key.display == "Albania"
-    assert s.cumulative.tolist() == [0, 0, 1]
-    assert s.dates == [date(2020, 1, 22), date(2020, 1, 23), date(2020, 1, 24)]
+    panel = parse_cases_csv(csv)
+    assert len(panel) == 1
+    assert panel.keys[0].display == "Albania"
+    assert panel.values.tolist() == [[0, 0, 1]]
+    assert panel.dates == [date(2020, 1, 22), date(2020, 1, 23), date(2020, 1, 24)]
 
 
 def test_parse_province_display():
     csv = HEADER + '\n"New South Wales",Australia,-33.87,151.2,1,2,3\n'
-    series = parse_cases_csv(csv)
-    assert series[0].key.display == "Australia: New South Wales"
+    assert parse_cases_csv(csv).keys[0].display == "Australia: New South Wales"
 
 
 def test_parse_header_only():
-    assert parse_cases_csv(HEADER + "\n") == []
+    panel = parse_cases_csv(HEADER + "\n")
+    assert len(panel) == 0
+    assert panel.values.shape == (0, 3)
 
 
 def test_parse_iso_header_dates():
     csv = "Province/State,Country/Region,Lat,Long,2021-03-01,2021-03-02\n,X,0,0,5,6\n"
-    series = parse_cases_csv(csv)
-    assert series[0].dates[0] == date(2021, 3, 1)
+    assert parse_cases_csv(csv).start == date(2021, 3, 1)
 
 
 def test_parse_accepts_bytes_with_bom():
     csv = ("﻿" + HEADER + "\n,Albania,0,0,1,2,3\n").encode("utf-8")
-    assert parse_cases_csv(csv)[0].key.country == "Albania"
+    assert parse_cases_csv(csv).keys[0].country == "Albania"
 
 
 def test_parse_bad_header_column():
@@ -80,7 +79,7 @@ def parsed_header(cells):
     text = ",".join(["Province/State,Country/Region,Lat,Long", *cells])
     text += "\n,X,0,0," + ",".join(["1"] * len(cells)) + "\n"
     try:
-        return parse_cases_csv(text)[0].dates
+        return parse_cases_csv(text).dates
     except CsvFormatError as exc:
         return str(exc)
 
@@ -158,7 +157,7 @@ def test_parse_duplicate_key():
 
 def test_parse_negative_corrections_kept():
     csv = HEADER + "\n,X,0,0,10,8,12\n"
-    assert parse_cases_csv(csv)[0].cumulative.tolist() == [10, 8, 12]
+    assert parse_cases_csv(csv).values.tolist() == [[10, 8, 12]]
 
 
 def _mkseries(name, counts, start=date(2022, 5, 1)):
@@ -176,12 +175,21 @@ def _same(a, b):
 
 def test_panel_from_ragged_series():
     a = _mkseries("A", [1, 2, 3])
-    b = _mkseries("B", [5, 6], start=date(2022, 5, 3))
-    panel = _mkpanel(a, b)
-    assert len(panel) == 2
-    assert panel.dates == a.dates + [date(2022, 5, 4)]
-    assert np.array_equal(panel.values, [[1, 2, 3, np.nan], [np.nan, np.nan, 5, 6]],
-                          equal_nan=True)
+    with pytest.raises(ValueError, match="B: dates differ from A's"):
+        _mkpanel(a, _mkseries("B", [5, 6], start=date(2022, 5, 3)))
+    with pytest.raises(ValueError, match="B: dates differ from A's"):
+        _mkpanel(a, _mkseries("B", [5, 6, 7], start=date(2022, 5, 2)))
+    with pytest.raises(ValueError, match="one count per date"):
+        _mkpanel(a, CaseSeries(key=RegionKey(country="B"), dates=a.dates, cumulative=[5, 6]))
+    panel = _mkpanel(a, _mkseries("B", [5, 6, 7]))
+    assert panel.dates == a.dates
+    assert panel.values.tolist() == [[1, 2, 3], [5, 6, 7]]
+
+
+def test_panel_rejects_nan():
+    values = np.array([[1.0, 2.0], [3.0, np.nan]])
+    with pytest.raises(ValueError, match="NaN"):
+        Panel(keys=[RegionKey("A"), RegionKey("B")], start=date(2022, 5, 1), values=values)
 
 
 def test_panel_rejects_gap_in_dates():
@@ -244,17 +252,15 @@ def test_restrict_outside_available_lists_bounds():
 
 def test_wide_round_trip():
     csv = HEADER + '\n,Albania,41.15,20.17,0,0,1\n"New South Wales",Australia,0,0,1,2,3\n'
-    series = parse_cases_csv(csv)
-    again = parse_cases_csv(to_wide_csv(Panel.from_series(series)))
-    assert [s.key for s in again] == [s.key for s in series]
-    assert [s.dates for s in again] == [s.dates for s in series]
-    assert [s.cumulative.tolist() for s in again] == [s.cumulative.tolist() for s in series]
+    panel = parse_cases_csv(csv)
+    assert _same(parse_cases_csv(to_wide_csv(panel)), panel)
 
 
 def test_shared_date_axis():
     csv = HEADER + "\n,A,0,0,1,2,3\n,B,0,0,4,5,6\n"
-    series = parse_cases_csv(csv)
-    assert series[0].dates == series[1].dates
+    panel = parse_cases_csv(csv)
+    assert panel.start == date(2020, 1, 22)
+    assert panel.values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_long_csv_output():
@@ -274,23 +280,23 @@ def reference_write_long_csv(panel, stream):
     days = [d.isoformat() for d in panel.dates]
     for key, row in zip(panel.keys, panel.values.tolist()):
         for day, n in zip(days, row):
-            if n == n:
-                writer.writerow([key.display, day, int(n)])
+            writer.writerow([key.display, day, int(n)])
 
 
 def test_long_csv_equals_reference_bytes():
     rng = np.random.default_rng(3)
+    dates = [date(2022, 5, 1) + timedelta(days=t) for t in range(20)]
     names = ["A&B", 'Say "hi"', "Korea, South", "Ελλάδα", "Plain"]
     series = [
         CaseSeries(
             key=RegionKey(country=name, province="Réunion" if i % 2 else None),
-            dates=[date(2022, 5, 1) + timedelta(days=i + t) for t in range(20)],
+            dates=dates,
             cumulative=rng.integers(-10, 10**12, size=20).tolist(),
         )
         for i, name in enumerate(names)
     ]
-    series[0].cumulative[0] = 2**60 + 1  # the panel holds 2**60, and both write that
-    panel = Panel.from_series(series)  # ragged: NaN days are left out
+    series[0].cumulative[:2] = [2**53, -(2**53)]  # the bound, held exactly
+    panel = Panel.from_series(series)
     got, expected = io.StringIO(), io.StringIO()
     write_long_csv(panel, got)
     reference_write_long_csv(panel, expected)
@@ -299,7 +305,11 @@ def test_long_csv_equals_reference_bytes():
 
 # --- the one-call reader of feed-shaped count text against the per-cell loop
 
-CELLS = ["0", "7", "-3", "-0", "007", "123456789012345678", str(2**53 + 1), str(-(2**53) - 1)]
+# counts within the bound of +-2**53, and past it (both readers reject those)
+CELLS = [
+    "0", "7", "-3", "-0", "007", str(2**53), str(-(2**53)),
+    "123456789012345678", str(2**53 + 1), str(-(2**53) - 1),
+]
 # counts int() takes that the feed never has, counts neither takes, counts past int64
 ODD_CELLS = [
     '"5"', "+5", "1_000", " 7 ", "\u0663", "", "-", "1-2", "5#", "1e3", "nan",
@@ -360,11 +370,10 @@ def _outcome(data):
     """What parse_cases_csv makes of ``data``: keys, dates and the counts'
     bytes, or the exception's type and message."""
     try:
-        series = parse_cases_csv(data)
+        panel = parse_cases_csv(data)
     except Exception as exc:
         return type(exc), str(exc)
-    counts = np.array([s.cumulative for s in series], dtype=np.float64)
-    return [s.key for s in series], [s.dates for s in series], counts.shape, counts.tobytes()
+    return panel.keys, panel.dates, panel.values.shape, panel.values.tobytes()
 
 
 def _per_cell_outcome(data):
@@ -380,13 +389,13 @@ def test_one_call_reader_equals_per_cell_loop(data):
 
 def test_one_call_reader_takes_feed_shaped_rows():
     """Quoted names and provinces, Lat/Long, CRLF, blank lines, negative
-    corrections and 2**53 + 1 all stay on the one-call path."""
+    corrections and 2**53 all stay on the one-call path."""
     text = (
         HEADER + "\r\n"
         + ',"Korea, South",35.9,127.7,1,2,3\r\n'
         + "\r\n"
         + '"New South Wales",Australia,-33.87,151.2,10,8,12\r\n'
-        + f'"Say ""hi""",X,,,-0,007,{2**53 + 1}\r\n'
+        + f'"Say ""hi""",X,,,-0,007,{2**53}\r\n'
     )
     with mock.patch.object(ingest, "_checked_rows", side_effect=AssertionError("per-cell")):
         got = _outcome(text.encode("utf-8"))
@@ -426,6 +435,14 @@ def test_one_day_rows_with_an_empty_count():
 
 
 def test_counts_outside_the_feed_shape_still_parse():
-    text = f"{HEADER}\n,X,0,0,+5,1_000, 7 \n,Y,0,0,\u0663,{2**53 + 1},{10**20}\n"
-    rows = [s.cumulative.tolist() for s in parse_cases_csv(text)]
-    assert rows == [[5, 1000, 7], [3, 2**53, 1e20]]
+    text = f"{HEADER}\n,X,0,0,+5,1_000, 7 \n,Y,0,0,\u0663,{2**53},+{2**53}\n"
+    assert parse_cases_csv(text).values.tolist() == [[5, 1000, 7], [3, 2**53, 2**53]]
+
+
+@pytest.mark.parametrize("cell", [str(2**53 + 1), str(-(2**53) - 1), f" {10**20} "])
+def test_counts_past_the_bound_name_their_cell(cell):
+    """Past 2**53 a float no longer holds every integer, so both readers
+    reject the count rather than round it."""
+    with pytest.raises(CsvParseError, match="out of range") as err:
+        parse_cases_csv(f"{HEADER}\n,X,0,0,1,2,3\n,Y,0,0,4,{cell},6\n")
+    assert (err.value.row, err.value.column) == (3, 6)

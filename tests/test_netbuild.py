@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 from datetime import date
 
 import numpy as np
@@ -14,21 +15,42 @@ from epinet.netbuild import (
     CorrelationNetwork,
     SimilarityMeasure,
     build_network,
-    cosine,
     fmt9,
-    pearson,
     write_edge_csv,
     write_graphml,
 )
 
 
 def exp_panel(rows, start=date(2021, 1, 1)):
-    """Exponent panel from {name: values}; NaN marks an undefined day."""
+    """Exponent panel from {name: values}."""
     return Panel(
         keys=[RegionKey(country=name) for name in rows],
         start=start,
         values=np.array(list(rows.values()), dtype=float),
     )
+
+
+def strict_build(panel, **kwargs):
+    """``build_network`` with numpy's floating-point warnings as errors: a
+    guard that lets an undefined row reach a division fails here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return build_network(panel, **kwargs)
+
+
+def similarity(x, y, measure):
+    """The weight ``build_network`` gives the pair ``x``, ``y``, or None when
+    their similarity is undefined (no edge even at rho = -inf)."""
+    net = strict_build(exp_panel({"x": x, "y": y}), rho=-math.inf, measure=measure)
+    return float(net.weight[0]) if len(net.weight) else None
+
+
+def pearson(x, y):
+    return similarity(x, y, SimilarityMeasure.PEARSON)
+
+
+def cosine(x, y):
+    return similarity(x, y, SimilarityMeasure.COSINE)
 
 
 def ref_pearson(x, y):
@@ -54,10 +76,10 @@ def ref_cosine(x, y):
 
 class TestPearson:
     def test_self_correlation(self):
-        assert pearson([1, 2, 3], [1, 2, 3]) == 1.0
+        assert pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
 
     def test_anti_correlation(self):
-        assert pearson([1, 2, 3], [-1, -2, -3]) == -1.0
+        assert pearson([1, 2, 3], [-1, -2, -3]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_value(self):
         assert pearson([1, 2, 3], [1, 2, 4]) == pytest.approx(
@@ -80,7 +102,7 @@ class TestPearson:
 
 class TestCosine:
     def test_identity(self):
-        assert cosine([1, 2], [1, 2]) == 1.0
+        assert cosine([1, 2], [1, 2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
         assert cosine([1, 0], [0, 1]) == 0.0
@@ -92,8 +114,9 @@ class TestCosine:
         assert cosine([0, 0], [1, 2]) is None
 
 
-@pytest.mark.parametrize("fn,ref", [(pearson, ref_pearson), (cosine, ref_cosine)])
-def test_similarity_matches_independent_oracle(fn, ref):
+@pytest.mark.parametrize("measure,ref", [("pearson", ref_pearson), ("cosine", ref_cosine)])
+def test_similarity_matches_independent_oracle(measure, ref):
+    measure = SimilarityMeasure(measure)
     rng = np.random.default_rng(42)
     for _ in range(1000):
         n = int(rng.integers(2, 101))
@@ -101,15 +124,14 @@ def test_similarity_matches_independent_oracle(fn, ref):
         y = rng.normal(scale=rng.uniform(0.1, 10), size=n)
         if rng.random() < 0.05:
             x = np.full(n, rng.normal())  # force the degenerate branch
-        got = fn(x, y)
+        got = similarity(x, y, measure)
         want = ref(list(x), list(y))
         if want is None:
             assert got is None
         else:
             assert got == pytest.approx(want, abs=1e-12)
 
-    # build_network on NaN-free panels takes all pairs at once
-    measure = SimilarityMeasure(fn.__name__)
+    # panels of several rows, each pair against the oracle
     for days in [1, 2] + rng.integers(3, 60, size=30).tolist():
         rows = rng.normal(scale=rng.uniform(0.1, 10), size=(int(rng.integers(2, 9)), days))
         rows[0] = rng.normal()  # constant row
@@ -122,7 +144,7 @@ def test_similarity_matches_independent_oracle(fn, ref):
                 if days >= MIN_OVERLAP:
                     want[(i, j)] = ref(list(rows[i]), list(rows[j]))
         for rho in (-1.0, 0.0, 0.3):
-            net = build_network(panel, rho=rho, measure=measure)
+            net = strict_build(panel, rho=rho, measure=measure)
             row_of = [panel.keys.index(key) for key in net.nodes]
             got = {(row_of[a], row_of[b]): w for a, b, w in net.edges}
             for pair, r in want.items():
@@ -151,7 +173,6 @@ class TestBuildNetwork:
 
     def test_exact_zero_correlation_excluded(self):
         exps = exp_panel({"A": [1, 2, 3], "B": [1, -1, 1]})
-        assert pearson([1, 2, 3], [1, -1, 1]) == 0.0
         net = build_network(exps, rho=0.0)
         assert net.edges == []
         assert net.nodes == []  # isolated regions dropped
@@ -166,17 +187,10 @@ class TestBuildNetwork:
         assert [k.display for k in net.nodes] == ["A", "B"]
         assert all(k.display != "C" for k in net.nodes)
 
-    def test_pairwise_complete_observations(self):
-        # B undefined on the first two days; similarity uses the overlap only
-        exps = exp_panel({"A": [5, -5, 1, 2, 3], "B": [np.nan, np.nan, 1, 2, 3]})
-        net = build_network(exps, rho=0.0)
-        assert len(net.edges) == 1
-        assert net.edges[0][2] == pytest.approx(1.0, abs=1e-12)
-
     def test_min_overlap(self):
-        exps = exp_panel({"A": [1, np.nan], "B": [1, 2]})
-        net = build_network(exps, rho=-1.0)
-        assert net.edges == []
+        exps = exp_panel({"A": [1], "B": [2]})
+        for measure in SimilarityMeasure:
+            assert build_network(exps, rho=-1.0, measure=measure).edges == []
 
     def test_fewer_than_two_series(self):
         with pytest.raises(InsufficientDataError):
@@ -191,13 +205,13 @@ class TestBuildNetwork:
         assert counts == sorted(counts, reverse=True)
 
     @pytest.mark.parametrize("measure", list(SimilarityMeasure))
-    @pytest.mark.parametrize("partial", [False, True])
-    def test_above_equals_build_at_rho(self, measure, partial):
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_above_equals_build_at_rho(self, measure, degenerate):
         rng = np.random.default_rng(17)
         latent = rng.normal(size=(3, 40))
         rows = latent[rng.integers(0, 3, size=12)] + rng.normal(scale=1.5, size=(12, 40))
-        if partial:
-            rows[0, :5] = np.nan  # the pairwise-complete path
+        if degenerate:
+            rows[0] = 0.0  # undefined similarity under both measures
         exps = exp_panel({f"R{i}": row for i, row in enumerate(rows)})
         base = build_network(exps, rho=-0.3, measure=measure, alpha=5.0)
         for r in (-0.3, -0.1, 0.0, 0.2, 0.5, 0.8, 1.0):

@@ -137,15 +137,6 @@ class TestComposition:
             e = to_exponent_series(panel_of(np.arange(n) ** 2))
             assert e.days == n - WARMUP_DAYS
 
-    def test_ragged_rows_undefined_outside_range(self):
-        counts = np.cumsum(np.arange(1, 31) ** 2).tolist()
-        late = series_of(counts[:27], name="Late", start=date(2021, 1, 4))
-        panel = Panel.from_series([series_of(counts), late])
-        e = to_exponent_series(panel)
-        assert np.isnan(e.values[1, :3]).all()
-        alone = to_exponent_series(Panel.from_series([late]))
-        assert np.array_equal(e.values[1, 3:], alone.values[0])
-
     @pytest.mark.parametrize("alpha", [5.0, 7.0, 9.0])
     def test_clipping_soundness(self, alpha):
         rng = np.random.default_rng(0)
@@ -173,7 +164,6 @@ class TestClipExponents:
         daily[1, 30] = -5000
         panel = Panel(keys=[RegionKey(country=c) for c in "ABCD"], start=date(2021, 1, 1),
                       values=np.cumsum(daily, axis=1).astype(float))
-        panel.values[2, :5] = np.nan
         unclipped = to_exponent_series(panel, alpha=math.inf)
         for alpha in (1e-3, 5.0, 7.0, 9.0, math.inf):
             want = to_exponent_series(panel, alpha=alpha)

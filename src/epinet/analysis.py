@@ -6,7 +6,6 @@ Curves throughout this module are float arrays over one list of dates.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date
@@ -20,13 +19,12 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
 )
-from .ingest import Panel, RegionKey
+from .ingest import Panel, RegionKey, csv_field, write_rows
 from .netbuild import (
     BuildSettings,
     CorrelationNetwork,
     SimilarityMeasure,
     build_network,
-    fmt9_all,
 )
 from .community import Partition, louvain
 from .transform import clip_exponents, to_exponent_series
@@ -316,37 +314,32 @@ def bspline_smooth(points, samples_per_segment: int = 10) -> np.ndarray:
 
 
 def write_membership_csv(matrix: MembershipMatrix, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["region"] + list(matrix.columns))
-    for key, row in zip(matrix.rows, matrix.cells):
-        writer.writerow([key.display] + ["" if lab is None else lab for lab in row])
+    stream.write(",".join(map(csv_field, ["region", *matrix.columns])) + "\n")
+    names = [csv_field(key.display) for key in matrix.rows]
+    labels = [["" if lab is None else lab for lab in column] for column in zip(*matrix.cells)]
+    write_rows(stream, "%s" + ",%s" * len(matrix.columns) + "\n", names, *labels)
 
 
 def write_medians_csv(dates: list[date], medians: list, stream) -> None:
     """``date,c1,c2,c3`` -- one row per date; medians are curves over ``dates``."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["date"] + [f"c{i + 1}" for i in range(len(medians))])
-    columns = [fmt9_all(m) for m in medians]
-    writer.writerows(zip([d.isoformat() for d in dates], *columns))
+    stream.write("date" + "".join(f",c{i + 1}" for i in range(len(medians))) + "\n")
+    line = "%s" + ",%.9g" * len(medians) + "\n"
+    write_rows(stream, line, [d.isoformat() for d in dates], *medians)
 
 
 def write_trajectory_csv(traj: PhaseTrajectory, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["date", "x", "y", "z"])
-    columns = [fmt9_all(c) for c in traj.points.T]
-    writer.writerows(zip([d.isoformat() for d in traj.dates], *columns))
+    stream.write("date,x,y,z\n")
+    write_rows(stream, "%s,%.9g,%.9g,%.9g\n", [d.isoformat() for d in traj.dates], *traj.points.T)
 
 
 def write_smoothed_csv(traj: PhaseTrajectory, stream) -> None:
-    # "%.9g" writes a float as fmt9 does; one format call covers every row.
-    rows = traj.smoothed
     stream.write("x,y,z\n")
-    stream.write(("%.9g,%.9g,%.9g\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    write_rows(stream, "%.9g,%.9g,%.9g\n", *traj.smoothed.T)
 
 
 def write_peaks_csv(peaks_by_community: dict[int, list[date]], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["community", "date"])
-    for community in sorted(peaks_by_community):
-        for d in peaks_by_community[community]:
-            writer.writerow([community, d.isoformat()])
+    stream.write("community,date\n")
+    labels = sorted(peaks_by_community)
+    communities = [c for c in labels for _ in peaks_by_community[c]]
+    dates = [d.isoformat() for c in labels for d in peaks_by_community[c]]
+    write_rows(stream, "%d,%s\n", communities, dates)

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 input/format errors, 3 insufficient structure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shutil
@@ -21,7 +20,6 @@ import tempfile
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 
 from . import analysis, community, ingest, netbuild, transform
@@ -34,7 +32,7 @@ from .errors import (
     InsufficientStructureError,
     ParameterError,
 )
-from .netbuild import SimilarityMeasure, fmt9_all
+from .netbuild import SimilarityMeasure
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,7 +100,8 @@ def _plain(value):
 
 
 def read_config_file(path: Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    """Parse a flat ``key = value`` config file; '#' starts a comment.  A key
+    that is not one of SETTINGS raises ParameterError."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
@@ -115,7 +114,12 @@ def read_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ParameterError(f"{path}:{line_no}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in SETTINGS:
+            raise ParameterError(
+                f"{path}:{line_no}: unknown setting {key!r}; settings are {', '.join(SETTINGS)}"
+            )
+        values[key] = value.strip()
     return values
 
 
@@ -214,15 +218,14 @@ def cmd_transform(config: RunConfig) -> tuple[dict, dict]:
     avgs = transform.moving_average_7(diffs)
 
     def write_exponents(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", "date", "diff", "avg7", "exponent", "defined"])
+        fh.write("region,date,diff,avg7,exponent,defined\n")
         days = [d.isoformat() for d in exps.dates]
         # exponent day t is diff day t + WARMUP_DAYS - 1 and average day t + 1
         rows = zip(exps.keys, diffs[:, transform.WARMUP_DAYS - 1 :], avgs[:, 1:], exps.values)
         for key, d_row, a_row, e_row in rows:
-            texts = (fmt9_all(d_row), fmt9_all(a_row), fmt9_all(e_row))
             # every exponent is defined; the column stays for the file format
-            writer.writerows(zip(repeat(key.display), days, *texts, repeat(1)))
+            names = [ingest.csv_field(key.display)] * len(days)
+            ingest.write_rows(fh, "%s,%s,%.9g,%.9g,%.9g,1\n", names, days, d_row, a_row, e_row)
 
     files = {
         "selected.csv": lambda fh: ingest.write_long_csv(cases, fh),

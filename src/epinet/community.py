@@ -22,6 +22,7 @@ from .errors import (
     InsufficientStructureError,
     PartitionSizeError,
 )
+from .ingest import csv_field, write_rows
 from .netbuild import CorrelationNetwork, fmt9
 
 BRUTE_FORCE_MAX_NODES = 12
@@ -418,11 +419,9 @@ def compare_partitions(p: Partition, q: Partition):
 
 def write_partition_csv(net: CorrelationNetwork, part: Partition, stream) -> None:
     """CSV ``region,community`` with dense labels."""
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["region", "community"])
-    writer.writerows((name, part.assignment[i]) for i, name in enumerate(net.node_names))
+    stream.write("region,community\n")
+    names = [csv_field(key.display) for key in net.nodes]
+    write_rows(stream, "%s,%d\n", names, [part.assignment[i] for i in range(net.n)])
 
 
 def partition_summary(part: Partition) -> dict:

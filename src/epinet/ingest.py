@@ -23,7 +23,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -38,6 +38,8 @@ DEFAULT_MIN_CUMULATIVE = 100_000
 DEFAULT_START = date(2020, 1, 22)
 DEFAULT_END = date(2022, 5, 29)
 MAX_COUNT = 2**53  # the panel holds counts as floats, exact up to here
+# rows per % call in write_rows: bounds the text held at once
+ROWS_PER_BLOCK = 4096
 
 EXPECTED_META_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 
@@ -354,13 +356,33 @@ def restrict_date_range(
     return Panel(keys=panel.keys, start=start, values=panel.values[:, i:j])
 
 
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # drop the empty last field and the line end
+
+
+def write_rows(stream, line: str, *columns) -> None:
+    """Write ``line % row`` for each row of the equal-length ``columns``
+    (sequences or 1-D arrays), one ``%`` call per block of ROWS_PER_BLOCK rows.
+
+    ``%.9g`` writes a float as ``netbuild.fmt9`` does.  Text such as a region
+    name goes in through a column, never into ``line``.
+    """
+    for start in range(0, len(columns[0]), ROWS_PER_BLOCK):
+        block = [column[start : start + ROWS_PER_BLOCK] for column in columns]
+        block = [part.tolist() if isinstance(part, np.ndarray) else part for part in block]
+        cells = tuple(chain.from_iterable(zip(*block)))
+        stream.write((line * len(block[0])) % cells)
+
+
 def write_long_csv(panel: Panel, stream) -> None:
     """Write the normalized long-format CSV ``region,date,cumulative``."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["region", "date", "cumulative"])
+    stream.write("region,date,cumulative\n")
     days = [d.isoformat() for d in panel.dates]
-    for key, row in zip(panel.keys, panel.values.astype(np.int64).tolist()):
-        writer.writerows(zip(repeat(key.display), days, row))
+    for key, row in zip(panel.keys, panel.values.astype(np.int64)):
+        write_rows(stream, "%s,%s,%d\n", [csv_field(key.display)] * len(days), days, row)
 
 
 def to_wide_csv(panel: Panel) -> str:

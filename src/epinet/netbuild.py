@@ -8,18 +8,14 @@ without any edge are dropped from the node list entirely.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .ingest import Panel, RegionKey
+from .ingest import Panel, RegionKey, csv_field, write_rows
 
 MIN_OVERLAP = 2  # fewer days than this -> undefined similarity
 
@@ -49,8 +45,6 @@ class CorrelationNetwork:
 
     Edge ``e`` joins nodes ``src[e] < dst[e]`` with weight ``weight[e]``;
     networks from ``build_network`` list their edges in row-major order.
-    The fields are not changed after construction: ``node_names`` and
-    ``weight_text`` keep what the writers read.
     """
 
     nodes: list[RegionKey]
@@ -67,16 +61,6 @@ class CorrelationNetwork:
     def edges(self) -> list[tuple[int, int, float]]:
         """The edges as ``(a, b, weight)`` tuples."""
         return list(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
-
-    @cached_property
-    def node_names(self) -> list[str]:
-        """Each node's display string, built once for every writer."""
-        return [key.display for key in self.nodes]
-
-    @cached_property
-    def weight_text(self) -> list[str]:
-        """Each edge weight as ``fmt9`` text, formatted once for every writer."""
-        return fmt9_all(self.weight)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -181,41 +165,16 @@ def fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def fmt9_all(values) -> list[str]:
-    """``fmt9`` of each value of a 1-D float array, in order."""
-    return [format(x, ".9g") for x in np.asarray(values, dtype=float).tolist()]
-
-
 def _escape(text: str) -> str:
     """XML character data: ``&`` first, so the entities it makes stay intact."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]  # drop the empty last field and the line end
-
-
-def _write_lines(stream, lines) -> None:
-    """Write text lines joined in blocks: one call per block, not per line,
-    without holding the whole file in memory."""
-    lines = iter(lines)
-    while block := "".join(islice(lines, 4096)):
-        stream.write(block)
-
-
-def _edge_text(net: CorrelationNetwork):
-    """``(a, b, weight text)`` for every edge, in order."""
-    return zip(net.src.tolist(), net.dst.tolist(), net.weight_text)
-
-
 def write_edge_csv(net: CorrelationNetwork, stream) -> None:
     """Edge-list CSV ``source,target,weight`` using display strings."""
-    names = [_csv_field(name) for name in net.node_names]
+    names = np.array([csv_field(key.display) for key in net.nodes], dtype=object)
     stream.write("source,target,weight\n")
-    _write_lines(stream, (f"{names[a]},{names[b]},{w}\n" for a, b, w in _edge_text(net)))
+    write_rows(stream, "%s,%s,%.9g\n", names[net.src], names[net.dst], net.weight)
 
 
 def write_graphml(net: CorrelationNetwork, stream) -> None:
@@ -227,18 +186,8 @@ def write_graphml(net: CorrelationNetwork, stream) -> None:
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>\n'
         '  <graph id="G" edgedefault="undirected">\n'
     )
-    _write_lines(
-        stream,
-        (
-            f'    <node id="n{i}"><data key="label">{_escape(name)}</data></node>\n'
-            for i, name in enumerate(net.node_names)
-        ),
-    )
-    _write_lines(
-        stream,
-        (
-            f'    <edge source="n{a}" target="n{b}"><data key="weight">{w}</data></edge>\n'
-            for a, b, w in _edge_text(net)
-        ),
-    )
+    node = '    <node id="n%d"><data key="label">%s</data></node>\n'
+    write_rows(stream, node, range(net.n), [_escape(key.display) for key in net.nodes])
+    edge = '    <edge source="n%d" target="n%d"><data key="weight">%.9g</data></edge>\n'
+    write_rows(stream, edge, net.src, net.dst, net.weight)
     stream.write("  </graph>\n</graphml>\n")

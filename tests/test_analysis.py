@@ -11,6 +11,7 @@ from conftest import make_net
 from epinet.analysis import (
     GridCell,
     GridSettings,
+    MembershipMatrix,
     align_labels,
     bspline_smooth,
     build_trajectory,
@@ -22,6 +23,7 @@ from epinet.analysis import (
     run_grid,
     write_medians_csv,
     write_membership_csv,
+    write_peaks_csv,
     write_smoothed_csv,
     write_trajectory_csv,
 )
@@ -29,6 +31,7 @@ from epinet.community import Partition, compare_partitions
 from epinet.errors import AlignmentError, InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.netbuild import BuildSettings, SimilarityMeasure, fmt9
+from test_netbuild import AWKWARD_KEYS
 
 
 def exp_panel(rows, start=date(2021, 1, 1)):
@@ -523,8 +526,55 @@ def test_membership_csv_layout():
     assert lines[2] == "b,2,"
 
 
+def reference_write_membership_csv(matrix, stream):
+    """The earlier csv.writer writers, kept as the byte-for-byte references."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["region"] + list(matrix.columns))
+    for key, row in zip(matrix.rows, matrix.cells):
+        writer.writerow([key.display] + ["" if lab is None else lab for lab in row])
+
+
+def reference_write_peaks_csv(peaks_by_community, stream):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["community", "date"])
+    for community in sorted(peaks_by_community):
+        for d in peaks_by_community[community]:
+            writer.writerow([community, d.isoformat()])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_membership_csv_equals_reference_bytes(seed):
+    rng = np.random.default_rng(seed)
+    columns = [s.label() for s in GridSettings().cells()]
+    cells = [
+        [None if rng.random() < 0.2 else int(rng.integers(1, 6)) for _ in columns]
+        for _ in AWKWARD_KEYS
+    ]
+    matrix = MembershipMatrix(rows=list(AWKWARD_KEYS), columns=columns, cells=cells)
+    got, expected = io.StringIO(), io.StringIO()
+    write_membership_csv(matrix, got)
+    reference_write_membership_csv(matrix, expected)
+    assert got.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "peaks",
+    [
+        {},
+        {1: [], 2: [], 3: []},
+        {3: [date(2021, 5, 1)], 1: [date(2020, 3, 1), date(2021, 1, 9)], 2: []},
+    ],
+)
+def test_peaks_csv_equals_reference_bytes(peaks):
+    got, expected = io.StringIO(), io.StringIO()
+    write_peaks_csv(peaks, got)
+    reference_write_peaks_csv(peaks, expected)
+    assert got.getvalue() == expected.getvalue()
+    if not any(peaks.values()):
+        assert got.getvalue() == "community,date\n"
+
+
 def reference_write_medians_csv(dates, medians, stream):
-    """The earlier row-by-row writers, kept as the byte-for-byte references."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["date"] + [f"c{i + 1}" for i in range(len(medians))])
     for t, d in enumerate(dates):

@@ -37,7 +37,7 @@ def fixture_csv(tmp_path_factory):
 def awkward_csv(tmp_path_factory):
     """The planted fixture with region names that CSV and XML must quote."""
     cases, _ = make_planted_cases()
-    names = ["A&B", "<x>", 'Say "hi"', "Korea, South", "Ελλάδα", "a&amp;b"]
+    names = ["A&B", "<x>", 'Say "hi"', "Korea, South", "Ελλάδα", "a&amp;b", "100% %s %d"]
     for i, name in enumerate(names):
         cases[i].key = RegionKey(country=name, province="Réunion" if i % 2 else None)
     path = tmp_path_factory.mktemp("data") / "awkward.csv"
@@ -137,6 +137,7 @@ class TestPipeline:
             "config_seed",
             "config_measure",
             "config_date",
+            "config_unknown_key",
             "config_not_utf8",
             "bare_cr",
             "huge_count",
@@ -154,6 +155,7 @@ class TestPipeline:
             "config_seed": "seed = abc",
             "config_measure": "measure = foo",
             "config_date": "start = 2020-13-45",
+            "config_unknown_key": "alpah = 5",
         }
         flags = []
         if fault == "date_gap":
@@ -192,6 +194,10 @@ class TestPipeline:
         assert len(captured.out.splitlines()) == 1
         assert "error" in json.loads(captured.out)
         assert not out.exists()
+        if fault == "config_unknown_key":
+            # a misspelt setting is refused, not ignored in favour of the default
+            message = json.loads(captured.out)["message"]
+            assert message.startswith(f"{cfg}:1: unknown setting 'alpah'")
         if fault == "count_past_bound":
             # 2**53 + 1 has no float of its own; it is refused, not rounded
             assert json.loads(captured.out) == {

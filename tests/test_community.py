@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -24,6 +25,7 @@ from epinet.errors import (
     InsufficientStructureError,
     PartitionSizeError,
 )
+from test_netbuild import awkward_network
 
 
 class TestModularityOf:
@@ -524,3 +526,21 @@ def test_partition_csv_and_summary():
     assert payload["community_sizes"] == [3, 3]
     assert payload["modularity"] == pytest.approx(5 / 14, rel=1e-8)
     assert payload["settings_fingerprint"]["seed"] == 0
+
+
+def reference_write_partition_csv(net, part, stream):
+    """The earlier csv.writer writer, kept as the byte-for-byte reference."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["region", "community"])
+    writer.writerows((key.display, part.assignment[i]) for i, key in enumerate(net.nodes))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_partition_csv_equals_reference_bytes(seed):
+    net = awkward_network(seed)
+    labels = np.random.default_rng(seed).integers(0, 4, size=net.n).tolist()
+    part = Partition(assignment=dict(enumerate(labels)), modularity=0.0)
+    got, expected = io.StringIO(), io.StringIO()
+    write_partition_csv(net, part, got)
+    reference_write_partition_csv(net, part, expected)
+    assert got.getvalue() == expected.getvalue()

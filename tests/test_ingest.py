@@ -1,11 +1,12 @@
 import csv
 import io
+import sys
 from datetime import date, datetime, timedelta
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epinet import ingest
@@ -24,7 +25,9 @@ from epinet.ingest import (
     select_regions,
     to_wide_csv,
     write_long_csv,
+    write_rows,
 )
+from epinet.netbuild import fmt9
 
 HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/24/20"
 
@@ -286,7 +289,7 @@ def reference_write_long_csv(panel, stream):
 def test_long_csv_equals_reference_bytes():
     rng = np.random.default_rng(3)
     dates = [date(2022, 5, 1) + timedelta(days=t) for t in range(20)]
-    names = ["A&B", 'Say "hi"', "Korea, South", "Ελλάδα", "Plain"]
+    names = ["A&B", 'Say "hi"', "Korea, South", "Ελλάδα", "Plain", "100% %s %d"]
     series = [
         CaseSeries(
             key=RegionKey(country=name, province="Réunion" if i % 2 else None),
@@ -301,6 +304,45 @@ def test_long_csv_equals_reference_bytes():
     write_long_csv(panel, got)
     reference_write_long_csv(panel, expected)
     assert got.getvalue() == expected.getvalue()
+
+
+# the smallest and largest subnormals, the smallest normal float and the largest float
+EXTREMES = [5e-324, -5e-324, sys.float_info.min * (1 - 2**-52), sys.float_info.min]
+EXTREMES += [sys.float_info.max, -sys.float_info.max]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(), min_size=1, max_size=10))
+@example(values=[float("nan"), float("inf"), -float("inf"), 0.0, -0.0])
+@example(values=EXTREMES)
+@example(values=[0.1234567895, 0.12345678949999999, 123456789.5, 1e16, 1e-5, 1e-4])
+def test_write_rows_writes_a_float_as_fmt9(values):
+    expected = "".join(f"[{fmt9(x)}]\n" for x in values)
+    for column in (values, np.array(values)):
+        got = io.StringIO()
+        write_rows(got, "[%.9g]\n", column)
+        assert got.getvalue() == expected
+
+
+class _Writes(list):
+    """A text stream that keeps each write."""
+
+    write = list.append
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_write_rows_equals_one_row_at_a_time(rows):
+    rng = np.random.default_rng(rows)
+    names = [f"r{i} 100% %s" for i in range(rows)]
+    counts = rng.integers(-(2**53), 2**53, size=rows)
+    floats = rng.normal(size=rows)
+    writes = _Writes()
+    write_rows(writes, "%s,%d,%.9g\n", names, counts, floats)
+    expected = [f"{name},{n},{fmt9(x)}\n" for name, n, x in zip(names, counts.tolist(), floats)]
+    assert "".join(writes) == "".join(expected)
+    # one write per block of rows
+    assert len(writes) == -(-rows // ingest.ROWS_PER_BLOCK)
+    assert all(w.count("\n") <= ingest.ROWS_PER_BLOCK for w in writes)
 
 
 # --- the one-call reader of feed-shaped count text against the per-cell loop

@@ -327,6 +327,7 @@ AWKWARD_KEYS = [
     RegionKey(country=""),
     RegionKey(country="Line\nbreak", province="car\rriage"),
     RegionKey(country=" padded ", province="semi;colon'"),
+    RegionKey(country="100% %s %d", province="%(x)s"),
 ]
 
 # negative, exactly 1, and values whose 9th significant digit rounds
@@ -336,14 +337,16 @@ AWKWARD_WEIGHTS = [
 ]
 
 
-def awkward_network(seed):
+def awkward_network(seed, n=len(AWKWARD_KEYS)):
+    """Complete network over the awkward keys, then plain ones up to ``n`` nodes."""
     rng = np.random.default_rng(seed)
-    src, dst = np.triu_indices(len(AWKWARD_KEYS), k=1)
+    nodes = AWKWARD_KEYS + [RegionKey(country=f"R{i}") for i in range(len(AWKWARD_KEYS), n)]
+    src, dst = np.triu_indices(n, k=1)
     weight = rng.uniform(-1.0, 1.0, size=len(src))
     weight[: len(AWKWARD_WEIGHTS)] = AWKWARD_WEIGHTS
     rng.shuffle(weight)
     return CorrelationNetwork(
-        nodes=list(AWKWARD_KEYS),
+        nodes=nodes,
         src=src,
         dst=dst,
         weight=weight,
@@ -351,20 +354,22 @@ def awkward_network(seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "seed, n",
+    [pytest.param(seed, len(AWKWARD_KEYS), id=str(seed)) for seed in range(5)]
+    # 100 nodes give 4,950 edges: more than one block of write_rows
+    + [pytest.param(5, 100, id="4950-edges")],
+)
 @pytest.mark.parametrize(
     "writer, reference",
     [(write_edge_csv, reference_write_edge_csv), (write_graphml, reference_write_graphml)],
 )
-def test_writers_equal_reference_bytes(seed, writer, reference):
-    net = awkward_network(seed)
-    expected = io.StringIO()
+def test_writers_equal_reference_bytes(seed, n, writer, reference):
+    net = awkward_network(seed, n)
+    got, expected = io.StringIO(), io.StringIO()
+    writer(net, got)
     reference(net, expected)
-    # twice: the second call reads the names and weights formatted by the first
-    for _ in range(2):
-        buf = io.StringIO()
-        writer(net, buf)
-        assert buf.getvalue().encode() == expected.getvalue().encode()
+    assert got.getvalue().encode() == expected.getvalue().encode()
 
 
 def test_graphml_escapes_ampersand_first():

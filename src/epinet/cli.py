@@ -213,9 +213,7 @@ def _json(payload: dict):
 def cmd_transform(config: RunConfig) -> tuple[dict, dict]:
     """stop after the exponent transform (exponents.csv)"""
     cases = load_cases(config)
-    exps = transform.to_exponent_series(cases, alpha=config.alpha)
-    diffs = transform.daily_diffs(cases.values)
-    avgs = transform.moving_average_7(diffs)
+    diffs, avgs, exps = transform._exponent_stages(cases, alpha=config.alpha)
 
     def write_exponents(fh) -> None:
         fh.write("region,date,diff,avg7,exponent,defined\n")
@@ -381,7 +379,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def _report_error(exc: Exception) -> None:
     print(f"epinet: error: {exc}", file=sys.stderr)
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stdout)
+    line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
+    try:
+        print(line, file=sys.stdout, flush=True)
+    except BrokenPipeError:
+        # Nobody reads standard output any more.  Point it at devnull, so that
+        # the interpreter's flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -156,13 +156,14 @@ def _header_dates(cells: list[str]) -> list[date]:
     return dates
 
 
-def _physical_lines(lines: list[str]):
-    """The lines of the text that ``lines`` was split from at each "\\n", as
-    io.StringIO yields them: each with its newline, and no empty last line."""
-    for line in lines[:-1]:
-        yield line + "\n"
-    if lines[-1]:
-        yield lines[-1]
+def _lines(text: str):
+    """The lines of ``text`` as io.StringIO yields them: each with its
+    newline, and no empty last line."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _records(reader):
@@ -179,54 +180,60 @@ def _records(reader):
         raise CsvFormatError(f"line {reader.line_num} is not valid CSV: {reason}") from None
 
 
-# Count text after translation: a digit or "-" becomes "0", a field or line
-# separator stays, and any other byte becomes "x".
+# Count text after translation: a digit or "-" becomes "0", a field separator
+# stays, and any other byte becomes "x".
 _COUNT_SHAPE = bytes(
-    b if b in b",\n" else ord("0") if b in b"-0123456789" else ord("x") for b in range(256)
+    b if b == ord(",") else ord("0") if b in b"-0123456789" else ord("x") for b in range(256)
 )
 # A count of at most 18 characters fits int64, so loadtxt never overflows
 # (numpy < 2 reads an overflowing integer through a float, with only a warning).
 _LONGEST_FIELD = 18
 
 
-def _exact_rows(lines: list[str], days: int) -> tuple[list[RegionKey], np.ndarray] | None:
-    """Keys and counts of the data ``lines`` (without their newlines) when
-    there is at least one and every non-empty line is four CSV metadata fields
-    and then ``days`` fields of ASCII ``-?[0-9]+`` text within +-MAX_COUNT,
-    with no duplicate key; otherwise None, and the per-cell loop decides.
+def _exact_rows(lines, days: int) -> tuple[list[RegionKey], np.ndarray] | None:
+    """Keys and counts of the data ``lines`` (any iterable, each line with or
+    without its newline) when there is at least one and every non-empty line
+    is four CSV metadata fields and then ``days`` fields of ASCII
+    ``-?[0-9]+`` text within +-MAX_COUNT, with no duplicate key; otherwise
+    None, and the per-cell loop decides.
 
-    The counts are read by one ``np.loadtxt`` call.  The metadata fields go
-    through ``csv`` as they would within the whole line: counts hold no
-    quote, so the record must end, and a bare carriage return must not end it.
+    The counts are read by one ``np.loadtxt`` call, which takes each line's
+    count text as soon as that line passes the shape check, so no count text
+    is kept once read.  The metadata fields go through ``csv`` as they would
+    within the whole line: counts hold no quote, so the record must end, and
+    a bare carriage return must not end it.
     """
     metas: list[str] = []
-    counts: list[str] = []
-    for line in lines:
-        if line.endswith("\r"):
-            line = line[:-1]
-        if not line:
-            continue
-        # the metadata end at the comma before the last days - 1 commas
-        k = line.count(",") - (days - 1)
-        if k < 4 or "\r" in line:
-            return None
-        tail = line.split(",", k)[-1]
-        if not tail:  # loadtxt would skip it as a blank line
-            return None
-        metas.append(line[: len(line) - len(tail) - 1])
-        counts.append(tail)
-    text = "\n".join(counts)
-    if not text or not text.isascii():
-        return None
-    shape = text.encode().translate(_COUNT_SHAPE)
-    if b"x" in shape or b"0" * (_LONGEST_FIELD + 1) in shape:
-        return None
+
+    def count_texts():
+        # a line outside the shape raises ValueError, which loadtxt passes on
+        for line in lines:
+            line = line.removesuffix("\n").removesuffix("\r")
+            if not line:
+                continue
+            # the metadata end at the comma before the last days - 1 commas
+            k = line.count(",") - (days - 1)
+            if k < 4 or "\r" in line:
+                raise ValueError("not four metadata fields and the counts")
+            tail = line.split(",", k)[-1]
+            if not tail or not tail.isascii():  # loadtxt would skip an empty tail
+                raise ValueError("no count text, or not ASCII")
+            shape = tail.encode().translate(_COUNT_SHAPE)
+            if b"x" in shape or b"0" * (_LONGEST_FIELD + 1) in shape:
+                raise ValueError("a count outside the feed's shape")
+            metas.append(line[: len(line) - len(tail) - 1])
+            yield tail
+
     try:
-        values = np.loadtxt(counts, dtype=np.int64, delimiter=",", ndmin=2)
+        texts = count_texts()
+        first = next(texts, None)
+        if first is None:  # loadtxt warns on an empty input
+            return None
+        values = np.loadtxt(chain([first], texts), dtype=np.int64, delimiter=",", ndmin=2)
         records = list(csv.reader(metas, strict=True))
     except (ValueError, csv.Error):
         return None
-    if len(records) != len(metas) or (np.abs(values) > MAX_COUNT).any():
+    if len(records) != len(metas) or values.max() > MAX_COUNT or values.min() < -MAX_COUNT:
         return None
     keys: list[RegionKey] = []
     for record in records:
@@ -288,8 +295,7 @@ def parse_cases_csv(data: bytes | str) -> Panel:
             data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise CsvFormatError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}")
-    lines = data.split("\n")
-    reader = csv.reader(_physical_lines(lines))
+    reader = csv.reader(_lines(data))
     records = _records(reader)
     try:
         header = next(records)
@@ -307,7 +313,7 @@ def parse_cases_csv(data: bytes | str) -> Panel:
             )
     dates = _header_dates(header[4:])
 
-    rows = _exact_rows(lines[reader.line_num :], len(dates))
+    rows = _exact_rows(islice(_lines(data), reader.line_num, None), len(dates))
     if rows is None:
         rows = _checked_rows(records, len(header))
     keys, values = rows

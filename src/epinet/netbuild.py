@@ -45,11 +45,13 @@ class CorrelationNetwork:
 
     Edge ``e`` joins nodes ``src[e] < dst[e]`` with weight ``weight[e]``;
     networks from ``build_network`` list their edges in row-major order.
+    Their edge arrays are read-only, and ``above`` shares them when it keeps
+    every edge.
     """
 
     nodes: list[RegionKey]
-    src: np.ndarray  # int
-    dst: np.ndarray  # int
+    src: np.ndarray  # int32
+    dst: np.ndarray  # int32
     weight: np.ndarray  # float
     build_settings: BuildSettings
 
@@ -71,20 +73,18 @@ class CorrelationNetwork:
     def above(self, rho: float) -> CorrelationNetwork:
         """The sub-network of edges with weight strictly above ``rho``, without
         the nodes it leaves isolated.  Equal to ``build_network`` at ``rho``
-        on the panel this network was built from."""
+        on the panel this network was built from; when it keeps every edge,
+        it shares this network's edge arrays."""
         _check_rho(rho)
         if rho < self.build_settings.rho:
             raise ParameterError(
                 f"rho {rho} is below this network's threshold {self.build_settings.rho}"
             )
+        edges = (self.src, self.dst, self.weight)
         keep = self.weight > rho
-        return _without_isolated(
-            self.nodes,
-            self.src[keep],
-            self.dst[keep],
-            self.weight[keep],
-            replace(self.build_settings, rho=rho),
-        )
+        if not keep.all():
+            edges = tuple(a[keep] for a in edges)
+        return _without_isolated(self.nodes, *edges, replace(self.build_settings, rho=rho))
 
 
 def _check_rho(rho: float) -> None:
@@ -93,15 +93,25 @@ def _check_rho(rho: float) -> None:
 
 
 def _without_isolated(nodes, src, dst, weight, settings) -> CorrelationNetwork:
-    """Network over the nodes that keep an edge, renumbered in their order."""
+    """Network over the nodes that keep an edge, renumbered in their order.
+
+    Node indices are held as int32.  The edge arrays are made read-only so
+    that networks can share them: an array that needs no renumbering or cast
+    is used as given.
+    """
     used = np.zeros(len(nodes), dtype=bool)
     used[src] = True
     used[dst] = True
-    new_index = np.cumsum(used) - 1
+    if not used.all():
+        new_index = np.cumsum(used, dtype=np.int32) - 1
+        src, dst = new_index[src], new_index[dst]
+    src, dst = src.astype(np.int32, copy=False), dst.astype(np.int32, copy=False)
+    for a in (src, dst, weight):
+        a.flags.writeable = False
     return CorrelationNetwork(
         nodes=[nodes[i] for i in np.flatnonzero(used).tolist()],
-        src=new_index[src],
-        dst=new_index[dst],
+        src=src,
+        dst=dst,
         weight=weight,
         build_settings=settings,
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 from datetime import timedelta
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, ParameterError
 from .ingest import Panel
@@ -47,8 +46,15 @@ def moving_average_7(values) -> np.ndarray:
         raise InsufficientDataError(
             f"need >= 7 days for a 7-day average, got {values.shape[-1]}"
         )
-    # sum first, divide once: keeps constant inputs exactly constant
-    return sliding_window_view(values, 7, axis=-1).sum(axis=-1) / 7.0
+    # add the seven days in order, starting from +0.0 as np.sum does (so a
+    # window of -0.0 sums to +0.0); divide once: keeps constant inputs
+    # exactly constant
+    n = values.shape[-1] - 6
+    total = 0.0 + values[..., :n]
+    for k in range(1, 7):
+        total += values[..., k : k + n]
+    total /= 7.0
+    return total
 
 
 def _check_alpha(alpha: float) -> None:
@@ -70,7 +76,9 @@ def change_exponents(
     if not floor_eps > 0:
         raise ParameterError(f"floor_eps must be positive, got {floor_eps}")
     floored = np.maximum(np.asarray(avgs, dtype=float), floor_eps)
-    return np.clip(np.log(floored[..., 1:] / floored[..., :-1]), -alpha, alpha)
+    ratio = floored[..., 1:] / floored[..., :-1]
+    # in place: no further array of the panel's size
+    return np.clip(np.log(ratio, out=ratio), -alpha, alpha, out=ratio)
 
 
 def clip_exponents(exps: Panel, alpha: float) -> Panel:
@@ -80,6 +88,27 @@ def clip_exponents(exps: Panel, alpha: float) -> Panel:
     return Panel(keys=exps.keys, start=exps.start, values=np.clip(exps.values, -alpha, alpha))
 
 
+def _exponent_stages(
+    panel: Panel,
+    alpha: float = DEFAULT_ALPHA,
+    floor_eps: float = DEFAULT_FLOOR_EPS,
+) -> tuple[np.ndarray, np.ndarray, Panel]:
+    """The daily diffs, their 7-day averages and the exponent panel of
+    ``to_exponent_series``."""
+    if panel.days < WARMUP_DAYS + 1:
+        raise InsufficientDataError(
+            f"need >= {WARMUP_DAYS + 1} days, got {panel.days}"
+        )
+    diffs = daily_diffs(panel.values)
+    avgs = moving_average_7(diffs)
+    exps = Panel(
+        keys=panel.keys,
+        start=panel.start + timedelta(days=WARMUP_DAYS),
+        values=change_exponents(avgs, alpha=alpha, floor_eps=floor_eps),
+    )
+    return diffs, avgs, exps
+
+
 def to_exponent_series(
     panel: Panel,
     alpha: float = DEFAULT_ALPHA,
@@ -87,13 +116,4 @@ def to_exponent_series(
 ) -> Panel:
     """Full composition: diffs -> 7-day average -> clipped exponents, as a
     panel that starts WARMUP_DAYS after the input."""
-    if panel.days < WARMUP_DAYS + 1:
-        raise InsufficientDataError(
-            f"need >= {WARMUP_DAYS + 1} days, got {panel.days}"
-        )
-    avgs = moving_average_7(daily_diffs(panel.values))
-    return Panel(
-        keys=panel.keys,
-        start=panel.start + timedelta(days=WARMUP_DAYS),
-        values=change_exponents(avgs, alpha=alpha, floor_eps=floor_eps),
-    )
+    return _exponent_stages(panel, alpha=alpha, floor_eps=floor_eps)[2]

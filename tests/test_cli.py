@@ -598,6 +598,36 @@ def run_python(code, env, cwd=None):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.mark.parametrize(
+    "header, code",
+    [("Province/State,Country/Region,Lat,Long,1/22/20,1/23/20", 3), ("not,the,header", 2)],
+)
+def test_error_line_to_a_closed_pipe_keeps_the_exit_code(tmp_path, header, code):
+    """When the reader of standard output has gone, the JSON error line is
+    lost, but the exit code stays and no traceback is printed."""
+    data = tmp_path / "cases.csv"
+    data.write_text(header + "\n")
+    src = str(Path(epinet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = ["-m", "epinet.cli", "grid", "--input", str(data), "--out", str(tmp_path / "out")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("epinet: error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def run_commands(commands, csv_path, workdir, env, args=()):
     """Run each command on ``csv_path`` with ``args`` in one fresh interpreter
     under ``env``, with ``--out`` the command's name relative to ``workdir``

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -25,6 +26,8 @@ from epinet.errors import (
     InsufficientStructureError,
     PartitionSizeError,
 )
+from epinet.netbuild import build_network
+from epinet.transform import to_exponent_series
 from test_netbuild import awkward_network
 
 
@@ -453,6 +456,23 @@ class TestLouvain:
                 assert np.array_equal(tot, want_tot)
                 stops["whole" if start == net.n else "mid" if start > 0 else "first"] += 1
         assert stops["whole"] and stops["mid"] and stops["first"], stops
+
+    def test_int32_endpoints_give_intp_rows_and_the_same_partition(self, planted):
+        panel, _ = planted
+        net = build_network(to_exponent_series(panel), rho=0.0)
+        assert net.src.dtype == net.dst.dtype == np.int32
+        indptr, indices, _ = community._csr(
+            net.n,
+            np.column_stack([net.src, net.dst]).ravel(),
+            np.column_stack([net.dst, net.src]).ravel(),
+            np.repeat(net.weight, 2),
+        )
+        assert indptr.dtype == indices.dtype == np.intp
+        wide = dataclasses.replace(net, src=net.src.astype(np.intp), dst=net.dst.astype(np.intp))
+        for seed in (0, 5):
+            got, want = louvain(net, seed=seed), louvain(wide, seed=seed)
+            assert got.assignment == want.assignment
+            assert got.modularity == want.modularity
 
     def test_no_positive_weight_raises(self):
         with pytest.raises(InsufficientStructureError):

@@ -1,6 +1,8 @@
 import csv
 import io
 import sys
+import tracemalloc
+import warnings
 from datetime import date, datetime, timedelta
 from unittest import mock
 
@@ -28,6 +30,7 @@ from epinet.ingest import (
     write_rows,
 )
 from epinet.netbuild import fmt9
+from epinet.synthetic import make_planted_cases
 
 HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/24/20"
 
@@ -50,6 +53,30 @@ def test_parse_header_only():
     panel = parse_cases_csv(HEADER + "\n")
     assert len(panel) == 0
     assert panel.values.shape == (0, 3)
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n\n\r\n", "\n   \n,,,,,,\n"])
+def test_no_data_rows_parse_without_a_warning(tail):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        panel = parse_cases_csv((HEADER + tail).encode())
+    assert panel.values.shape == (0, 3)
+
+
+def test_parse_holds_little_more_than_the_text_and_the_counts():
+    """Lines are read one at a time: beside the decoded text, a parse of a
+    feed-shaped CSV holds the counts as int64 and as float64, and no copy of
+    the text."""
+    series, _ = make_planted_cases(n_groups=3, per_group=100, days=859, seed=1)
+    data = to_wide_csv(Panel.from_series(series)).encode()
+    tracemalloc.start()
+    try:
+        panel = parse_cases_csv(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.values.shape == (300, 859)
+    assert peak <= 3.5 * len(data)
 
 
 def test_parse_iso_header_dates():

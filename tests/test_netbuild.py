@@ -225,6 +225,28 @@ class TestBuildNetwork:
         assert 0 < len(base.above(0.5).weight) < len(base.weight)
         assert base.above(1.0).nodes == []
 
+    def test_above_that_keeps_every_edge_shares_the_arrays(self):
+        rng = np.random.default_rng(5)
+        exps = exp_panel({f"R{i}": rng.normal(size=30) for i in range(10)})
+        base = build_network(exps, rho=-0.5)
+        same = base.above(base.build_settings.rho)
+        assert same.nodes == base.nodes and same.build_settings == base.build_settings
+        fewer = base.above(0.2)
+        assert 0 < len(fewer.weight) < len(base.weight)
+        for name in ("src", "dst", "weight"):
+            assert np.shares_memory(getattr(same, name), getattr(base, name))
+            assert not np.shares_memory(getattr(fewer, name), getattr(base, name))
+
+    def test_edge_arrays_are_read_only_with_int32_ends(self):
+        rng = np.random.default_rng(6)
+        exps = exp_panel({f"R{i}": rng.normal(size=30) for i in range(10)})
+        base = build_network(exps, rho=-0.5)
+        for net in (base, base.above(-0.5), base.above(0.2)):
+            assert net.src.dtype == net.dst.dtype == np.int32
+            for edges in (net.src, net.dst, net.weight):
+                with pytest.raises(ValueError, match="read-only"):
+                    edges[0] = edges[-1]
+
     def test_nan_rho_rejected(self):
         exps = exp_panel({"A": [1, 2, 3, 4], "B": [1, 2, 3, 5]})
         with pytest.raises(ParameterError):

@@ -3,8 +3,10 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
@@ -76,6 +78,40 @@ class TestMovingAverage:
         a = moving_average_7(values)
         b = moving_average_7([k * v for v in values])
         assert np.allclose(b, k * a, rtol=1e-12)
+
+
+def sliding_window_mean(values):
+    """The 7-day mean as a sum over each strided window, kept as the reference."""
+    return sliding_window_view(values, 7, axis=-1).sum(axis=-1) / 7.0
+
+
+def same_bits(a, b):
+    """``a`` and ``b`` are equal bit for bit, any NaN equal to any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.int64), b[~nan].view(np.int64)
+    )
+
+
+TRICKY = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 2.0**53, 1e16, 0.1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(arrays(
+    np.float64,
+    st.one_of(st.tuples(st.integers(7, 16)), st.tuples(st.integers(1, 3), st.integers(7, 16))),
+    elements=st.one_of(
+        st.sampled_from(TRICKY),
+        st.sampled_from(TRICKY).map(lambda x: -x),
+        st.integers(-(2**54), 2**54).map(float),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    ),
+))
+@example(np.full(7, -0.0))  # a window of -0.0 sums to +0.0
+@example(np.array([[1e16, 0.1, -1e16, 0.1, 0.1, 0.1, 0.1, 0.1], [-0.0] * 8]))
+def test_moving_average_equals_the_window_sum_bit_for_bit(values):
+    with np.errstate(all="ignore"):  # inf - inf, and sums past the largest float
+        assert same_bits(moving_average_7(values), sliding_window_mean(values))
 
 
 class TestChangeExponents:

@@ -59,7 +59,10 @@ def modularity_of(
         if i not in assignment:
             raise CoverageError(f"node {i} ({net.nodes[i].display}) missing from assignment")
         community[i] = dense.setdefault(assignment[i], len(dense))
-    return _modularity(net, community, len(dense), _two_m(net), resolution)
+    # degrees accumulate edge by edge, one end after the other
+    ends = np.column_stack([net.src, net.dst]).ravel()
+    deg = np.bincount(ends, weights=np.repeat(net.weight, 2), minlength=net.n)
+    return _modularity(net, community, len(dense), deg, _two_m(net), resolution)
 
 
 def _two_m(net: CorrelationNetwork) -> float:
@@ -71,11 +74,10 @@ def _two_m(net: CorrelationNetwork) -> float:
     return two_m
 
 
-def _modularity(net, community: np.ndarray, k: int, two_m: float, resolution: float) -> float:
-    """Q of ``community`` (labels 0..k-1, in order of first appearance)."""
-    # degrees accumulate edge by edge, one end after the other
-    ends = np.column_stack([net.src, net.dst]).ravel()
-    deg = np.bincount(ends, weights=np.repeat(net.weight, 2), minlength=net.n)
+def _modularity(net, community: np.ndarray, k: int, deg: np.ndarray, two_m: float,
+                resolution: float) -> float:
+    """Q of ``community`` (labels 0..k-1, in order of first appearance); ``deg``
+    adds each node's edge weights in edge order."""
     same = community[net.src] == community[net.dst]
     # one addition at a time, in edge order (np.sum adds pairwise and rounds differently)
     internal = float(np.cumsum(2.0 * net.weight[same])[-1]) if same.any() else 0.0
@@ -96,18 +98,28 @@ def _fingerprint(net: CorrelationNetwork, seed, resolution) -> dict:
     }
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
-    """``(indptr, indices, data)`` of the entries, each row keeping the order
-    in which its entries are given; ``indices`` are intp."""
+def _csr(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
+    """``(indptr, indices, data)`` of the undirected edges: edge ``e`` enters
+    row ``src[e]``, then row ``dst[e]``, so each row lists its edges in edge
+    order.  ``indices`` are intp."""
     # a stable sort on the narrowest keys is numpy's radix sort
-    order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
+    ends = np.empty(2 * len(src), dtype=np.min_scalar_type(n))
+    ends[0::2], ends[1::2] = src, dst
+    order = np.argsort(ends, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(src, minlength=n) + np.bincount(dst, minlength=n), out=indptr[1:])
+    # an entry's neighbour is its edge's other end
+    ends[0::2], ends[1::2] = dst, src
     # Louvain gathers and bincounts with these: several times slower on int32
-    return indptr, cols[order].astype(np.intp, copy=False), data[order]
+    indices = ends[order].astype(np.intp)
+    del ends
+    order >>= 1  # entry -> edge
+    return indptr, indices, weight[order]
 
 
-# Most cells (visits x communities) that one step of ``_unmoved`` scores at once.
+# Visits that the first step of ``_unmoved`` scores; each later step doubles,
+# up to _CONFIRM_CELLS cells (visits x communities).
+_FIRST_STEP = 64
 _CONFIRM_CELLS = 1 << 16
 
 
@@ -120,11 +132,11 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: f
     """
     n = len(deg)
     rows = [(indices[a:b], data[a:b]) for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    visits = np.array(order)
     comm = np.arange(n)
     tot = deg.copy()
     any_move = False
     start = 0
-    visits = None
     while True:
         moved_in_sweep = False
         for i in order[start:]:
@@ -150,51 +162,57 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: f
                 any_move = True
         if not moved_in_sweep:
             break
-        if visits is None:
-            visits = _visit_rows(indptr, indices, data, np.asarray(order))
-        start = _unmoved(visits, comm, tot, deg, two_m, resolution)
+        start = _unmoved(indptr, indices, data, visits, comm, tot, deg, two_m, resolution)
         if start == n:
             break
     return comm, any_move
 
 
-def _visit_rows(indptr, indices, data, order: np.ndarray):
-    """The rows of the nodes in visit ``order``: the visited node, the start
-    of each visit's entries, and each entry's visit, neighbour and weight."""
-    lengths = np.diff(indptr)[order]
-    ptr = np.zeros(len(order) + 1, dtype=np.intp)
+def _rows_of(indptr, indices, data, nodes: np.ndarray):
+    """The rows of ``nodes``, one after another: the length of each, and each
+    entry's neighbour and weight."""
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    ptr = np.zeros(len(nodes) + 1, dtype=np.intp)
     np.cumsum(lengths, out=ptr[1:])
-    take = np.repeat(indptr[order] - ptr[:-1], lengths) + np.arange(ptr[-1])
-    visit = np.repeat(np.arange(len(order)), lengths)
-    return order, ptr, visit, indices[take], data[take]
+    take = np.repeat(starts - ptr[:-1], lengths)
+    take += np.arange(ptr[-1])
+    return lengths, indices[take], data[take]
 
 
-def _unmoved(visits, comm, tot, deg, two_m: float, resolution: float) -> int:
-    """Number of leading visits of a sweep that keep their community, with
-    ``tot`` advanced past them exactly as visiting them one at a time would.
+def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: float,
+             resolution: float) -> int:
+    """Number of leading visits of a sweep in ``order`` that keep their
+    community, with ``tot`` advanced past them exactly as visiting them one at
+    a time would.
 
-    Scores all visits at once on the guess that none moves, in steps of at
-    most _CONFIRM_CELLS cells.  Only the communities in use can be
-    candidates; they are relabelled 0..k-1 in label order, which keeps the
-    smallest-label tie rule.  Scores are computed as ``_local_moving`` does,
-    operation by operation, so a visit keeps its community here exactly when
-    it would there.
+    Scores the visits at once on the guess that none moves, in steps of
+    _FIRST_STEP visits that double up to _CONFIRM_CELLS cells, so a visit that
+    moves early is found after few visits are scored.  Each step gathers its
+    own rows.  Only the communities in use can be candidates; they are
+    relabelled 0..k-1 in label order, which keeps the smallest-label tie rule.
+    Scores are computed as ``_local_moving`` does, operation by operation, so
+    a visit keeps its community here exactly when it would there.
     """
-    order, ptr, visit, nbr, weight = visits
     labels, lab = np.unique(comm, return_inverse=True)
     k = len(labels)
-    own_all, ki_all, nbr_lab = lab[order], deg[order], lab[nbr]
     running = tot[labels].tolist()
-    step = max(1, _CONFIRM_CELLS // k)
-    for p in range(0, len(order), step):
+    most = max(1, _CONFIRM_CELLS // k)
+    step = min(_FIRST_STEP, most)
+    p = 0
+    while p < len(order):
         q = min(p + step, len(order))
         m = q - p
-        e0, e1 = ptr[p], ptr[q]
+        nodes = order[p:q]
+        lengths, nbr, weight = _rows_of(indptr, indices, data, nodes)
         # each visit's weight to each community, added in row order
-        code = (visit[e0:e1] - p) * k + nbr_lab[e0:e1]
-        w_to = np.bincount(code, weights=weight[e0:e1], minlength=m * k).reshape(m, k)
+        code = lab[nbr]
+        del nbr
+        code += np.repeat(np.arange(0, m * k, k), lengths)
+        w_to = np.bincount(code, weights=weight, minlength=m * k).reshape(m, k)
         candidate = np.bincount(code, minlength=m * k).reshape(m, k) > 0
-        own, ki = own_all[p:q], ki_all[p:q]
+        del code, weight
+        own, ki = lab[nodes], deg[nodes]
         # a visit that stays leaves its community's total at (tot - ki) + ki
         start_tot = np.array(running)
         after = np.empty(m)
@@ -216,6 +234,7 @@ def _unmoved(visits, comm, tot, deg, two_m: float, resolution: float) -> int:
         if len(moves):
             tot[labels] = before[moves[0]]
             return p + int(moves[0])
+        p, step = q, min(2 * step, most)
     tot[labels] = running
     return len(order)
 
@@ -226,31 +245,39 @@ def _aggregate(indptr, indices, data, selfw, new: np.ndarray, k: int):
     ``new`` maps each node to its super-node 0..k-1.  Every sum adds its terms
     in the order the nodes, and within a node its entries, come; a super-node
     lists first its higher neighbours in the order they were first reached,
-    then its lower ones in ascending order.
+    then its lower ones in ascending order.  Each entry-sized array is freed
+    once used, so that no more than two live beside the rows.
     """
-    n = len(new)
-    row = np.repeat(np.arange(n), np.diff(indptr))
-    ci, cj = new[row], new[indices]
-    # each node's own self-loop weight comes just before its entries
-    at_self = indptr[:-1] + np.arange(n)
-    at_entry = np.arange(len(indices)) + row + 1
-    target = np.empty(n + len(indices), dtype=np.intp)
-    weight = np.empty(n + len(indices))
-    target[at_self], weight[at_self] = new, selfw
-    target[at_entry] = np.where(ci == cj, ci, k)  # bin k collects the rest
-    weight[at_entry] = data
+    ci, cj = np.repeat(new, np.diff(indptr)), new[indices]
+    up, apart = ci < cj, ci != cj
+    cj = cj[up]
+    codes = ci[up]
+    codes *= k
+    codes += cj
+    del cj
+    codes = codes.astype(np.min_scalar_type(k * k))
+    # each entry's bin is its super-node's when internal, else bin k, which
+    # collects the rest; each node's own self-loop weight comes just before
+    # its entries
+    ci[apart] = k
+    del apart
+    target = np.insert(ci, indptr[:-1], new)
+    del ci
+    weight = np.insert(data, indptr[:-1], selfw)
     new_selfw = np.bincount(target, weights=weight, minlength=k + 1)[:k]
+    del target, weight
 
-    up = ci < cj
-    codes = (ci[up] * k + cj[up]).astype(np.min_scalar_type(k * k))
     pairs, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     w = np.bincount(inverse, weights=data[up])
     a, b = np.divmod(pairs.astype(np.intp), k)
-    lower = np.repeat([False, True], len(pairs))
-    # within a row: higher neighbours by first contribution, then lower ones by index
-    order = np.lexsort((np.concatenate([first, a]), lower))
     rows, cols, w = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
-    return (*_csr(k, rows[order], cols[order], w[order]), new_selfw)
+    # by row; within a row higher neighbours by first contribution, then lower
+    # ones by index
+    lower = np.repeat([False, True], len(pairs))
+    order = np.lexsort((np.concatenate([first, a]), lower, rows))
+    indptr = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    return indptr, cols[order], w[order], new_selfw
 
 
 def louvain(
@@ -269,14 +296,7 @@ def louvain(
     if not len(net.weight):
         raise InsufficientStructureError("network has no edges")
     two_m = _two_m(net)
-
-    # each edge enters both rows, so a row lists its edges in edge order
-    indptr, indices, data = _csr(
-        net.n,
-        np.column_stack([net.src, net.dst]).ravel(),
-        np.column_stack([net.dst, net.src]).ravel(),
-        np.repeat(net.weight, 2),
-    )
+    indptr, indices, data = _csr(net.n, net.src, net.dst, net.weight)
     selfw = np.zeros(net.n)
 
     rng = random.Random(seed)
@@ -285,11 +305,15 @@ def louvain(
     # smallest member name.
     canon = [key.display for key in net.nodes]
     node_of = np.arange(net.n)  # original node -> current super-node
+    node_deg = None
 
     while True:
         n = len(canon)
         row = np.repeat(np.arange(n), np.diff(indptr))
         deg = np.bincount(row, weights=data, minlength=n) + selfw
+        del row
+        if node_deg is None:
+            node_deg = deg  # each node's edge weights, added in edge order
         order = sorted(range(n), key=canon.__getitem__)
         rng.shuffle(order)
         comm, improved = _local_moving(indptr, indices, data, deg, order, two_m, resolution)
@@ -317,7 +341,7 @@ def louvain(
     first_seen = np.empty(net.n, dtype=np.intp)
     for label, nodes in enumerate(members.values()):
         first_seen[nodes] = label
-    q = _modularity(net, first_seen, len(members), two_m, resolution)
+    q = _modularity(net, first_seen, len(members), node_deg, two_m, resolution)
     return Partition(
         assignment=assignment,
         modularity=q,

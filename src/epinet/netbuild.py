@@ -120,20 +120,25 @@ def _without_isolated(nodes, src, dst, weight, settings) -> CorrelationNetwork:
 def _matrix_similarity(vals: np.ndarray, measure: SimilarityMeasure) -> np.ndarray:
     """All-pairs similarity of the rows as one matrix product; NaN where it
     is undefined: for every pair when there are fewer than MIN_OVERLAP days,
-    and for a row of zero norm, or (pearson) a constant row."""
+    and for a row of zero norm, or (pearson) a constant row.  Holds one
+    panel-sized copy of ``vals`` besides the result."""
     n, days = vals.shape
     if days < MIN_OVERLAP:
         return np.full((n, n), np.nan)
-    z = vals
-    undefined = np.zeros(n, dtype=bool)
     if measure is SimilarityMeasure.PEARSON:
         # mean of a constant row can be off by an ulp; test constancy directly
         undefined = np.all(vals == vals[:, :1], axis=1)
         z = vals - vals.mean(axis=1, keepdims=True)
+    else:
+        undefined = np.zeros(n, dtype=bool)
+        z = vals.copy()
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     undefined |= norms == 0.0
-    z = z / np.where(undefined, 1.0, norms)[:, None]
-    sims = np.clip(z @ z.T, -1.0, 1.0)
+    norms[undefined] = 1.0
+    z /= norms[:, None]
+    sims = z @ z.T
+    del z
+    np.clip(sims, -1.0, 1.0, out=sims)
     sims[undefined, :] = np.nan
     sims[:, undefined] = np.nan
     return sims
@@ -159,15 +164,16 @@ def build_network(
     _check_rho(rho)
 
     sims = _matrix_similarity(exps.values, measure)
-    rows, cols = np.triu_indices(len(exps), k=1)
-    upper = sims[rows, cols]
-    keep = upper > rho  # NaN (undefined) is never kept
+    # the kept pairs above the diagonal, row-major; NaN (undefined) is never kept
+    rows, cols = np.nonzero(np.triu(sims > rho, 1))
+    weight = sims[rows, cols]
+    del sims
     settings = BuildSettings(
         rho=rho,
         alpha=alpha if alpha is not None else float("nan"),
         measure=measure,
     )
-    return _without_isolated(exps.keys, rows[keep], cols[keep], upper[keep], settings)
+    return _without_isolated(exps.keys, rows, cols, weight, settings)
 
 
 def fmt9(x: float) -> str:

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from datetime import date
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import BuildSettings, CorrelationNetwork, SimilarityMeasure
 from epinet.synthetic import make_planted_cases
+from epinet.transform import to_exponent_series
 
 
 def make_net(n, edges, rho=0.0, alpha=7.0, measure=SimilarityMeasure.PEARSON):
@@ -89,3 +92,23 @@ def planted():
     """30 synthetic regions in 3 groups of 10 with a planted partition."""
     cases, labels = make_planted_cases()
     return Panel.from_series(cases), labels
+
+
+@pytest.fixture(scope="session")
+def exponents_300():
+    """The exponents of the benchmark's ``pipeline-300`` input at seed 1: 300
+    regions in 3 groups over 859 days, at the CLI's default alpha of 7."""
+    cases, _ = make_planted_cases(per_group=100, days=859, seed=1, start=date(2020, 1, 22))
+    return to_exponent_series(Panel.from_series(cases), alpha=7.0)
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the most bytes that it held allocated at once, by
+    tracemalloc's count: its temporaries and its result, not its arguments."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

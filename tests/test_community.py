@@ -9,7 +9,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import bridge_of_triangles, clique_edges, make_net, small_graph_suite
+from conftest import (
+    bridge_of_triangles,
+    clique_edges,
+    make_net,
+    small_graph_suite,
+    traced_peak,
+)
 from epinet import community
 from epinet.community import (
     Partition,
@@ -186,30 +192,48 @@ def reference_louvain(net, seed=0, resolution=1.0):
     return {node: label for label, m in enumerate(ranked) for node in m}
 
 
-def confirm_pass_cases(visits, comm, deg, start):
+def confirm_pass_cases(indptr, indices, data, order, comm, deg, start):
     """What one confirm pass met, from its arguments and its result ``start``
     (the visits it scored are those up to the first that moves)."""
-    order, ptr, visit, nbr, weight = visits
     n = len(order)
     scored = min(start + 1, n)
     labels, lab = np.unique(comm, return_inverse=True)
     k = len(labels)
-    end = ptr[scored]
-    code = visit[:end] * k + lab[nbr[:end]]
-    sums = np.bincount(code, weights=weight[:end], minlength=scored * k)
+    nodes = order[:scored]
+    lengths = np.diff(indptr)[nodes]
+    take = np.concatenate([np.arange(indptr[i], indptr[i + 1]) for i in nodes])
+    code = np.repeat(np.arange(scored), lengths) * k + lab[indices[take]]
+    sums = np.bincount(code, weights=data[take], minlength=scored * k)
     counts = np.bincount(code, minlength=scored * k)
-    own = np.arange(scored) * k + lab[order[:scored]]
+    own = np.arange(scored) * k + lab[nodes]
     rival = np.ones(scored * k, dtype=bool)
     rival[own] = False
+    first_step = min(community._FIRST_STEP, max(1, community._CONFIRM_CELLS // k))
     return {
         "mid_sweep": 0 < start < n,
         "whole_sweep": start == n,
         # a super-node has a self-loop, so its degree is positive without edges
-        "isolated_super_node": bool(np.any((np.diff(ptr[: scored + 1]) == 0)
-                                           & (deg[order[:scored]] > 0))),
+        "isolated_super_node": bool(np.any((lengths == 0) & (deg[nodes] > 0))),
         "zero_sum_candidate": bool(np.any((counts > 0) & (sums == 0) & rival)),
-        "several_steps": scored > max(1, community._CONFIRM_CELLS // k),
+        "several_steps": scored > first_step,
     }
+
+
+# (_CONFIRM_CELLS, _FIRST_STEP), None keeping the module's value: tiny caps
+# give many steps of one size, a small first step steps that double, both
+# steps that double up to the cap
+CONFIRM_STEPS = pytest.mark.parametrize(
+    "cells, first",
+    [(1, None), (2, None), (7, None), (None, None), (None, 1), (None, 3), (7, 1)],
+    ids=["1", "2", "7", "None", "first1", "first3", "7-first1"],
+)
+
+
+def set_confirm_steps(monkeypatch, cells, first):
+    if cells is not None:
+        monkeypatch.setattr(community, "_CONFIRM_CELLS", cells)
+    if first is not None:
+        monkeypatch.setattr(community, "_FIRST_STEP", first)
 
 
 def reference_unmoved(net, deg, order, comm, tot, two_m, resolution):
@@ -399,16 +423,15 @@ class TestLouvain:
                     net, part.assignment, resolution
                 )
 
-    @pytest.mark.parametrize("cells", [1, 2, 7, None])
-    def test_confirm_pass_same_decisions_as_dict_reference(self, monkeypatch, cells):
-        if cells is not None:
-            monkeypatch.setattr(community, "_CONFIRM_CELLS", cells)
+    @CONFIRM_STEPS
+    def test_confirm_pass_same_decisions_as_dict_reference(self, monkeypatch, cells, first):
+        set_confirm_steps(monkeypatch, cells, first)
         met = Counter()
         unmoved = community._unmoved
 
-        def spy(visits, comm, tot, deg, two_m, resolution):
-            start = unmoved(visits, comm, tot, deg, two_m, resolution)
-            met.update(confirm_pass_cases(visits, comm, deg, start))
+        def spy(indptr, indices, data, order, comm, tot, deg, two_m, resolution):
+            start = unmoved(indptr, indices, data, order, comm, tot, deg, two_m, resolution)
+            met.update(confirm_pass_cases(indptr, indices, data, order, comm, deg, start))
             return start
 
         monkeypatch.setattr(community, "_unmoved", spy)
@@ -420,28 +443,21 @@ class TestLouvain:
                     net, part.assignment, resolution
                 )
         cases = ["mid_sweep", "whole_sweep", "isolated_super_node", "zero_sum_candidate"]
-        if cells is not None:
+        if (cells, first) != (None, None):
             cases.append("several_steps")
         assert all(met[case] for case in cases), met
 
-    @pytest.mark.parametrize("cells", [1, 2, 7, None])
-    def test_unmoved_matches_visiting_one_at_a_time(self, monkeypatch, cells):
-        if cells is not None:
-            monkeypatch.setattr(community, "_CONFIRM_CELLS", cells)
+    @CONFIRM_STEPS
+    def test_unmoved_matches_visiting_one_at_a_time(self, monkeypatch, cells, first):
+        set_confirm_steps(monkeypatch, cells, first)
         rng = np.random.default_rng(8)
         stops = Counter()
         for net in confirm_pass_nets():
-            indptr, indices, data = community._csr(
-                net.n,
-                np.column_stack([net.src, net.dst]).ravel(),
-                np.column_stack([net.dst, net.src]).ravel(),
-                np.repeat(net.weight, 2),
-            )
+            indptr, indices, data = community._csr(net.n, net.src, net.dst, net.weight)
             deg = np.bincount(np.repeat(np.arange(net.n), np.diff(indptr)), weights=data,
                               minlength=net.n)
             two_m = 2.0 * added_in_order(net.weight.tolist())
             order = rng.permutation(net.n)
-            visits = community._visit_rows(indptr, indices, data, order)
             settled, _ = community._local_moving(indptr, indices, data, deg, order.tolist(),
                                                  two_m, 1.0)
             # a local optimum confirms a whole sweep; a node visited late and
@@ -451,23 +467,58 @@ class TestLouvain:
             for comm in (settled, late, rng.choice(rng.permutation(net.n)[:4], net.n)):
                 tot = np.bincount(comm, weights=deg, minlength=net.n)
                 want_start, want_tot = reference_unmoved(net, deg, order, comm, tot, two_m, 1.0)
-                start = community._unmoved(visits, comm, tot, deg, two_m, 1.0)
+                start = community._unmoved(indptr, indices, data, order, comm, tot, deg,
+                                           two_m, 1.0)
                 assert start == want_start
                 assert np.array_equal(tot, want_tot)
                 stops["whole" if start == net.n else "mid" if start > 0 else "first"] += 1
         assert stops["whole"] and stops["mid"] and stops["first"], stops
 
+    def test_confirm_steps_double_so_an_early_move_scores_few_visits(self, monkeypatch):
+        # a ring of 999 nodes in 3 arcs, one node put alone: its visit, the
+        # fourth of the sweep, moves it back to its arc
+        n = 999
+        net = make_net(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)])
+        indptr, indices, data = community._csr(net.n, net.src, net.dst, net.weight)
+        deg = np.full(n, 2.0)
+        order = np.random.default_rng(0).permutation(n)
+        comm = np.arange(n) // 333
+        comm[order[3]] = 3
+        tot = np.bincount(comm, weights=deg, minlength=n)
+        want_start, want_tot = reference_unmoved(net, deg, order, comm, tot, 2.0 * n, 1.0)
+        assert want_start == 3
+        scored = []
+        rows_of = community._rows_of
+
+        def spy(indptr, indices, data, nodes):
+            scored.append(len(nodes))
+            return rows_of(indptr, indices, data, nodes)
+
+        monkeypatch.setattr(community, "_rows_of", spy)
+        start = community._unmoved(indptr, indices, data, order, comm, tot, deg, 2.0 * n, 1.0)
+        assert start == want_start
+        assert np.array_equal(tot, want_tot)
+        assert sum(scored) <= 128, scored
+
+    def test_louvain_holds_at_most_six_times_its_edge_arrays(self, exponents_300):
+        net = build_network(exponents_300, rho=0.0)
+        edge_bytes = net.src.nbytes + net.dst.nbytes + net.weight.nbytes
+        part, peak = traced_peak(louvain, net)
+        assert part.num_communities == 3
+        assert peak <= 6 * edge_bytes, peak / edge_bytes
+
     def test_int32_endpoints_give_intp_rows_and_the_same_partition(self, planted):
         panel, _ = planted
         net = build_network(to_exponent_series(panel), rho=0.0)
         assert net.src.dtype == net.dst.dtype == np.int32
-        indptr, indices, _ = community._csr(
-            net.n,
-            np.column_stack([net.src, net.dst]).ravel(),
-            np.column_stack([net.dst, net.src]).ravel(),
-            np.repeat(net.weight, 2),
-        )
+        indptr, indices, data = community._csr(net.n, net.src, net.dst, net.weight)
         assert indptr.dtype == indices.dtype == np.intp
+        # each edge enters both rows, so a row lists its edges in edge order
+        rows = np.column_stack([net.src, net.dst]).ravel()
+        order = np.argsort(rows, kind="stable")
+        assert np.array_equal(indptr[1:], np.cumsum(np.bincount(rows, minlength=net.n)))
+        assert np.array_equal(indices, np.column_stack([net.dst, net.src]).ravel()[order])
+        assert np.array_equal(data, np.repeat(net.weight, 2)[order])
         wide = dataclasses.replace(net, src=net.src.astype(np.intp), dst=net.dst.astype(np.intp))
         for seed in (0, 5):
             got, want = louvain(net, seed=seed), louvain(wide, seed=seed)

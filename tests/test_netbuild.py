@@ -7,6 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import (
@@ -164,6 +165,13 @@ def test_symmetry_full_precision():
 
 
 class TestBuildNetwork:
+    @pytest.mark.parametrize("measure", list(SimilarityMeasure))
+    def test_build_holds_at_most_one_and_a_half_panels(self, exponents_300, measure):
+        net, peak = traced_peak(build_network, exponents_300, 0.0, measure)
+        panel_bytes = exponents_300.values.nbytes
+        assert net.n == len(exponents_300)
+        assert peak <= 1.5 * panel_bytes, peak / panel_bytes
+
     def test_identical_series_triangle(self):
         exps = exp_panel({n: [1, 2, 3, 1, 5] for n in "ABC"})
         net = build_network(exps, rho=0.0)

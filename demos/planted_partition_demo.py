@@ -21,7 +21,7 @@ def main():
 
     exps = to_exponent_series(cases)
     net = build_network(exps, rho=0.0)
-    print(f"network: {net.n} nodes, {len(net.edges)} edges")
+    print(f"network: {net.n} nodes, {len(net.weight)} edges")
 
     part = louvain(net, seed=0)
     print(f"louvain: {part.num_communities} communities, Q = {part.modularity:.4f}")

@@ -52,8 +52,11 @@ class GridSettings:
 
 @dataclass
 class GridCell:
+    """One grid run: the nodes of its network once built, and the partition
+    of those nodes once found, or the error that stopped it."""
+
     settings: BuildSettings
-    network: CorrelationNetwork | None = None
+    nodes: list[RegionKey] | None = None
     partition: Partition | None = None
     error: str | None = None
 
@@ -103,6 +106,16 @@ def detect_peaks(dates: list[date], values: np.ndarray) -> list[date]:
     return [dates[t] for t in np.flatnonzero(turns) + 1]
 
 
+def _error(exc: EpinetError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _partition(cell: GridCell, net: CorrelationNetwork, seed: int) -> None:
+    """Record the network's nodes in ``cell``, then its Louvain partition."""
+    cell.nodes = net.nodes
+    cell.partition = louvain(net, seed=seed)
+
+
 def run_cell(
     cases: Panel,
     settings: BuildSettings,
@@ -112,49 +125,62 @@ def run_cell(
     cell = GridCell(settings=settings)
     try:
         exps = to_exponent_series(cases, alpha=settings.alpha)
-        cell.network = build_network(
+        net = build_network(
             exps, rho=settings.rho, measure=settings.measure, alpha=settings.alpha
         )
-        cell.partition = louvain(cell.network, seed=seed)
+        _partition(cell, net, seed)
     except EpinetError as exc:
-        cell.error = f"{type(exc).__name__}: {exc}"
+        cell.error = _error(exc)
     return cell
 
 
 def run_grid(cases: Panel, grid: GridSettings) -> list[GridCell]:
-    """Run every setting combination in grid order; per-cell failures are
-    recorded, not raised.
+    """Run every setting combination; per-cell failures are recorded, not
+    raised, and the cells come back in grid order.
 
     Each cell equals ``run_cell`` on its settings, error strings included,
     but the transform runs once, unclipped, and the network is built once
     per (alpha, measure), at the smallest rho of the grid, from the clip of
     that transform to alpha; every rho cell takes the edges of that network
-    above its own rho.  (A step that fails is tried again by the next cell
-    that needs it, and fails the same way.)
+    above its own rho.  The cells run grouped by (alpha, measure), so one
+    such network is alive at a time.  Once the transform has run, this
+    function holds no reference to ``cases``.
     """
+    cells = [GridCell(settings=s) for s in grid.cells()]
+    try:
+        unclipped = to_exponent_series(cases, alpha=math.inf)
+    except EpinetError as exc:
+        for cell in cells:
+            cell.error = _error(exc)
+        return cells
+    del cases  # frees the panel here if the caller holds no reference to it
     base_rho = min((r for r in grid.rho_values if not math.isnan(r)), default=math.nan)
-    unclipped: Panel | None = None
-    clipped: tuple[float, Panel] | None = None  # only the latest alpha's is kept
-    nets: dict[tuple, CorrelationNetwork] = {}
-    cells = []
-    for s in grid.cells():
-        cell = GridCell(settings=s)
-        try:
-            key = (s.alpha, s.measure)
-            if key not in nets:
-                if unclipped is None:
-                    unclipped = to_exponent_series(cases, alpha=math.inf)
-                if clipped is None or clipped[0] != s.alpha:
-                    clipped = (s.alpha, clip_exponents(unclipped, s.alpha))
-                nets[key] = build_network(
-                    clipped[1], rho=base_rho, measure=s.measure, alpha=s.alpha
-                )
-            cell.network = nets[key].above(s.rho)
-            cell.partition = louvain(cell.network, seed=grid.seed)
-        except EpinetError as exc:
-            cell.error = f"{type(exc).__name__}: {exc}"
-        cells.append(cell)
+    groups: dict[tuple, list[GridCell]] = {}
+    for cell in cells:
+        groups.setdefault((cell.settings.alpha, cell.settings.measure), []).append(cell)
+    for (alpha, measure), group in groups.items():
+        _run_group(unclipped, alpha, measure, base_rho, group, grid.seed)
     return cells
+
+
+def _run_group(unclipped: Panel, alpha: float, measure: SimilarityMeasure, base_rho: float,
+               group: list[GridCell], seed: int) -> None:
+    """Fill the cells of one (alpha, measure) from one network built at
+    ``base_rho``; the clipped panel is freed before Louvain runs, and the
+    network when this returns."""
+    try:
+        base = build_network(
+            clip_exponents(unclipped, alpha), rho=base_rho, measure=measure, alpha=alpha
+        )
+    except EpinetError as exc:
+        for cell in group:
+            cell.error = _error(exc)
+        return
+    for cell in group:
+        try:
+            _partition(cell, base.above(cell.settings.rho), seed)
+        except EpinetError as exc:
+            cell.error = _error(exc)
 
 
 def reference_settings() -> BuildSettings:
@@ -165,9 +191,8 @@ def reference_settings() -> BuildSettings:
 def _rows_and_labels(cell: GridCell, row_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The matrix row and the community label of each node of the cell's
     partition; ``row_of`` maps the ``id`` of a region key to its row."""
-    nodes = cell.network.nodes
     assignment = cell.partition.assignment
-    rows = [row_of[id(nodes[i])] for i in assignment]
+    rows = [row_of[id(cell.nodes[i])] for i in assignment]
     return np.array(rows, dtype=np.intp), np.fromiter(assignment.values(), np.intp, len(rows))
 
 
@@ -186,9 +211,9 @@ def align_labels(
     if ref_cell.error is not None or ref_cell.partition is None:
         raise AlignmentError(f"reference cell failed: {ref_cell.error}")
 
-    # Networks of one grid share their key objects: hash each object once,
-    # then work on matrix rows.
-    key_of = {id(key): key for c in results if c.network is not None for key in c.network.nodes}
+    # Cells of one grid share their key objects: hash each object once, then
+    # work on matrix rows.
+    key_of = {id(key): key for c in results if c.nodes is not None for key in c.nodes}
     all_regions = sorted(dict.fromkeys(key_of.values()), key=lambda key: key.display)
     row_index = {key: r for r, key in enumerate(all_regions)}
     row_of = {i: row_index[key] for i, key in key_of.items()}

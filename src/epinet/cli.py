@@ -291,8 +291,8 @@ def cmd_pipeline(config: RunConfig) -> tuple[dict, dict]:
 
 def cmd_grid(config: RunConfig) -> tuple[dict, dict]:
     """robustness grid over rho x alpha x similarity measure"""
-    cases = load_cases(config)
-    cells = analysis.run_grid(cases, analysis.GridSettings(seed=config.seed))
+    # no reference to the cases here: run_grid frees them after its transform
+    cells = analysis.run_grid(load_cases(config), analysis.GridSettings(seed=config.seed))
     reference = analysis.reference_settings()
     ref_cell = next((c for c in cells if c.settings == reference), None)
     if ref_cell is None or ref_cell.partition is None:

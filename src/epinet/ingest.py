@@ -18,6 +18,7 @@ which accepts what ``int`` accepts and names the row and column of a bad cell.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import warnings
@@ -156,14 +157,36 @@ def _header_dates(cells: list[str]) -> list[date]:
     return dates
 
 
-def _lines(text: str):
-    """The lines of ``text`` as io.StringIO yields them: each with its
-    newline, and no empty last line."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
+def _lines(data: bytes | str, start: int = 0):
+    """The lines of ``data[start:]`` as io.StringIO yields the lines of its
+    text: each with its newline, and no empty last line."""
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    while start < len(data):
+        end = data.find(newline, start) + 1 or len(data)
+        yield data[start:end]
         start = end
+
+
+def _text_lines(data: bytes | str, start: int):
+    """The lines of ``data[start:]`` as text; bytes are decoded one line at a
+    time, so no copy of the whole input is made.  UTF-8 never encodes a
+    character with a newline byte, so each line decodes on its own."""
+    if isinstance(data, str):
+        return _lines(data, start)
+    return map(bytes.decode, _lines(data, start))
+
+
+def _check_utf8(data: bytes, start: int) -> None:
+    """Raise CsvFormatError, naming the file offset of the first bad byte,
+    unless ``data[start:]`` is UTF-8 text."""
+    for line in _lines(data, start):
+        try:
+            line.decode()
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(
+                f"input is not UTF-8 text: {exc.reason} at byte {start + exc.start}"
+            ) from None
+        start += len(line)
 
 
 def _records(reader):
@@ -242,7 +265,11 @@ def _exact_rows(lines, days: int) -> tuple[list[RegionKey], np.ndarray] | None:
         keys.append(RegionKey(country=record[1].strip(), province=record[0].strip() or None))
     if len(set(keys)) != len(keys):
         return None
-    return keys, values.astype(np.float64)
+    # to float64 in the same buffer, one row at a time: a 1-D copy between
+    # equal addresses reads each count before it writes it, with no temporary
+    for row in values:
+        row.view(np.float64)[:] = row
+    return keys, values.view(np.float64)
 
 
 def _checked_rows(records, width: int) -> tuple[list[RegionKey], np.ndarray]:
@@ -290,12 +317,11 @@ def parse_cases_csv(data: bytes | str) -> Panel:
     header, CsvParseError (with coordinates) for a bad cell or a count past
     +-MAX_COUNT, and DuplicateKeyError when two rows key the same region.
     """
+    start = 0
     if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}")
-    reader = csv.reader(_lines(data))
+        start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        _check_utf8(data, start)
+    reader = csv.reader(_text_lines(data, start))
     records = _records(reader)
     try:
         header = next(records)
@@ -313,7 +339,7 @@ def parse_cases_csv(data: bytes | str) -> Panel:
             )
     dates = _header_dates(header[4:])
 
-    rows = _exact_rows(islice(_lines(data), reader.line_num, None), len(dates))
+    rows = _exact_rows(islice(_text_lines(data, start), reader.line_num, None), len(dates))
     if rows is None:
         rows = _checked_rows(records, len(header))
     keys, values = rows

@@ -62,6 +62,19 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError(f"alpha must be positive, got {alpha}")
 
 
+def _check_floor_eps(floor_eps: float) -> None:
+    if not floor_eps > 0:
+        raise ParameterError(f"floor_eps must be positive, got {floor_eps}")
+
+
+def _log_ratios(floored: np.ndarray, alpha: float) -> np.ndarray:
+    """Clipped log-ratios of consecutive floored averages along the last
+    axis, in one new array."""
+    ratio = floored[..., 1:] / floored[..., :-1]
+    # in place: no further array of the panel's size
+    return np.clip(np.log(ratio, out=ratio), -alpha, alpha, out=ratio)
+
+
 def change_exponents(
     avgs,
     alpha: float = DEFAULT_ALPHA,
@@ -73,12 +86,8 @@ def change_exponents(
     neighbors are present.  ``alpha`` may be infinite (no clipping).
     """
     _check_alpha(alpha)
-    if not floor_eps > 0:
-        raise ParameterError(f"floor_eps must be positive, got {floor_eps}")
-    floored = np.maximum(np.asarray(avgs, dtype=float), floor_eps)
-    ratio = floored[..., 1:] / floored[..., :-1]
-    # in place: no further array of the panel's size
-    return np.clip(np.log(ratio, out=ratio), -alpha, alpha, out=ratio)
+    _check_floor_eps(floor_eps)
+    return _log_ratios(np.maximum(np.asarray(avgs, dtype=float), floor_eps), alpha)
 
 
 def clip_exponents(exps: Panel, alpha: float) -> Panel:
@@ -88,6 +97,17 @@ def clip_exponents(exps: Panel, alpha: float) -> Panel:
     return Panel(keys=exps.keys, start=exps.start, values=np.clip(exps.values, -alpha, alpha))
 
 
+def _check_days(panel: Panel) -> None:
+    if panel.days < WARMUP_DAYS + 1:
+        raise InsufficientDataError(
+            f"need >= {WARMUP_DAYS + 1} days, got {panel.days}"
+        )
+
+
+def _exponent_panel(panel: Panel, values: np.ndarray) -> Panel:
+    return Panel(keys=panel.keys, start=panel.start + timedelta(days=WARMUP_DAYS), values=values)
+
+
 def _exponent_stages(
     panel: Panel,
     alpha: float = DEFAULT_ALPHA,
@@ -95,18 +115,11 @@ def _exponent_stages(
 ) -> tuple[np.ndarray, np.ndarray, Panel]:
     """The daily diffs, their 7-day averages and the exponent panel of
     ``to_exponent_series``."""
-    if panel.days < WARMUP_DAYS + 1:
-        raise InsufficientDataError(
-            f"need >= {WARMUP_DAYS + 1} days, got {panel.days}"
-        )
+    _check_days(panel)
     diffs = daily_diffs(panel.values)
     avgs = moving_average_7(diffs)
-    exps = Panel(
-        keys=panel.keys,
-        start=panel.start + timedelta(days=WARMUP_DAYS),
-        values=change_exponents(avgs, alpha=alpha, floor_eps=floor_eps),
-    )
-    return diffs, avgs, exps
+    exps = change_exponents(avgs, alpha=alpha, floor_eps=floor_eps)
+    return diffs, avgs, _exponent_panel(panel, exps)
 
 
 def to_exponent_series(
@@ -115,5 +128,14 @@ def to_exponent_series(
     floor_eps: float = DEFAULT_FLOOR_EPS,
 ) -> Panel:
     """Full composition: diffs -> 7-day average -> clipped exponents, as a
-    panel that starts WARMUP_DAYS after the input."""
-    return _exponent_stages(panel, alpha=alpha, floor_eps=floor_eps)[2]
+    panel that starts WARMUP_DAYS after the input.
+
+    Equal to the exponents of ``_exponent_stages``, but at most two arrays of
+    the panel's size are alive at once: the diffs go once averaged, and the
+    averages are floored in place.
+    """
+    _check_days(panel)
+    _check_alpha(alpha)
+    _check_floor_eps(floor_eps)
+    avgs = moving_average_7(daily_diffs(panel.values))
+    return _exponent_panel(panel, _log_ratios(np.maximum(avgs, floor_eps, out=avgs), alpha))

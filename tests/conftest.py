@@ -95,11 +95,17 @@ def planted():
 
 
 @pytest.fixture(scope="session")
-def exponents_300():
-    """The exponents of the benchmark's ``pipeline-300`` input at seed 1: 300
-    regions in 3 groups over 859 days, at the CLI's default alpha of 7."""
+def cases_300():
+    """The cases of the benchmark's ``pipeline-300`` input at seed 1: 300
+    regions in 3 groups over 859 days."""
     cases, _ = make_planted_cases(per_group=100, days=859, seed=1, start=date(2020, 1, 22))
-    return to_exponent_series(Panel.from_series(cases), alpha=7.0)
+    return Panel.from_series(cases)
+
+
+@pytest.fixture(scope="session")
+def exponents_300(cases_300):
+    """The exponents of ``cases_300`` at the CLI's default alpha of 7."""
+    return to_exponent_series(cases_300, alpha=7.0)
 
 
 def traced_peak(call, *args):

@@ -144,7 +144,7 @@ def test_criterion_4_planted_recovery(planted):
     for cell in cells:
         assert cell.error is None, cell.error
         truth = Partition(
-            assignment={i: labels[cell.network.nodes[i]] for i in range(cell.network.n)},
+            assignment={i: labels[key] for i, key in enumerate(cell.nodes)},
             modularity=0.0,
         )
         agreement, _ = compare_partitions(cell.partition, truth)

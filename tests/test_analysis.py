@@ -1,13 +1,15 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import make_net
+from epinet import analysis
 from epinet.analysis import (
     GridCell,
     GridSettings,
@@ -27,7 +29,7 @@ from epinet.analysis import (
     write_smoothed_csv,
     write_trajectory_csv,
 )
-from epinet.community import Partition, compare_partitions
+from epinet.community import Partition, compare_partitions, louvain
 from epinet.errors import AlignmentError, InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.netbuild import BuildSettings, SimilarityMeasure, fmt9
@@ -194,13 +196,25 @@ class TestRunGrid:
         for cell in cells:
             assert cell.error is None, cell.error
             truth = Partition(
-                assignment={
-                    i: labels[cell.network.nodes[i]] for i in range(cell.network.n)
-                },
+                assignment={i: labels[key] for i, key in enumerate(cell.nodes)},
                 modularity=0.0,
             )
             agreement, _ = compare_partitions(cell.partition, truth)
             assert agreement == 1.0, cell.settings.label()
+
+    def test_grid_holds_one_network_at_a_time(self, cases_300):
+        """Beside its input, run_grid holds the unclipped exponents and one
+        network at a time, and its cells keep nodes and partitions only."""
+        tracemalloc.start()
+        try:
+            cells = run_grid(cases_300, GridSettings())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        panel_bytes = cases_300.values.nbytes
+        assert all(c.error is None for c in cells)
+        assert peak <= 4 * panel_bytes, peak / panel_bytes
+        assert held <= 0.25 * panel_bytes, held / panel_bytes
 
     def test_cell_error_recorded_not_raised(self):
         cells = run_grid(anti_correlated_pair(), GridSettings())
@@ -226,25 +240,35 @@ class TestRunGrid:
             grid = GridSettings()
         else:
             cases, grid = anti_correlated_pair(), GridSettings()
-        shared = run_grid(cases, grid)
-        assert [c.settings.label() for c in shared] == [s.label() for s in grid.cells()]
-        for cell, settings in zip(shared, grid.cells()):
-            alone = run_cell(cases, settings, seed=grid.seed)
-            assert cell.error == alone.error
-            if alone.network is None:
-                assert cell.network is None
-            else:
-                assert cell.network.nodes == alone.network.nodes
-                assert cell.network.build_settings.label() == settings.label()
-                for field in ("src", "dst", "weight"):
-                    assert np.array_equal(
-                        getattr(cell.network, field), getattr(alone.network, field)
-                    )
-            if alone.partition is None:
-                assert cell.partition is None
-            else:
-                assert cell.partition.assignment == alone.partition.assignment
-                assert cell.partition.modularity == alone.partition.modularity
+        networks = []  # every network passed to louvain, in call order
+
+        def spy(net, seed):
+            networks.append(net)
+            return louvain(net, seed=seed)
+
+        with mock.patch.object(analysis, "louvain", spy):
+            shared = run_grid(cases, grid)
+            assert len(networks) == sum(c.nodes is not None for c in shared)
+            shared_networks = {}  # repeated settings share a label
+            for net in networks:
+                shared_networks.setdefault(net.build_settings.label(), []).append(net)
+            assert [c.settings.label() for c in shared] == [s.label() for s in grid.cells()]
+            for cell, settings in zip(shared, grid.cells()):
+                networks.clear()
+                alone = run_cell(cases, settings, seed=grid.seed)
+                assert cell.error == alone.error
+                assert cell.nodes == alone.nodes
+                shared_nets = shared_networks.get(settings.label(), [])
+                assert bool(shared_nets) == bool(networks)
+                for net in shared_nets:
+                    assert net.nodes == networks[0].nodes
+                    for field in ("src", "dst", "weight"):
+                        assert np.array_equal(getattr(net, field), getattr(networks[0], field))
+                if alone.partition is None:
+                    assert cell.partition is None
+                else:
+                    assert cell.partition.assignment == alone.partition.assignment
+                    assert cell.partition.modularity == alone.partition.modularity
         if fixture == "planted":
             assert sum(c.error is not None for c in shared) == 6  # the NaN rho cells
         elif fixture == "bad_alpha":
@@ -269,10 +293,8 @@ def anti_correlated_pair():
 
 
 def _cell(settings, nodes, assignment):
-    net = make_net(len(nodes), [])
-    net.nodes = [RegionKey(country=n) for n in nodes]
     part = Partition(assignment=assignment, modularity=0.0)
-    return GridCell(settings=settings, network=net, partition=part)
+    return GridCell(settings=settings, nodes=[RegionKey(country=n) for n in nodes], partition=part)
 
 
 REF = reference_settings()
@@ -328,12 +350,12 @@ def reference_align(results, reference):
     def key_sets(cell):
         out = [set() for _ in range(cell.partition.num_communities)]
         for idx, lab in cell.partition.assignment.items():
-            out[lab].add(cell.network.nodes[idx])
+            out[lab].add(cell.nodes[idx])
         return out
 
     ref_comms = key_sets(next(c for c in results if c.settings == reference))
     k = len(ref_comms)
-    rows = sorted({key for c in results if c.network is not None for key in c.network.nodes},
+    rows = sorted({key for c in results if c.nodes is not None for key in c.nodes},
                   key=lambda key: key.display)
     row_index = {key: r for r, key in enumerate(rows)}
     cells = [[None] * len(results) for _ in rows]
@@ -354,7 +376,7 @@ def reference_align(results, reference):
         for ci in range(len(run_comms)):
             mapping.setdefault(ci, k + 1 + sum(v > k for v in mapping.values()))
         for idx, lab in cell.partition.assignment.items():
-            cells[row_index[cell.network.nodes[idx]]][col] = mapping[lab]
+            cells[row_index[cell.nodes[idx]]][col] = mapping[lab]
     return rows, cells
 
 

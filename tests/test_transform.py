@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import traced_peak
+from epinet import transform
 from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.transform import (
@@ -180,6 +182,14 @@ class TestComposition:
         e = to_exponent_series(panel_of(counts), alpha=alpha)
         assert np.all(np.abs(e.values) <= alpha)
 
+    def test_holds_at_most_two_and_a_half_panels(self, cases_300):
+        """The diffs go once averaged and the averages are floored in place,
+        so at most two arrays of the panel's size are alive at once."""
+        exps, peak = traced_peak(to_exponent_series, cases_300)
+        panel_bytes = cases_300.values.nbytes
+        assert exps.values.shape == (300, 859 - WARMUP_DAYS)
+        assert peak <= 2.5 * panel_bytes, peak / panel_bytes
+
     @given(st.integers(2, 1000))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, k):
@@ -206,6 +216,10 @@ class TestClipExponents:
             got = clip_exponents(unclipped, alpha)
             assert (got.keys, got.start) == (want.keys, want.start)
             assert got.values.tobytes() == want.values.tobytes()
+            # the transform command's exponents, beside its diffs and averages
+            staged = transform._exponent_stages(panel, alpha=alpha)[2]
+            assert (staged.keys, staged.start) == (want.keys, want.start)
+            assert staged.values.tobytes() == want.values.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
     def test_bad_alpha_as_transform(self, alpha):

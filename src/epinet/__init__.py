@@ -15,14 +15,10 @@ from .ingest import (
     select_regions,
 )
 from .transform import to_exponent_series
-from .netbuild import (
-    BuildSettings,
-    CorrelationNetwork,
-    SimilarityMeasure,
-    build_network,
-)
+from .netbuild import CorrelationNetwork, SimilarityMeasure, build_network
 from .community import Partition, brute_force_best, compare_partitions, louvain, modularity_of
 from .analysis import (
+    BuildSettings,
     GridSettings,
     MembershipMatrix,
     PhaseTrajectory,

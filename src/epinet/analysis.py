@@ -20,18 +20,29 @@ from .errors import (
     ParameterError,
 )
 from .ingest import Panel, RegionKey, csv_field, write_rows
-from .netbuild import (
-    BuildSettings,
-    CorrelationNetwork,
-    SimilarityMeasure,
-    build_network,
-)
+from .netbuild import CorrelationNetwork, SimilarityMeasure, build_network
 from .community import Partition, louvain
 from .transform import clip_exponents, to_exponent_series
 
 DEFAULT_RHO_VALUES = (0.0, 0.05, 0.1)
 DEFAULT_ALPHA_VALUES = (5.0, 7.0, 9.0)
 DEFAULT_MEASURES = (SimilarityMeasure.PEARSON, SimilarityMeasure.COSINE)
+
+
+@dataclass(frozen=True)
+class BuildSettings:
+    """One (rho, alpha, measure): a grid cell's, or a pipeline run's."""
+
+    rho: float
+    alpha: float
+    measure: SimilarityMeasure
+
+    def label(self) -> str:
+        return f"rho{_num(self.rho)}_a{_num(self.alpha)}_{self.measure.value}"
+
+
+def _num(x: float) -> str:
+    return format(x, "g").replace(".", "p").replace("-", "m")
 
 
 @dataclass
@@ -125,9 +136,7 @@ def run_cell(
     cell = GridCell(settings=settings)
     try:
         exps = to_exponent_series(cases, alpha=settings.alpha)
-        net = build_network(
-            exps, rho=settings.rho, measure=settings.measure, alpha=settings.alpha
-        )
+        net = build_network(exps, rho=settings.rho, measure=settings.measure)
         _partition(cell, net, seed)
     except EpinetError as exc:
         cell.error = _error(exc)
@@ -169,9 +178,7 @@ def _run_group(unclipped: Panel, alpha: float, measure: SimilarityMeasure, base_
     ``base_rho``; the clipped panel is freed before Louvain runs, and the
     network when this returns."""
     try:
-        base = build_network(
-            clip_exponents(unclipped, alpha), rho=base_rho, measure=measure, alpha=alpha
-        )
+        base = build_network(clip_exponents(unclipped, alpha), rho=base_rho, measure=measure)
     except EpinetError as exc:
         for cell in group:
             cell.error = _error(exc)

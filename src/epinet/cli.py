@@ -182,15 +182,8 @@ def load_cases(config: RunConfig) -> ingest.Panel:
     panel = ingest.parse_cases_csv(config.input.read_bytes())
     if not len(panel):
         raise InsufficientDataError("input contains no data rows")
-    # clamp the requested window to what the data provides
-    start = max(config.start, panel.start)
-    end = min(config.end, panel.end)
-    if start > end:
-        raise InsufficientDataError(
-            f"no region overlaps the requested range {config.start}..{config.end}"
-        )
-    panel = ingest.restrict_date_range(panel, start, end)
-    selected = ingest.select_regions(panel, min_cumulative=config.min_cases, as_of=end)
+    panel = ingest.restrict_date_range(panel, config.start, config.end)
+    selected = ingest.select_regions(panel, min_cumulative=config.min_cases)
     if not len(selected):
         raise InsufficientDataError(
             f"no region passes the selection filter (min_cases={config.min_cases})"
@@ -235,9 +228,7 @@ def cmd_transform(config: RunConfig) -> tuple[dict, dict]:
 def _build(config: RunConfig):
     cases = load_cases(config)
     exps = transform.to_exponent_series(cases, alpha=config.alpha)
-    net = netbuild.build_network(
-        exps, rho=config.rho, measure=config.measure, alpha=config.alpha
-    )
+    net = netbuild.build_network(exps, rho=config.rho, measure=config.measure)
     return exps, net
 
 
@@ -272,20 +263,38 @@ def cmd_pipeline(config: RunConfig) -> tuple[dict, dict]:
     files["medians.csv"] = lambda fh: analysis.write_medians_csv(dates, medians, fh)
     files["peaks.csv"] = lambda fh: analysis.write_peaks_csv(peaks, fh)
 
-    traj = None
-    if len(medians) == 3:
-        try:
-            traj = analysis.build_trajectory(dates, *medians)
-        except InsufficientDataError:
-            pass
+    # a network with an edge gives every median at least MIN_OVERLAP days, as
+    # many as the spline needs, so three medians always make a trajectory
+    traj = analysis.build_trajectory(dates, *medians) if len(medians) == 3 else None
     if traj is not None:
         files["trajectory.csv"] = lambda fh: analysis.write_trajectory_csv(traj, fh)
         files["smoothed.csv"] = lambda fh: analysis.write_smoothed_csv(traj, fh)
 
+    settings = analysis.BuildSettings(rho=config.rho, alpha=config.alpha, measure=config.measure)
     return files, {
-        "partition": community.partition_summary(part),
+        "partition": partition_summary(part, settings, config.seed),
         "network": {"nodes": net.n, "edges": len(net.weight)},
         "trajectory_built": traj is not None,
+    }
+
+
+def partition_summary(part: community.Partition, settings: analysis.BuildSettings,
+                      seed: int) -> dict:
+    """The summary.json entry of a partition found by ``louvain`` at ``seed``
+    on the network of ``settings``."""
+    sizes = [0] * part.num_communities
+    for lab in part.assignment.values():
+        sizes[lab] += 1
+    return {
+        "modularity": float(netbuild.fmt9(part.modularity)),
+        "community_sizes": sizes,
+        "settings_fingerprint": {
+            "rho": settings.rho,
+            "alpha": settings.alpha,
+            "measure": settings.measure.value,
+            "seed": seed,
+            "resolution": 1.0,
+        },
     }
 
 
@@ -294,14 +303,13 @@ def cmd_grid(config: RunConfig) -> tuple[dict, dict]:
     # no reference to the cases here: run_grid frees them after its transform
     cells = analysis.run_grid(load_cases(config), analysis.GridSettings(seed=config.seed))
     reference = analysis.reference_settings()
-    ref_cell = next((c for c in cells if c.settings == reference), None)
-    if ref_cell is None or ref_cell.partition is None:
-        msg = ref_cell.error if ref_cell else "reference cell missing"
-        raise InsufficientStructureError(f"reference grid cell failed: {msg}")
+    ref_cell = next(c for c in cells if c.settings == reference)
+    if ref_cell.partition is None:
+        raise InsufficientStructureError(f"reference grid cell failed: {ref_cell.error}")
 
     errors = {c.settings.label(): c.error for c in cells if c.error is not None}
     summaries = {
-        c.settings.label(): community.partition_summary(c.partition)
+        c.settings.label(): partition_summary(c.partition, c.settings, config.seed)
         for c in cells
         if c.partition is not None
     }

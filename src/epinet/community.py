@@ -12,7 +12,7 @@ are fixed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     PartitionSizeError,
 )
 from .ingest import csv_field, write_rows
-from .netbuild import CorrelationNetwork, fmt9
+from .netbuild import CorrelationNetwork
 
 BRUTE_FORCE_MAX_NODES = 12
 
@@ -34,7 +34,6 @@ class Partition:
 
     assignment: dict[int, int]
     modularity: float
-    settings_fingerprint: dict = field(default_factory=dict)
 
     @property
     def num_communities(self) -> int:
@@ -85,17 +84,6 @@ def _modularity(net, community: np.ndarray, k: int, deg: np.ndarray, two_m: floa
     q = internal / two_m
     q -= resolution * sum((s / two_m) ** 2 for s in tot)
     return q
-
-
-def _fingerprint(net: CorrelationNetwork, seed, resolution) -> dict:
-    s = net.build_settings
-    return {
-        "rho": s.rho,
-        "alpha": s.alpha,
-        "measure": s.measure.value,
-        "seed": seed,
-        "resolution": resolution,
-    }
 
 
 def _csr(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
@@ -342,11 +330,7 @@ def louvain(
     for label, nodes in enumerate(members.values()):
         first_seen[nodes] = label
     q = _modularity(net, first_seen, len(members), node_deg, two_m, resolution)
-    return Partition(
-        assignment=assignment,
-        modularity=q,
-        settings_fingerprint=_fingerprint(net, seed, resolution),
-    )
+    return Partition(assignment=assignment, modularity=q)
 
 
 def _restricted_growth_strings(n: int):
@@ -393,11 +377,7 @@ def brute_force_best(net: CorrelationNetwork) -> Partition:
             best_q = q
             best = labels
     assignment = {i: lab for i, lab in enumerate(best)}
-    return Partition(
-        assignment=assignment,
-        modularity=best_q,
-        settings_fingerprint=_fingerprint(net, None, 1.0),
-    )
+    return Partition(assignment=assignment, modularity=best_q)
 
 
 def compare_partitions(p: Partition, q: Partition):
@@ -448,13 +428,3 @@ def write_partition_csv(net: CorrelationNetwork, part: Partition, stream) -> Non
     names = [csv_field(key.display) for key in net.nodes]
     write_rows(stream, "%s,%d\n", names, [part.assignment[i] for i in range(net.n)])
 
-
-def partition_summary(part: Partition) -> dict:
-    sizes = [0] * part.num_communities
-    for lab in part.assignment.values():
-        sizes[lab] += 1
-    return {
-        "modularity": float(fmt9(part.modularity)),
-        "community_sizes": sizes,
-        "settings_fingerprint": part.settings_fingerprint,
-    }

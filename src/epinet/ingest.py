@@ -21,7 +21,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from itertools import chain, islice
@@ -31,8 +30,8 @@ import numpy as np
 from .errors import (
     CsvFormatError,
     CsvParseError,
-    DateRangeError,
     DuplicateKeyError,
+    InsufficientDataError,
 )
 
 DEFAULT_MIN_CUMULATIVE = 100_000
@@ -346,24 +345,9 @@ def parse_cases_csv(data: bytes | str) -> Panel:
     return Panel(keys=keys, start=dates[0], values=values)
 
 
-def select_regions(
-    panel: Panel,
-    min_cumulative: int = DEFAULT_MIN_CUMULATIVE,
-    as_of: date = DEFAULT_END,
-) -> Panel:
-    """Keep the rows with at least ``min_cumulative`` cases as of ``as_of``.
-
-    If ``as_of`` is past the panel's last date it is clamped to that date
-    (with a warning), so shorter fixtures still work.
-    """
-    col = (as_of - panel.start).days
-    if col >= panel.days:
-        warnings.warn(f"as_of {as_of} past last date {panel.end}, clamping", stacklevel=2)
-        col = panel.days - 1
-    if col < 0:
-        keep = np.zeros(len(panel), dtype=bool)
-    else:
-        keep = panel.values[:, col] >= min_cumulative
+def select_regions(panel: Panel, min_cumulative: int = DEFAULT_MIN_CUMULATIVE) -> Panel:
+    """Keep the rows with at least ``min_cumulative`` cases on the panel's last day."""
+    keep = panel.values[:, -1] >= min_cumulative
     return Panel(
         keys=[k for k, ok in zip(panel.keys, keep) if ok],
         start=panel.start,
@@ -376,15 +360,14 @@ def restrict_date_range(
     start: date = DEFAULT_START,
     end: date = DEFAULT_END,
 ) -> Panel:
-    """Return the inclusive [start, end] columns of the panel."""
-    if start > end:
-        raise DateRangeError(f"start {start} after end {end}")
-    if start < panel.start or end > panel.end:
-        raise DateRangeError(
-            f"requested {start}..{end} outside available {panel.start}..{panel.end}"
-        )
-    i = (start - panel.start).days
-    j = (end - panel.start).days + 1
+    """Return the inclusive [start, end] columns of the panel, with the window
+    clamped to the panel's dates; a window that keeps no day raises
+    ``InsufficientDataError``."""
+    i = max((start - panel.start).days, 0)
+    j = min((end - panel.start).days + 1, panel.days)
+    if i >= j:
+        raise InsufficientDataError(f"no region overlaps the requested range {start}..{end}")
+    start = panel.start + timedelta(days=i)
     return Panel(keys=panel.keys, start=start, values=panel.values[:, i:j])
 
 

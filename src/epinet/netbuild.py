@@ -9,7 +9,7 @@ without any edge are dropped from the node list entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,20 +23,6 @@ MIN_OVERLAP = 2  # fewer days than this -> undefined similarity
 class SimilarityMeasure(str, Enum):
     PEARSON = "pearson"
     COSINE = "cosine"
-
-
-@dataclass(frozen=True)
-class BuildSettings:
-    rho: float
-    alpha: float
-    measure: SimilarityMeasure
-
-    def label(self) -> str:
-        return f"rho{_num(self.rho)}_a{_num(self.alpha)}_{self.measure.value}"
-
-
-def _num(x: float) -> str:
-    return format(x, "g").replace(".", "p").replace("-", "m")
 
 
 @dataclass
@@ -53,7 +39,7 @@ class CorrelationNetwork:
     src: np.ndarray  # int32
     dst: np.ndarray  # int32
     weight: np.ndarray  # float
-    build_settings: BuildSettings
+    rho: float  # the threshold: every weight is above it
 
     @property
     def n(self) -> int:
@@ -76,15 +62,13 @@ class CorrelationNetwork:
         on the panel this network was built from; when it keeps every edge,
         it shares this network's edge arrays."""
         _check_rho(rho)
-        if rho < self.build_settings.rho:
-            raise ParameterError(
-                f"rho {rho} is below this network's threshold {self.build_settings.rho}"
-            )
+        if rho < self.rho:
+            raise ParameterError(f"rho {rho} is below this network's threshold {self.rho}")
         edges = (self.src, self.dst, self.weight)
         keep = self.weight > rho
         if not keep.all():
             edges = tuple(a[keep] for a in edges)
-        return _without_isolated(self.nodes, *edges, replace(self.build_settings, rho=rho))
+        return _without_isolated(self.nodes, *edges, rho)
 
 
 def _check_rho(rho: float) -> None:
@@ -92,7 +76,7 @@ def _check_rho(rho: float) -> None:
         raise ParameterError(f"rho must be a number, got {rho}")
 
 
-def _without_isolated(nodes, src, dst, weight, settings) -> CorrelationNetwork:
+def _without_isolated(nodes, src, dst, weight, rho: float) -> CorrelationNetwork:
     """Network over the nodes that keep an edge, renumbered in their order.
 
     Node indices are held as int32.  The edge arrays are made read-only so
@@ -113,7 +97,7 @@ def _without_isolated(nodes, src, dst, weight, settings) -> CorrelationNetwork:
         src=src,
         dst=dst,
         weight=weight,
-        build_settings=settings,
+        rho=rho,
     )
 
 
@@ -148,15 +132,13 @@ def build_network(
     exps: Panel,
     rho: float = 0.0,
     measure: SimilarityMeasure = SimilarityMeasure.PEARSON,
-    alpha: float | None = None,
 ) -> CorrelationNetwork:
     """Assemble the thresholded similarity network over the panel's rows.
 
     An edge exists iff the similarity of the two rows is defined and strictly
     greater than rho.  Regions with no surviving edge are omitted from the
-    node list; node order is row order restricted to survivors.
-    ``alpha`` is recorded in the build settings only.  A NaN rho raises
-    ``ParameterError``.
+    node list; node order is row order restricted to survivors.  A NaN rho
+    raises ``ParameterError``.
     """
     measure = SimilarityMeasure(measure)
     if len(exps) < 2:
@@ -168,12 +150,7 @@ def build_network(
     rows, cols = np.nonzero(np.triu(sims > rho, 1))
     weight = sims[rows, cols]
     del sims
-    settings = BuildSettings(
-        rho=rho,
-        alpha=alpha if alpha is not None else float("nan"),
-        measure=measure,
-    )
-    return _without_isolated(exps.keys, rows, cols, weight, settings)
+    return _without_isolated(exps.keys, rows, cols, weight, rho)
 
 
 def fmt9(x: float) -> str:

@@ -2,8 +2,8 @@
 
 The change exponent for day t is ln(a_t / a_{t-1}) where a is the trailing
 7-day average of daily new cases, clipped to [-alpha, alpha].  Non-positive
-averages (zero stretches, negative reporting corrections) are floored at a
-small epsilon before the log so every day stays defined; the clip bounds the
+averages (zero stretches, negative reporting corrections) are floored at
+FLOOR_EPS before the log so every day stays defined; the clip bounds the
 damage.  Every step works along the last (day) axis, so it takes one region's
 row or a whole panel; a NaN in an input array propagates.
 
@@ -22,7 +22,7 @@ from .errors import InsufficientDataError, ParameterError
 from .ingest import Panel
 
 DEFAULT_ALPHA = 7.0
-DEFAULT_FLOOR_EPS = 1e-9
+FLOOR_EPS = 1e-9
 
 WARMUP_DAYS = 8  # 1 (diff) + 6 (window) + 1 (log ratio)
 
@@ -62,11 +62,6 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError(f"alpha must be positive, got {alpha}")
 
 
-def _check_floor_eps(floor_eps: float) -> None:
-    if not floor_eps > 0:
-        raise ParameterError(f"floor_eps must be positive, got {floor_eps}")
-
-
 def _log_ratios(floored: np.ndarray, alpha: float) -> np.ndarray:
     """Clipped log-ratios of consecutive floored averages along the last
     axis, in one new array."""
@@ -75,19 +70,14 @@ def _log_ratios(floored: np.ndarray, alpha: float) -> np.ndarray:
     return np.clip(np.log(ratio, out=ratio), -alpha, alpha, out=ratio)
 
 
-def change_exponents(
-    avgs,
-    alpha: float = DEFAULT_ALPHA,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-) -> np.ndarray:
+def change_exponents(avgs, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Clipped log-ratios of consecutive 7-day averages along the last axis.
 
     NaN inputs mark missing days; a log-ratio is NaN (undefined) unless both
     neighbors are present.  ``alpha`` may be infinite (no clipping).
     """
     _check_alpha(alpha)
-    _check_floor_eps(floor_eps)
-    return _log_ratios(np.maximum(np.asarray(avgs, dtype=float), floor_eps), alpha)
+    return _log_ratios(np.maximum(np.asarray(avgs, dtype=float), FLOOR_EPS), alpha)
 
 
 def clip_exponents(exps: Panel, alpha: float) -> Panel:
@@ -109,24 +99,18 @@ def _exponent_panel(panel: Panel, values: np.ndarray) -> Panel:
 
 
 def _exponent_stages(
-    panel: Panel,
-    alpha: float = DEFAULT_ALPHA,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
+    panel: Panel, alpha: float = DEFAULT_ALPHA
 ) -> tuple[np.ndarray, np.ndarray, Panel]:
     """The daily diffs, their 7-day averages and the exponent panel of
     ``to_exponent_series``."""
     _check_days(panel)
     diffs = daily_diffs(panel.values)
     avgs = moving_average_7(diffs)
-    exps = change_exponents(avgs, alpha=alpha, floor_eps=floor_eps)
+    exps = change_exponents(avgs, alpha=alpha)
     return diffs, avgs, _exponent_panel(panel, exps)
 
 
-def to_exponent_series(
-    panel: Panel,
-    alpha: float = DEFAULT_ALPHA,
-    floor_eps: float = DEFAULT_FLOOR_EPS,
-) -> Panel:
+def to_exponent_series(panel: Panel, alpha: float = DEFAULT_ALPHA) -> Panel:
     """Full composition: diffs -> 7-day average -> clipped exponents, as a
     panel that starts WARMUP_DAYS after the input.
 
@@ -136,6 +120,5 @@ def to_exponent_series(
     """
     _check_days(panel)
     _check_alpha(alpha)
-    _check_floor_eps(floor_eps)
     avgs = moving_average_7(daily_diffs(panel.values))
-    return _exponent_panel(panel, _log_ratios(np.maximum(avgs, floor_eps, out=avgs), alpha))
+    return _exponent_panel(panel, _log_ratios(np.maximum(avgs, FLOOR_EPS, out=avgs), alpha))

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from epinet.ingest import Panel, RegionKey
-from epinet.netbuild import BuildSettings, CorrelationNetwork, SimilarityMeasure
+from epinet.netbuild import CorrelationNetwork
 from epinet.synthetic import make_planted_cases
 from epinet.transform import to_exponent_series
 
 
-def make_net(n, edges, rho=0.0, alpha=7.0, measure=SimilarityMeasure.PEARSON):
+def make_net(n, edges, rho=0.0):
     """Small hand-built network with nodes N00..N<n-1> and ``(a, b, w)`` edges."""
     src, dst, weight = (np.array(col) for col in zip(*edges)) if edges else ([], [], [])
     return CorrelationNetwork(
@@ -19,7 +19,7 @@ def make_net(n, edges, rho=0.0, alpha=7.0, measure=SimilarityMeasure.PEARSON):
         src=np.asarray(src, dtype=np.intp),
         dst=np.asarray(dst, dtype=np.intp),
         weight=np.asarray(weight, dtype=float),
-        build_settings=BuildSettings(rho=rho, alpha=alpha, measure=measure),
+        rho=rho,
     )
 
 

@@ -190,9 +190,8 @@ def test_criterion_5_real_dataset():
         pytest.skip("archived real dataset not available (set EPINET_JHU_CSV)")
     t0 = time.monotonic()
     panel = parse_cases_csv(Path(path).read_bytes())
-    start = max(date(2020, 1, 22), panel.start)
-    end = min(date(2022, 5, 29), panel.end)
-    selected = select_regions(restrict_date_range(panel, start, end), 100_000, end)
+    window = restrict_date_range(panel, date(2020, 1, 22), date(2022, 5, 29))
+    selected = select_regions(window, 100_000)
     assert len(selected) == 139
 
     exps = to_exponent_series(selected)

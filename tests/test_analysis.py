@@ -11,6 +11,7 @@ import pytest
 
 from epinet import analysis
 from epinet.analysis import (
+    BuildSettings,
     GridCell,
     GridSettings,
     MembershipMatrix,
@@ -32,7 +33,7 @@ from epinet.analysis import (
 from epinet.community import Partition, compare_partitions, louvain
 from epinet.errors import AlignmentError, InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
-from epinet.netbuild import BuildSettings, SimilarityMeasure, fmt9
+from epinet.netbuild import SimilarityMeasure, fmt9
 from test_netbuild import AWKWARD_KEYS
 
 
@@ -249,18 +250,17 @@ class TestRunGrid:
         with mock.patch.object(analysis, "louvain", spy):
             shared = run_grid(cases, grid)
             assert len(networks) == sum(c.nodes is not None for c in shared)
-            shared_networks = {}  # repeated settings share a label
-            for net in networks:
-                shared_networks.setdefault(net.build_settings.label(), []).append(net)
+            # a cell's nodes are those of the network its partition came from
+            shared_networks = {id(net.nodes): net for net in networks}
             assert [c.settings.label() for c in shared] == [s.label() for s in grid.cells()]
             for cell, settings in zip(shared, grid.cells()):
                 networks.clear()
                 alone = run_cell(cases, settings, seed=grid.seed)
                 assert cell.error == alone.error
                 assert cell.nodes == alone.nodes
-                shared_nets = shared_networks.get(settings.label(), [])
-                assert bool(shared_nets) == bool(networks)
-                for net in shared_nets:
+                net = shared_networks.get(id(cell.nodes))
+                assert (net is None) == (not networks)
+                if net is not None:
                     assert net.nodes == networks[0].nodes
                     for field in ("src", "dst", "weight"):
                         assert np.array_equal(getattr(net, field), getattr(networks[0], field))

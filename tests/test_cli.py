@@ -415,6 +415,26 @@ class TestGrid:
         assert "reference grid cell failed" in payload["message"]
 
 
+def test_fingerprints_record_each_partitions_settings(fixture_csv, tmp_path):
+    out = tmp_path / "out"
+    flags = ["--rho=0.1", "--alpha", "5", "--measure", "cosine", "--seed", "3"]
+    assert main(["pipeline", "--input", str(fixture_csv), "--out", str(out), *flags]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["partition"]["settings_fingerprint"] == {
+        "rho": 0.1, "alpha": 5.0, "measure": "cosine", "seed": 3, "resolution": 1.0,
+    }
+
+    assert main(["grid", "--input", str(fixture_csv), "--out", str(out), "--seed", "3"]) == 0
+    cells = json.loads((out / "grid_cells.json").read_text())
+    rhos = {"0": 0.0, "0p05": 0.05, "0p1": 0.1}
+    alphas = {"5": 5.0, "7": 7.0, "9": 9.0}
+    want = {
+        f"rho{r}_a{a}_{m}": {"rho": rho, "alpha": alpha, "measure": m, "seed": 3, "resolution": 1.0}
+        for r, rho in rhos.items() for a, alpha in alphas.items() for m in ("pearson", "cosine")
+    }
+    assert {label: cell["settings_fingerprint"] for label, cell in cells.items()} == want
+
+
 class TestStageCommands:
     def test_network_outputs(self, fixture_csv, tmp_path):
         out = tmp_path / "out"

@@ -17,13 +17,14 @@ from conftest import (
     traced_peak,
 )
 from epinet import community
+from epinet.analysis import reference_settings
+from epinet.cli import partition_summary
 from epinet.community import (
     Partition,
     brute_force_best,
     compare_partitions,
     louvain,
     modularity_of,
-    partition_summary,
     write_partition_csv,
 )
 from epinet.errors import (
@@ -344,7 +345,6 @@ class TestLouvain:
         b = louvain(net, seed=17)
         assert a.assignment == b.assignment
         assert a.modularity == b.modularity
-        assert a.settings_fingerprint == b.settings_fingerprint
 
     def test_stored_modularity_matches_recompute(self):
         for net in small_graph_suite().values():
@@ -529,10 +529,6 @@ class TestLouvain:
         with pytest.raises(InsufficientStructureError):
             louvain(make_net(3, [(0, 1, 0.5), (1, 2, -0.5)]))
 
-    def test_seed_recorded_in_fingerprint(self):
-        part = louvain(bridge_of_triangles(), seed=42)
-        assert part.settings_fingerprint["seed"] == 42
-
     def test_resolution_parameter(self):
         # high resolution splits the bridge graph further than gamma = 1
         net = bridge_of_triangles()
@@ -593,10 +589,9 @@ def test_partition_csv_and_summary():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "region,community"
     assert len(lines) == 7
-    payload = json.loads(json.dumps(partition_summary(part)))
+    payload = json.loads(json.dumps(partition_summary(part, reference_settings(), 0)))
     assert payload["community_sizes"] == [3, 3]
     assert payload["modularity"] == pytest.approx(5 / 14, rel=1e-8)
-    assert payload["settings_fingerprint"]["seed"] == 0
 
 
 def reference_write_partition_csv(net, part, stream):

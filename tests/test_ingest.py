@@ -15,8 +15,8 @@ from epinet import ingest
 from epinet.errors import (
     CsvFormatError,
     CsvParseError,
-    DateRangeError,
     DuplicateKeyError,
+    InsufficientDataError,
 )
 from epinet.ingest import (
     CaseSeries,
@@ -240,27 +240,28 @@ def test_panel_rejects_gap_in_dates():
 def test_select_regions_threshold_boundary():
     big = _mkseries("Big", [0, 50_000, 100_000])
     small = _mkseries("Small", [0, 50_000, 99_999])
-    kept = select_regions(_mkpanel(big, small), min_cumulative=100_000, as_of=date(2022, 5, 3))
+    kept = select_regions(_mkpanel(big, small), min_cumulative=100_000)
     assert [k.display for k in kept.keys] == ["Big"]
     assert kept.values.tolist() == [[0, 50_000, 100_000]]
 
 
 def test_select_regions_zero_threshold_keeps_all():
     panel = _mkpanel(_mkseries("A", [0, 1, 2]), _mkseries("B", [0, 0, 0]))
-    assert _same(select_regions(panel, min_cumulative=0, as_of=date(2022, 5, 3)), panel)
+    assert _same(select_regions(panel, min_cumulative=0), panel)
 
 
-def test_select_regions_clamps_future_as_of():
-    panel = _mkpanel(_mkseries("A", [0, 1, 200_000]))
-    with pytest.warns(UserWarning, match="clamping"):
-        kept = select_regions(panel, min_cumulative=100_000, as_of=date(2023, 1, 1))
-    assert _same(kept, panel)
+def test_select_regions_reads_the_last_day():
+    # a correction can take a region back below the threshold
+    corrected = _mkseries("Corrected", [0, 200_000, 50_000])
+    late = _mkseries("Late", [0, 1, 200_000])
+    kept = select_regions(_mkpanel(corrected, late), min_cumulative=100_000)
+    assert [k.display for k in kept.keys] == ["Late"]
 
 
 def test_select_regions_idempotent():
     panel = _mkpanel(_mkseries("A", [0, 1, 150_000]), _mkseries("B", [0, 1, 2]))
-    once = select_regions(panel, 100_000, date(2022, 5, 3))
-    twice = select_regions(once, 100_000, date(2022, 5, 3))
+    once = select_regions(panel, 100_000)
+    twice = select_regions(once, 100_000)
     assert _same(once, twice)
 
 
@@ -276,16 +277,33 @@ def test_restrict_inclusive_subrange():
     assert sub.dates == s.dates[2:5]
 
 
+@pytest.mark.parametrize("start, end, kept", [
+    (date(2022, 4, 1), date(2022, 5, 3), [0, 1, 2]),  # starts before the data
+    (date(2022, 5, 8), date(2023, 1, 1), [7, 8, 9]),  # ends after it
+    (date(2022, 4, 30), date(2022, 5, 1), [0]),
+    (date(2022, 5, 10), date(2022, 5, 11), [9]),
+    (date(2020, 1, 1), date(2030, 1, 1), list(range(10))),
+])
+def test_restrict_clamps_the_window_to_the_data(start, end, kept):
+    s = _mkseries("A", list(range(10)))
+    sub = restrict_date_range(_mkpanel(s), start, end)
+    assert sub.values.tolist() == [kept]
+    assert sub.dates == [s.dates[i] for i in kept]
+
+
 def test_restrict_start_after_end():
     s = _mkseries("A", list(range(10)))
-    with pytest.raises(DateRangeError):
+    with pytest.raises(InsufficientDataError, match="2022-05-05..2022-05-03"):
         restrict_date_range(_mkpanel(s), s.dates[4], s.dates[2])
 
 
 def test_restrict_outside_available_lists_bounds():
-    s = _mkseries("A", list(range(5)))
-    with pytest.raises(DateRangeError, match="2022-05-01"):
-        restrict_date_range(_mkpanel(s), date(2022, 4, 1), s.dates[-1])
+    # the data run from 2022-05-01 to 2022-05-05
+    panel = _mkpanel(_mkseries("A", list(range(5))))
+    for start, end in [(date(2022, 4, 1), date(2022, 4, 30)), (date(2022, 5, 6), date(2022, 6, 1))]:
+        with pytest.raises(InsufficientDataError) as raised:
+            restrict_date_range(panel, start, end)
+        assert str(raised.value) == f"no region overlaps the requested range {start}..{end}"
 
 
 def test_wide_round_trip():

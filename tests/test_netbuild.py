@@ -12,7 +12,6 @@ from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import (
     MIN_OVERLAP,
-    BuildSettings,
     CorrelationNetwork,
     SimilarityMeasure,
     build_network,
@@ -221,12 +220,12 @@ class TestBuildNetwork:
         if degenerate:
             rows[0] = 0.0  # undefined similarity under both measures
         exps = exp_panel({f"R{i}": row for i, row in enumerate(rows)})
-        base = build_network(exps, rho=-0.3, measure=measure, alpha=5.0)
+        base = build_network(exps, rho=-0.3, measure=measure)
         for r in (-0.3, -0.1, 0.0, 0.2, 0.5, 0.8, 1.0):
-            want = build_network(exps, rho=r, measure=measure, alpha=5.0)
+            want = build_network(exps, rho=r, measure=measure)
             got = base.above(r)
             assert got.nodes == want.nodes
-            assert got.build_settings == want.build_settings
+            assert got.rho == want.rho
             assert np.array_equal(got.src, want.src)
             assert np.array_equal(got.dst, want.dst)
             assert np.array_equal(got.weight, want.weight)
@@ -237,8 +236,8 @@ class TestBuildNetwork:
         rng = np.random.default_rng(5)
         exps = exp_panel({f"R{i}": rng.normal(size=30) for i in range(10)})
         base = build_network(exps, rho=-0.5)
-        same = base.above(base.build_settings.rho)
-        assert same.nodes == base.nodes and same.build_settings == base.build_settings
+        same = base.above(base.rho)
+        assert same.nodes == base.nodes and same.rho == base.rho
         fewer = base.above(0.2)
         assert 0 < len(fewer.weight) < len(base.weight)
         for name in ("src", "dst", "weight"):
@@ -380,7 +379,7 @@ def awkward_network(seed, n=len(AWKWARD_KEYS)):
         src=src,
         dst=dst,
         weight=weight,
-        build_settings=BuildSettings(rho=-1.0, alpha=7.0, measure=SimilarityMeasure.PEARSON),
+        rho=-1.0,
     )
 
 

@@ -6,7 +6,7 @@ planted grouping is recovered, and prints the robustness grid summary.
 Run:  python3 demos/planted_partition_demo.py
 """
 
-from epinet.analysis import GridSettings, align_labels, order_rows, reference_settings, run_grid
+from epinet.analysis import align_labels, order_rows, run_grid
 from epinet.community import Partition, compare_partitions, louvain
 from epinet.ingest import Panel
 from epinet.netbuild import build_network
@@ -33,8 +33,8 @@ def main():
     agreement, _ = compare_partitions(part, truth)
     print(f"pairwise agreement with the planted grouping: {agreement:.3f}")
 
-    cells = run_grid(cases, GridSettings())
-    matrix = order_rows(align_labels(cells, reference_settings()))
+    cells = run_grid(cases)
+    matrix = order_rows(align_labels(cells))
     consistent = sum(1 for row in matrix.cells if len(set(row)) == 1)
     print(f"robustness grid: {len(cells)} cells, "
           f"{consistent}/{len(matrix.rows)} regions consistent across all settings")

@@ -19,7 +19,6 @@ from .netbuild import CorrelationNetwork, SimilarityMeasure, build_network
 from .community import Partition, brute_force_best, compare_partitions, louvain, modularity_of
 from .analysis import (
     BuildSettings,
-    GridSettings,
     MembershipMatrix,
     PhaseTrajectory,
     align_labels,

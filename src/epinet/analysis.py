@@ -14,9 +14,9 @@ from itertools import product
 import numpy as np
 
 from .errors import (
-    AlignmentError,
     EpinetError,
     InsufficientDataError,
+    InsufficientStructureError,
     ParameterError,
 )
 from .ingest import Panel, RegionKey, csv_field, write_rows
@@ -24,9 +24,10 @@ from .netbuild import CorrelationNetwork, SimilarityMeasure, build_network
 from .community import Partition, louvain
 from .transform import clip_exponents, to_exponent_series
 
-DEFAULT_RHO_VALUES = (0.0, 0.05, 0.1)
-DEFAULT_ALPHA_VALUES = (5.0, 7.0, 9.0)
-DEFAULT_MEASURES = (SimilarityMeasure.PEARSON, SimilarityMeasure.COSINE)
+RHO_VALUES = (0.0, 0.05, 0.1)
+ALPHA_VALUES = (5.0, 7.0, 9.0)
+MEASURES = (SimilarityMeasure.PEARSON, SimilarityMeasure.COSINE)
+SAMPLES_PER_SEGMENT = 10  # B-spline samples per knot span
 
 
 @dataclass(frozen=True)
@@ -45,20 +46,10 @@ def _num(x: float) -> str:
     return format(x, "g").replace(".", "p").replace("-", "m")
 
 
-@dataclass
-class GridSettings:
-    rho_values: tuple = DEFAULT_RHO_VALUES
-    alpha_values: tuple = DEFAULT_ALPHA_VALUES
-    measures: tuple = DEFAULT_MEASURES
-    seed: int = 0
-
-    def cells(self) -> list[BuildSettings]:
-        # rho outermost, measure innermost: the (rho=0, alpha=7, pearson)
-        # reference lands in the third default position
-        return [
-            BuildSettings(rho=r, alpha=a, measure=SimilarityMeasure(m))
-            for r, a, m in product(self.rho_values, self.alpha_values, self.measures)
-        ]
+# The robustness grid, rho outermost and measure innermost, and the cell whose
+# labels every cell is aligned to: (rho 0, alpha 7, pearson), the third.
+GRID = tuple(BuildSettings(r, a, m) for r, a, m in product(RHO_VALUES, ALPHA_VALUES, MEASURES))
+REFERENCE = GRID[2]
 
 
 @dataclass
@@ -143,9 +134,9 @@ def run_cell(
     return cell
 
 
-def run_grid(cases: Panel, grid: GridSettings) -> list[GridCell]:
-    """Run every setting combination; per-cell failures are recorded, not
-    raised, and the cells come back in grid order.
+def run_grid(cases: Panel, seed: int = 0) -> list[GridCell]:
+    """Run every cell of GRID at ``seed``; per-cell failures are recorded,
+    not raised, and the cells come back in GRID order.
 
     Each cell equals ``run_cell`` on its settings, error strings included,
     but the transform runs once, unclipped, and the network is built once
@@ -155,7 +146,7 @@ def run_grid(cases: Panel, grid: GridSettings) -> list[GridCell]:
     such network is alive at a time.  Once the transform has run, this
     function holds no reference to ``cases``.
     """
-    cells = [GridCell(settings=s) for s in grid.cells()]
+    cells = [GridCell(settings=s) for s in GRID]
     try:
         unclipped = to_exponent_series(cases, alpha=math.inf)
     except EpinetError as exc:
@@ -163,22 +154,19 @@ def run_grid(cases: Panel, grid: GridSettings) -> list[GridCell]:
             cell.error = _error(exc)
         return cells
     del cases  # frees the panel here if the caller holds no reference to it
-    base_rho = min((r for r in grid.rho_values if not math.isnan(r)), default=math.nan)
-    groups: dict[tuple, list[GridCell]] = {}
-    for cell in cells:
-        groups.setdefault((cell.settings.alpha, cell.settings.measure), []).append(cell)
-    for (alpha, measure), group in groups.items():
-        _run_group(unclipped, alpha, measure, base_rho, group, grid.seed)
+    for alpha, measure in product(ALPHA_VALUES, MEASURES):
+        group = [c for c in cells if (c.settings.alpha, c.settings.measure) == (alpha, measure)]
+        _run_group(unclipped, alpha, measure, group, seed)
     return cells
 
 
-def _run_group(unclipped: Panel, alpha: float, measure: SimilarityMeasure, base_rho: float,
+def _run_group(unclipped: Panel, alpha: float, measure: SimilarityMeasure,
                group: list[GridCell], seed: int) -> None:
-    """Fill the cells of one (alpha, measure) from one network built at
-    ``base_rho``; the clipped panel is freed before Louvain runs, and the
+    """Fill the cells of one (alpha, measure) from one network built at the
+    smallest rho; the clipped panel is freed before Louvain runs, and the
     network when this returns."""
     try:
-        base = build_network(clip_exponents(unclipped, alpha), rho=base_rho, measure=measure)
+        base = build_network(clip_exponents(unclipped, alpha), rho=min(RHO_VALUES), measure=measure)
     except EpinetError as exc:
         for cell in group:
             cell.error = _error(exc)
@@ -190,11 +178,6 @@ def _run_group(unclipped: Panel, alpha: float, measure: SimilarityMeasure, base_
             cell.error = _error(exc)
 
 
-def reference_settings() -> BuildSettings:
-    """The cell every grid run's labels are aligned to."""
-    return BuildSettings(rho=0.0, alpha=7.0, measure=SimilarityMeasure.PEARSON)
-
-
 def _rows_and_labels(cell: GridCell, row_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The matrix row and the community label of each node of the cell's
     partition; ``row_of`` maps the ``id`` of a region key to its row."""
@@ -203,20 +186,17 @@ def _rows_and_labels(cell: GridCell, row_of: dict[int, int]) -> tuple[np.ndarray
     return np.array(rows, dtype=np.intp), np.fromiter(assignment.values(), np.intp, len(rows))
 
 
-def align_labels(
-    results: list[GridCell],
-    reference: BuildSettings,
-) -> MembershipMatrix:
-    """Map every run's communities onto the reference run's labels 1..k.
+def align_labels(results: list[GridCell]) -> MembershipMatrix:
+    """Map every run's communities onto the labels 1..k of the REFERENCE
+    cell's run; without a partition of that cell, raise
+    InsufficientStructureError.
 
     Greedy maximal-Jaccard matching; each reference label is used at most
     once per run, leftover communities get fresh labels k+1, k+2, ...
     """
-    ref_cell = next((c for c in results if c.settings == reference), None)
-    if ref_cell is None:
-        raise AlignmentError(f"reference settings {reference} not present in results")
-    if ref_cell.error is not None or ref_cell.partition is None:
-        raise AlignmentError(f"reference cell failed: {ref_cell.error}")
+    ref_cell = next((c for c in results if c.settings == REFERENCE), GridCell(REFERENCE))
+    if ref_cell.partition is None:
+        raise InsufficientStructureError(f"reference grid cell failed: {ref_cell.error}")
 
     # Cells of one grid share their key objects: hash each object once, then
     # work on matrix rows.
@@ -297,18 +277,16 @@ def order_rows(matrix: MembershipMatrix) -> MembershipMatrix:
     )
 
 
-def build_trajectory(
-    dates: list[date], median1, median2, median3, samples_per_segment: int = 10
-) -> PhaseTrajectory:
+def build_trajectory(dates: list[date], median1, median2, median3) -> PhaseTrajectory:
     """Raw 3D points of the three community medians (curves over ``dates``),
     plus the smoothed B-spline sample curve."""
     points = np.column_stack([median1, median2, median3]).astype(float)
-    smoothed = bspline_smooth(points, samples_per_segment=samples_per_segment)
-    return PhaseTrajectory(dates=list(dates), points=points, smoothed=smoothed)
+    return PhaseTrajectory(dates=list(dates), points=points, smoothed=bspline_smooth(points))
 
 
-def bspline_smooth(points, samples_per_segment: int = 10) -> np.ndarray:
-    """Clamped uniform cubic B-spline through the control polygon.
+def bspline_smooth(points) -> np.ndarray:
+    """Clamped uniform cubic B-spline through the control polygon, sampled
+    SAMPLES_PER_SEGMENT times per knot span.
 
     The input points are the control points (the curve approximates the
     interior ones); the first and last output samples equal the first and
@@ -318,14 +296,12 @@ def bspline_smooth(points, samples_per_segment: int = 10) -> np.ndarray:
     n = len(ctrl)
     if n < 2:
         raise InsufficientDataError(f"need >= 2 points to smooth, got {n}")
-    if samples_per_segment < 1:
-        raise ParameterError("samples_per_segment must be positive")
     degree = min(3, n - 1)
     n_spans = n - degree
     knots = np.concatenate(
         [np.zeros(degree + 1), np.arange(1, n_spans), np.full(degree + 1, n_spans)]
     ).astype(float)
-    total = n_spans * samples_per_segment
+    total = n_spans * SAMPLES_PER_SEGMENT
     x = n_spans * np.arange(total + 1) / total
     # knot span index: largest j with knots[j] <= x, within [degree, n-1]
     span = np.clip(np.searchsorted(knots, x, side="right") - 1, degree, n - 1)

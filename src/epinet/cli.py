@@ -301,19 +301,14 @@ def partition_summary(part: community.Partition, settings: analysis.BuildSetting
 def cmd_grid(config: RunConfig) -> tuple[dict, dict]:
     """robustness grid over rho x alpha x similarity measure"""
     # no reference to the cases here: run_grid frees them after its transform
-    cells = analysis.run_grid(load_cases(config), analysis.GridSettings(seed=config.seed))
-    reference = analysis.reference_settings()
-    ref_cell = next(c for c in cells if c.settings == reference)
-    if ref_cell.partition is None:
-        raise InsufficientStructureError(f"reference grid cell failed: {ref_cell.error}")
-
+    cells = analysis.run_grid(load_cases(config), config.seed)
     errors = {c.settings.label(): c.error for c in cells if c.error is not None}
     summaries = {
         c.settings.label(): partition_summary(c.partition, c.settings, config.seed)
         for c in cells
         if c.partition is not None
     }
-    matrix = analysis.order_rows(analysis.align_labels(cells, reference))
+    matrix = analysis.order_rows(analysis.align_labels(cells))
     files = {
         "grid_errors.json": _json(errors),
         "grid_cells.json": _json(summaries),

@@ -48,7 +48,3 @@ class CoverageError(EpinetError):
 
 class ComparisonError(EpinetError):
     """Two partitions share no nodes, so they cannot be compared."""
-
-
-class AlignmentError(EpinetError):
-    """The reference cell of a grid run is unavailable for label alignment."""

@@ -156,22 +156,19 @@ def _header_dates(cells: list[str]) -> list[date]:
     return dates
 
 
-def _lines(data: bytes | str, start: int = 0):
-    """The lines of ``data[start:]`` as io.StringIO yields the lines of its
-    text: each with its newline, and no empty last line."""
-    newline = b"\n" if isinstance(data, bytes) else "\n"
+def _lines(data: bytes, start: int = 0):
+    """The lines of ``data[start:]`` as io.BytesIO yields them: each with its
+    newline, and no empty last line."""
     while start < len(data):
-        end = data.find(newline, start) + 1 or len(data)
+        end = data.find(b"\n", start) + 1 or len(data)
         yield data[start:end]
         start = end
 
 
-def _text_lines(data: bytes | str, start: int):
-    """The lines of ``data[start:]`` as text; bytes are decoded one line at a
-    time, so no copy of the whole input is made.  UTF-8 never encodes a
-    character with a newline byte, so each line decodes on its own."""
-    if isinstance(data, str):
-        return _lines(data, start)
+def _text_lines(data: bytes, start: int):
+    """The lines of ``data[start:]`` as text, decoded one line at a time, so
+    no copy of the whole input is made.  UTF-8 never encodes a character with
+    a newline byte, so each line decodes on its own."""
     return map(bytes.decode, _lines(data, start))
 
 
@@ -306,9 +303,9 @@ def _checked_rows(records, width: int) -> tuple[list[RegionKey], np.ndarray]:
     return keys, np.array(rows, dtype=np.float64).reshape(len(rows), width - 4)
 
 
-def parse_cases_csv(data: bytes | str) -> Panel:
-    """Parse a wide-format cumulative case CSV into a panel, one row per
-    data row.
+def parse_cases_csv(data: bytes) -> Panel:
+    """Parse the bytes of a wide-format cumulative case CSV, UTF-8 with or
+    without a BOM, into a panel, one row per data row.
 
     Header dates may be M/D/YY (the upstream feed) or ISO YYYY-MM-DD
     (synthetic fixtures) and must be consecutive days.  Lat/Long are ignored.
@@ -316,10 +313,8 @@ def parse_cases_csv(data: bytes | str) -> Panel:
     header, CsvParseError (with coordinates) for a bad cell or a count past
     +-MAX_COUNT, and DuplicateKeyError when two rows key the same region.
     """
-    start = 0
-    if isinstance(data, bytes):
-        start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-        _check_utf8(data, start)
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    _check_utf8(data, start)
     reader = csv.reader(_text_lines(data, start))
     records = _records(reader)
     try:

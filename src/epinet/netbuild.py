@@ -18,6 +18,10 @@ from .errors import InsufficientDataError, ParameterError
 from .ingest import Panel, RegionKey, csv_field, write_rows
 
 MIN_OVERLAP = 2  # fewer days than this -> undefined similarity
+# The largest all-pairs similarity matrix build_network allocates: 2 GiB of
+# float64, or 16,384 regions.  A larger one raises ParameterError rather than
+# risk a MemoryError, which the CLI's exit codes do not cover.
+MAX_MATRIX_BYTES = 2**31
 
 
 class SimilarityMeasure(str, Enum):
@@ -138,12 +142,19 @@ def build_network(
     An edge exists iff the similarity of the two rows is defined and strictly
     greater than rho.  Regions with no surviving edge are omitted from the
     node list; node order is row order restricted to survivors.  A NaN rho
-    raises ``ParameterError``.
+    raises ``ParameterError``, and so does a panel whose similarity matrix
+    would take more than MAX_MATRIX_BYTES.
     """
     measure = SimilarityMeasure(measure)
-    if len(exps) < 2:
-        raise InsufficientDataError(f"need >= 2 series to build a network, got {len(exps)}")
+    n = len(exps)
+    if n < 2:
+        raise InsufficientDataError(f"need >= 2 series to build a network, got {n}")
     _check_rho(rho)
+    if n * n * 8 > MAX_MATRIX_BYTES:
+        raise ParameterError(
+            f"{n} regions need a {n * n * 8}-byte similarity matrix, above the limit of "
+            f"{MAX_MATRIX_BYTES} bytes; raise --min-cases to select fewer regions"
+        )
 
     sims = _matrix_similarity(exps.values, measure)
     # the kept pairs above the diagonal, row-major; NaN (undefined) is never kept

@@ -16,14 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import small_graph_suite
-from epinet.analysis import (
-    GridSettings,
-    align_labels,
-    bspline_smooth,
-    order_rows,
-    reference_settings,
-    run_grid,
-)
+from epinet.analysis import align_labels, bspline_smooth, order_rows, run_grid
 from epinet.community import Partition, brute_force_best, compare_partitions, louvain
 from epinet.ingest import (
     CaseSeries,
@@ -139,7 +132,7 @@ def test_criterion_3_modularity_oracle():
 def test_criterion_4_planted_recovery(planted):
     t0 = time.monotonic()
     cases, labels = planted
-    cells = run_grid(cases, GridSettings())
+    cells = run_grid(cases)
     assert len(cells) == 18
     for cell in cells:
         assert cell.error is None, cell.error
@@ -226,8 +219,8 @@ def test_criterion_6_grid_consistency(planted, tmp_path):
     fixture = tmp_path / "cases.csv"
     fixture.write_text(to_wide_csv(cases))
 
-    cells = run_grid(cases, GridSettings())
-    matrix = order_rows(align_labels(cells, reference_settings()))
+    cells = run_grid(cases)
+    matrix = order_rows(align_labels(cells))
     for row in matrix.cells:
         assert len(set(row)) == 1  # identical aligned label in all 18 columns
 

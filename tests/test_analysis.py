@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from datetime import date, timedelta
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -11,9 +12,13 @@ import pytest
 
 from epinet import analysis
 from epinet.analysis import (
+    ALPHA_VALUES,
+    GRID,
+    MEASURES,
+    REFERENCE,
+    RHO_VALUES,
     BuildSettings,
     GridCell,
-    GridSettings,
     MembershipMatrix,
     align_labels,
     bspline_smooth,
@@ -21,7 +26,6 @@ from epinet.analysis import (
     detect_peaks,
     median_curve,
     order_rows,
-    reference_settings,
     run_cell,
     run_grid,
     write_medians_csv,
@@ -31,7 +35,7 @@ from epinet.analysis import (
     write_trajectory_csv,
 )
 from epinet.community import Partition, compare_partitions, louvain
-from epinet.errors import AlignmentError, InsufficientDataError, ParameterError
+from epinet.errors import InsufficientDataError, InsufficientStructureError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.netbuild import SimilarityMeasure, fmt9
 from test_netbuild import AWKWARD_KEYS
@@ -175,24 +179,37 @@ class TestDetectPeaks:
 
 class TestRunGrid:
     def test_default_grid_has_18_cells(self):
-        assert len(GridSettings().cells()) == 18
+        assert len(GRID) == 18
 
     def test_reference_is_third_cell(self):
-        cells = GridSettings().cells()
-        assert cells[2] == reference_settings()
+        assert GRID[2] == REFERENCE == BuildSettings(0.0, 7.0, SimilarityMeasure.PEARSON)
 
-    def test_degenerate_grid_equals_direct_run(self, planted):
-        cases, _ = planted
-        grid = GridSettings(rho_values=(0.0,), alpha_values=(7.0,),
-                            measures=(SimilarityMeasure.PEARSON,))
-        cells = run_grid(cases, grid)
-        assert len(cells) == 1
-        direct = run_cell(cases, reference_settings(), seed=0)
-        assert cells[0].partition.assignment == direct.partition.assignment
+    def test_one_network_per_alpha_and_measure(self, planted):
+        """run_grid clips and builds once per (alpha, measure), at the
+        smallest rho, in product(ALPHA_VALUES, MEASURES) order."""
+        calls = []
+        clip, build = analysis.clip_exponents, analysis.build_network
+
+        def clip_spy(panel, alpha):
+            calls.append(("clip", alpha))
+            return clip(panel, alpha)
+
+        def build_spy(exps, rho, measure):
+            calls.append(("build", rho, measure))
+            return build(exps, rho=rho, measure=measure)
+
+        with mock.patch.object(analysis, "clip_exponents", clip_spy), \
+                mock.patch.object(analysis, "build_network", build_spy):
+            cells = run_grid(planted[0])
+        assert all(c.error is None for c in cells)
+        assert calls == [
+            step for alpha, measure in product(ALPHA_VALUES, MEASURES)
+            for step in (("clip", alpha), ("build", min(RHO_VALUES), measure))
+        ]
 
     def test_planted_recovery_all_cells(self, planted):
         cases, labels = planted
-        cells = run_grid(cases, GridSettings())
+        cells = run_grid(cases)
         assert len(cells) == 18
         for cell in cells:
             assert cell.error is None, cell.error
@@ -208,7 +225,7 @@ class TestRunGrid:
         network at a time, and its cells keep nodes and partitions only."""
         tracemalloc.start()
         try:
-            cells = run_grid(cases_300, GridSettings())
+            cells = run_grid(cases_300)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -218,29 +235,19 @@ class TestRunGrid:
         assert held <= 0.25 * panel_bytes, held / panel_bytes
 
     def test_cell_error_recorded_not_raised(self):
-        cells = run_grid(anti_correlated_pair(), GridSettings())
+        cells = run_grid(anti_correlated_pair())
         assert all(c.error is not None for c in cells)
 
-    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated", "bad_alpha", "short"])
+    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated", "short"])
     def test_shared_grid_equals_cell_by_cell(self, planted, fixture):
+        seed = 4
         if fixture == "planted":
             cases = planted[0]
-            # unsorted, with a repeated rho and alpha and a NaN rho that fails
-            grid = GridSettings(
-                rho_values=(0.1, 0.0, float("nan"), 0.1, -0.05),
-                alpha_values=(9.0, 5.0, 9.0),
-                measures=(SimilarityMeasure.COSINE, SimilarityMeasure.PEARSON),
-                seed=4,
-            )
-        elif fixture == "bad_alpha":
-            cases = planted[0]
-            grid = GridSettings(alpha_values=(0.0, 7.0, float("nan"), -1.0, float("inf")))
         elif fixture == "short":  # too few days for one exponent
             cases = Panel(keys=planted[0].keys, start=planted[0].start,
                           values=planted[0].values[:, :8])
-            grid = GridSettings()
         else:
-            cases, grid = anti_correlated_pair(), GridSettings()
+            cases = anti_correlated_pair()
         networks = []  # every network passed to louvain, in call order
 
         def spy(net, seed):
@@ -248,14 +255,14 @@ class TestRunGrid:
             return louvain(net, seed=seed)
 
         with mock.patch.object(analysis, "louvain", spy):
-            shared = run_grid(cases, grid)
+            shared = run_grid(cases, seed)
             assert len(networks) == sum(c.nodes is not None for c in shared)
             # a cell's nodes are those of the network its partition came from
             shared_networks = {id(net.nodes): net for net in networks}
-            assert [c.settings.label() for c in shared] == [s.label() for s in grid.cells()]
-            for cell, settings in zip(shared, grid.cells()):
+            assert [c.settings for c in shared] == list(GRID)
+            for cell, settings in zip(shared, GRID):
                 networks.clear()
-                alone = run_cell(cases, settings, seed=grid.seed)
+                alone = run_cell(cases, settings, seed=seed)
                 assert cell.error == alone.error
                 assert cell.nodes == alone.nodes
                 net = shared_networks.get(id(cell.nodes))
@@ -270,10 +277,7 @@ class TestRunGrid:
                     assert cell.partition.assignment == alone.partition.assignment
                     assert cell.partition.modularity == alone.partition.modularity
         if fixture == "planted":
-            assert sum(c.error is not None for c in shared) == 6  # the NaN rho cells
-        elif fixture == "bad_alpha":
-            assert sum(c.error is not None for c in shared) == 18
-            assert sum(c.error is None for c in shared) == 12
+            assert all(c.error is None for c in shared)
         else:
             assert all(c.error is not None for c in shared)
 
@@ -297,21 +301,21 @@ def _cell(settings, nodes, assignment):
     return GridCell(settings=settings, nodes=[RegionKey(country=n) for n in nodes], partition=part)
 
 
-REF = reference_settings()
+REF = REFERENCE
 OTHER = BuildSettings(rho=0.05, alpha=7.0, measure=SimilarityMeasure.PEARSON)
 
 
 class TestAlignLabels:
     def test_reference_identity(self):
         cell = _cell(REF, ["a", "b", "c", "d"], {0: 0, 1: 0, 2: 0, 3: 1})
-        matrix = align_labels([cell], REF)
+        matrix = align_labels([cell])
         labels = {r.display: row[0] for r, row in zip(matrix.rows, matrix.cells)}
         assert labels == {"a": 1, "b": 1, "c": 1, "d": 2}
 
     def test_permuted_labels_align(self):
         ref = _cell(REF, ["a", "b", "c", "d"], {0: 0, 1: 0, 2: 0, 3: 1})
         other = _cell(OTHER, ["a", "b", "c", "d"], {0: 1, 1: 1, 2: 1, 3: 0})
-        matrix = align_labels([ref, other], REF)
+        matrix = align_labels([ref, other])
         for row in matrix.cells:
             assert row[0] == row[1]
 
@@ -322,7 +326,7 @@ class TestAlignLabels:
         other = _cell(
             OTHER, nodes, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3}
         )
-        matrix = align_labels([ref, other], REF)
+        matrix = align_labels([ref, other])
         by_name = {r.display: row for r, row in zip(matrix.rows, matrix.cells)}
         assert by_name["g"][1] == 3 and by_name["h"][1] == 3
         assert by_name["i"][1] == 4  # smaller shard gets a fresh label
@@ -330,19 +334,19 @@ class TestAlignLabels:
     def test_absent_region_blank(self):
         ref = _cell(REF, ["a", "b"], {0: 0, 1: 0})
         other = _cell(OTHER, ["a"], {0: 0})
-        matrix = align_labels([ref, other], REF)
+        matrix = align_labels([ref, other])
         by_name = {r.display: row for r, row in zip(matrix.rows, matrix.cells)}
         assert by_name["b"][1] is None
 
     def test_missing_reference_raises(self):
         cell = _cell(OTHER, ["a", "b"], {0: 0, 1: 0})
-        with pytest.raises(AlignmentError):
-            align_labels([cell], REF)
+        with pytest.raises(InsufficientStructureError, match="^reference grid cell failed: None$"):
+            align_labels([cell])
 
     def test_errored_reference_raises(self):
         bad = GridCell(settings=REF, error="boom")
-        with pytest.raises(AlignmentError):
-            align_labels([bad], REF)
+        with pytest.raises(InsufficientStructureError, match="^reference grid cell failed: boom$"):
+            align_labels([bad, _cell(OTHER, ["a", "b"], {0: 0, 1: 0})])
 
 
 def reference_align(results, reference):
@@ -409,7 +413,7 @@ def test_align_and_order_equal_set_and_sort_key_references():
             if s != REF and rng.random() < 0.1:
                 cell.partition = None
             results.append(cell)
-        matrix = align_labels(results, REF)
+        matrix = align_labels(results)
         assert (matrix.rows, matrix.cells) == reference_align(results, REF)
         ordered = order_rows(matrix)
         assert (ordered.rows, ordered.cells) == reference_order(matrix)
@@ -418,12 +422,12 @@ def test_align_and_order_equal_set_and_sort_key_references():
 class TestOrderRows:
     def test_alphabetical_on_uniform_labels(self):
         cell = _cell(REF, ["zeta", "alpha", "mid"], {0: 0, 1: 0, 2: 0})
-        matrix = order_rows(align_labels([cell], REF))
+        matrix = order_rows(align_labels([cell]))
         assert [r.display for r in matrix.rows] == ["alpha", "mid", "zeta"]
 
     def test_majority_label_primary_key(self):
         cell = _cell(REF, ["x", "y", "z"], {0: 1, 1: 0, 2: 2})
-        matrix = order_rows(align_labels([cell], REF))
+        matrix = order_rows(align_labels([cell]))
         labels = [row[0] for row in matrix.cells]
         assert labels == sorted(labels)
 
@@ -432,8 +436,8 @@ class TestOrderRows:
             _cell(REF, list("abcdef"), {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}),
             _cell(OTHER, list("abcdef"), {0: 0, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2}),
         ]
-        out1 = order_rows(align_labels(cells, REF))
-        out2 = order_rows(align_labels(cells, REF))
+        out1 = order_rows(align_labels(cells))
+        out2 = order_rows(align_labels(cells))
         assert out1 == out2
 
 
@@ -461,7 +465,7 @@ class TestBSpline:
 
     def test_two_points_straight_segment(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-        out = bspline_smooth(pts, samples_per_segment=4)
+        out = bspline_smooth(pts)
         assert np.array_equal(out[0], pts[0])
         assert np.array_equal(out[-1], pts[1])
         for p in out:
@@ -479,7 +483,7 @@ class TestBSpline:
 
     def test_convex_hull_containment_square(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-        out = bspline_smooth(pts, samples_per_segment=25)
+        out = bspline_smooth(pts)
         assert np.all(out[:, 0] >= -1e-9) and np.all(out[:, 0] <= 1 + 1e-9)
         assert np.all(out[:, 1] >= -1e-9) and np.all(out[:, 1] <= 1 + 1e-9)
         assert np.all(np.abs(out[:, 2]) <= 1e-9)
@@ -495,7 +499,7 @@ class TestBSpline:
 
     def test_sample_count(self):
         pts = np.linspace(0, 1, 8)[:, None] * np.ones(3)
-        out = bspline_smooth(pts, samples_per_segment=10)
+        out = bspline_smooth(pts)
         assert len(out) == (8 - 3) * 10 + 1
 
     def test_too_few_points(self):
@@ -504,9 +508,11 @@ class TestBSpline:
 
     @pytest.mark.parametrize("n", list(range(2, 12)) + [100, 851])
     @pytest.mark.parametrize("samples", [1, 3, 10])
-    def test_equals_per_sample_de_boor(self, n, samples):
+    def test_equals_per_sample_de_boor(self, n, samples, monkeypatch):
+        # 1 sample per span puts every sample on a knot
+        monkeypatch.setattr(analysis, "SAMPLES_PER_SEGMENT", samples)
         pts = np.random.default_rng(n).normal(size=(n, 3))
-        assert np.array_equal(bspline_smooth(pts, samples), reference_bspline(pts, samples))
+        assert np.array_equal(bspline_smooth(pts), reference_bspline(pts, samples))
 
 
 def reference_bspline(ctrl, samples_per_segment):
@@ -539,7 +545,7 @@ def test_membership_csv_layout():
         _cell(REF, ["a", "b"], {0: 0, 1: 1}),
         _cell(OTHER, ["a"], {0: 0}),
     ]
-    matrix = order_rows(align_labels(cells, REF))
+    matrix = order_rows(align_labels(cells))
     buf = io.StringIO()
     write_membership_csv(matrix, buf)
     lines = buf.getvalue().splitlines()
@@ -567,7 +573,7 @@ def reference_write_peaks_csv(peaks_by_community, stream):
 @pytest.mark.parametrize("seed", range(3))
 def test_membership_csv_equals_reference_bytes(seed):
     rng = np.random.default_rng(seed)
-    columns = [s.label() for s in GridSettings().cells()]
+    columns = [s.label() for s in GRID]
     cells = [
         [None if rng.random() < 0.2 else int(rng.integers(1, 6)) for _ in columns]
         for _ in AWKWARD_KEYS

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epinet
-from epinet import analysis, ingest, transform
+from epinet import analysis, ingest, netbuild, transform
 from epinet.cli import OUTPUT_FILES, SETTINGS, RunConfig, build_parser, load_cases, main
 from epinet.errors import InsufficientDataError
 from epinet.ingest import CaseSeries, Panel, RegionKey, to_wide_csv
@@ -25,23 +25,31 @@ from epinet.netbuild import fmt9
 from epinet.synthetic import make_planted_cases
 
 
-@pytest.fixture(scope="module")
-def fixture_csv(tmp_path_factory):
+def planted_text():
     cases, _ = make_planted_cases()
-    path = tmp_path_factory.mktemp("data") / "cases.csv"
-    path.write_text(to_wide_csv(Panel.from_series(cases)))
-    return path
+    return to_wide_csv(Panel.from_series(cases))
 
 
-@pytest.fixture(scope="module")
-def awkward_csv(tmp_path_factory):
+def awkward_text():
     """The planted fixture with region names that CSV and XML must quote."""
     cases, _ = make_planted_cases()
     names = ["A&B", "<x>", 'Say "hi"', "Korea, South", "Ελλάδα", "a&amp;b", "100% %s %d"]
     for i, name in enumerate(names):
         cases[i].key = RegionKey(country=name, province="Réunion" if i % 2 else None)
+    return to_wide_csv(Panel.from_series(cases))
+
+
+@pytest.fixture(scope="module")
+def fixture_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "cases.csv"
+    path.write_text(planted_text(), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def awkward_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "awkward.csv"
-    path.write_text(to_wide_csv(Panel.from_series(cases)))
+    path.write_text(awkward_text(), encoding="utf-8")
     return path
 
 
@@ -413,6 +421,71 @@ class TestGrid:
         payload = json.loads(captured.out)
         assert payload["error"] == "InsufficientStructureError"
         assert "reference grid cell failed" in payload["message"]
+
+
+# grid's outputs on each fixture, pinned: tests/golden/<fixture>/<file>
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INPUTS = {"fixture_csv": planted_text, "awkward_csv": awkward_text}
+GOLDEN_FILES = ("membership_matrix.csv", "grid_cells.json")
+
+
+def regenerate_grid_golden():
+    """Rewrite the pinned files from the current code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for fixture, text in GOLDEN_INPUTS.items():
+            path, out = Path(tmp) / "cases.csv", Path(tmp) / fixture
+            path.write_text(text(), encoding="utf-8")
+            assert main(["grid", "--input", str(path), "--out", str(out)]) == 0
+            (GOLDEN / fixture).mkdir(parents=True, exist_ok=True)
+            for name in GOLDEN_FILES:
+                (GOLDEN / fixture / name).write_bytes((out / name).read_bytes())
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_INPUTS))
+def test_grid_outputs_equal_the_pinned_files(fixture, request, tmp_path):
+    """The membership matrix byte for byte; in grid_cells.json the sizes and
+    fingerprints exactly, and each modularity to a relative 1e-9, since BLAS
+    builds differ in the last bits.  After a change meant to alter them,
+    regenerate the files with
+
+        PYTHONPATH=src:tests python -c "import test_cli; test_cli.regenerate_grid_golden()"
+    """
+    out = tmp_path / "out"
+    assert main(["grid", "--input", str(request.getfixturevalue(fixture)), "--out", str(out)]) == 0
+    golden = GOLDEN / fixture
+    name = "membership_matrix.csv"
+    assert (out / name).read_bytes() == (golden / name).read_bytes()
+    got = json.loads((out / "grid_cells.json").read_bytes())
+    want = json.loads((golden / "grid_cells.json").read_bytes())
+    assert got.keys() == want.keys()
+    for label in want:
+        got_q, want_q = got[label].pop("modularity"), want[label].pop("modularity")
+        assert got_q == pytest.approx(want_q, rel=1e-9, abs=0), label
+    assert got == want
+
+
+@pytest.mark.parametrize("command, code", [("pipeline", 2), ("network", 2), ("grid", 3)])
+def test_matrix_past_the_size_limit_exits_with_one_error_line(
+    fixture_csv, tmp_path, capsys, monkeypatch, command, code
+):
+    """A selection whose similarity matrix would take more than
+    MAX_MATRIX_BYTES stops before the matrix is allocated; in grid it fails
+    the reference cell."""
+    monkeypatch.setattr(netbuild, "MAX_MATRIX_BYTES", 29 * 29 * 8)
+    out = tmp_path / "out"
+    assert main([command, "--input", str(fixture_csv), "--out", str(out)]) == code
+    payload = json.loads(capsys.readouterr().out)  # one line, or this raises
+    message = (
+        "30 regions need a 7200-byte similarity matrix, above the limit of 6728 bytes; "
+        "raise --min-cases to select fewer regions"
+    )
+    if command == "grid":
+        message = f"reference grid cell failed: ParameterError: {message}"
+    assert payload == {
+        "error": "ParameterError" if code == 2 else "InsufficientStructureError",
+        "message": message,
+    }
+    assert not out.exists()
 
 
 def test_fingerprints_record_each_partitions_settings(fixture_csv, tmp_path):

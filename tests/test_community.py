@@ -17,7 +17,7 @@ from conftest import (
     traced_peak,
 )
 from epinet import community
-from epinet.analysis import reference_settings
+from epinet.analysis import REFERENCE
 from epinet.cli import partition_summary
 from epinet.community import (
     Partition,
@@ -589,7 +589,7 @@ def test_partition_csv_and_summary():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "region,community"
     assert len(lines) == 7
-    payload = json.loads(json.dumps(partition_summary(part, reference_settings(), 0)))
+    payload = json.loads(json.dumps(partition_summary(part, REFERENCE, 0)))
     assert payload["community_sizes"] == [3, 3]
     assert payload["modularity"] == pytest.approx(5 / 14, rel=1e-8)
 

@@ -37,7 +37,7 @@ HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/24/20"
 
 def test_parse_basic_row():
     csv = HEADER + "\n,Albania,41.15,20.17,0,0,1\n"
-    panel = parse_cases_csv(csv)
+    panel = parse_cases_csv(csv.encode())
     assert len(panel) == 1
     assert panel.keys[0].display == "Albania"
     assert panel.values.tolist() == [[0, 0, 1]]
@@ -46,11 +46,11 @@ def test_parse_basic_row():
 
 def test_parse_province_display():
     csv = HEADER + '\n"New South Wales",Australia,-33.87,151.2,1,2,3\n'
-    assert parse_cases_csv(csv).keys[0].display == "Australia: New South Wales"
+    assert parse_cases_csv(csv.encode()).keys[0].display == "Australia: New South Wales"
 
 
 def test_parse_header_only():
-    panel = parse_cases_csv(HEADER + "\n")
+    panel = parse_cases_csv((HEADER + "\n").encode())
     assert len(panel) == 0
     assert panel.values.shape == (0, 3)
 
@@ -81,7 +81,7 @@ def test_parse_holds_little_more_than_the_text_and_the_counts():
 
 def test_parse_iso_header_dates():
     csv = "Province/State,Country/Region,Lat,Long,2021-03-01,2021-03-02\n,X,0,0,5,6\n"
-    assert parse_cases_csv(csv).start == date(2021, 3, 1)
+    assert parse_cases_csv(csv.encode()).start == date(2021, 3, 1)
 
 
 def test_parse_accepts_bytes_with_bom():
@@ -99,17 +99,17 @@ def test_undecodable_byte_named_by_its_file_offset(bom):
 
 def test_parse_bad_header_column():
     with pytest.raises(CsvFormatError, match="Country/Region"):
-        parse_cases_csv("Province/State,Country,Lat,Long,1/22/20\n")
+        parse_cases_csv(b"Province/State,Country,Lat,Long,1/22/20\n")
 
 
 def test_parse_bad_header_date():
     with pytest.raises(CsvFormatError, match="not-a-date"):
-        parse_cases_csv("Province/State,Country/Region,Lat,Long,not-a-date\n")
+        parse_cases_csv(b"Province/State,Country/Region,Lat,Long,not-a-date\n")
 
 
 def test_parse_header_date_gap_names_column():
     with pytest.raises(CsvFormatError, match="column 7"):
-        parse_cases_csv("Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/25/20\n")
+        parse_cases_csv(b"Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/25/20\n")
 
 
 def parsed_header(cells):
@@ -117,7 +117,7 @@ def parsed_header(cells):
     text = ",".join(["Province/State,Country/Region,Lat,Long", *cells])
     text += "\n,X,0,0," + ",".join(["1"] * len(cells)) + "\n"
     try:
-        return parse_cases_csv(text).dates
+        return parse_cases_csv(text.encode()).dates
     except CsvFormatError as exc:
         return str(exc)
 
@@ -182,7 +182,7 @@ def test_consecutive_header_parses_first_cell_only(cells):
 def test_parse_non_numeric_cell_coordinates():
     csv = HEADER + "\n,Albania,0,0,1,oops,3\n"
     with pytest.raises(CsvParseError) as err:
-        parse_cases_csv(csv)
+        parse_cases_csv(csv.encode())
     assert err.value.row == 2
     assert err.value.column == 6
 
@@ -190,12 +190,12 @@ def test_parse_non_numeric_cell_coordinates():
 def test_parse_duplicate_key():
     csv = HEADER + "\n,Albania,0,0,1,2,3\n,Albania,1,1,4,5,6\n"
     with pytest.raises(DuplicateKeyError, match="Albania"):
-        parse_cases_csv(csv)
+        parse_cases_csv(csv.encode())
 
 
 def test_parse_negative_corrections_kept():
     csv = HEADER + "\n,X,0,0,10,8,12\n"
-    assert parse_cases_csv(csv).values.tolist() == [[10, 8, 12]]
+    assert parse_cases_csv(csv.encode()).values.tolist() == [[10, 8, 12]]
 
 
 def _mkseries(name, counts, start=date(2022, 5, 1)):
@@ -308,13 +308,13 @@ def test_restrict_outside_available_lists_bounds():
 
 def test_wide_round_trip():
     csv = HEADER + '\n,Albania,41.15,20.17,0,0,1\n"New South Wales",Australia,0,0,1,2,3\n'
-    panel = parse_cases_csv(csv)
-    assert _same(parse_cases_csv(to_wide_csv(panel)), panel)
+    panel = parse_cases_csv(csv.encode())
+    assert _same(parse_cases_csv(to_wide_csv(panel).encode()), panel)
 
 
 def test_shared_date_axis():
     csv = HEADER + "\n,A,0,0,1,2,3\n,B,0,0,4,5,6\n"
-    panel = parse_cases_csv(csv)
+    panel = parse_cases_csv(csv.encode())
     assert panel.start == date(2020, 1, 22)
     assert panel.values.tolist() == [[1, 2, 3], [4, 5, 6]]
 
@@ -457,7 +457,7 @@ def feed_like_csv(draw):
         at = draw(st.integers(len(HEADER), len(text)))
         text = text[:at] + draw(st.sampled_from(RAW_PIECES)) + text[at:]
     if draw(st.booleans()):
-        return text
+        return text.encode("utf-8")
     return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
 
 
@@ -494,7 +494,7 @@ def test_one_call_reader_takes_feed_shaped_rows():
     )
     with mock.patch.object(ingest, "_checked_rows", side_effect=AssertionError("per-cell")):
         got = _outcome(text.encode("utf-8"))
-    assert got == _per_cell_outcome(text)
+    assert got == _per_cell_outcome(text.encode("utf-8"))
     names = ["Korea, South", "Australia: New South Wales", 'X: Say "hi"']
     assert [k.display for k in got[0]] == names
 
@@ -520,18 +520,19 @@ def test_one_call_reader_takes_feed_shaped_rows():
 def test_rows_outside_the_feed_shape_take_the_per_cell_loop(row):
     text = f"{HEADER},1/25/20\n{row}\n"
     assert ingest._exact_rows(text.split("\n")[1:], 4) is None
-    assert _outcome(text) == _per_cell_outcome(text)
+    data = text.encode("utf-8", "surrogatepass")  # a lone surrogate is not UTF-8
+    assert _outcome(data) == _per_cell_outcome(data)
 
 
 def test_one_day_rows_with_an_empty_count():
     text = "Province/State,Country/Region,Lat,Long,1/22/20\n,X,0,0,\n,Y,0,0,5\n"
     assert ingest._exact_rows(text.split("\n")[1:], 1) is None
-    assert _outcome(text) == _per_cell_outcome(text)
+    assert _outcome(text.encode()) == _per_cell_outcome(text.encode())
 
 
 def test_counts_outside_the_feed_shape_still_parse():
     text = f"{HEADER}\n,X,0,0,+5,1_000, 7 \n,Y,0,0,\u0663,{2**53},+{2**53}\n"
-    assert parse_cases_csv(text).values.tolist() == [[5, 1000, 7], [3, 2**53, 2**53]]
+    assert parse_cases_csv(text.encode()).values.tolist() == [[5, 1000, 7], [3, 2**53, 2**53]]
 
 
 @pytest.mark.parametrize("cell", [str(2**53 + 1), str(-(2**53) - 1), f" {10**20} "])
@@ -539,5 +540,5 @@ def test_counts_past_the_bound_name_their_cell(cell):
     """Past 2**53 a float no longer holds every integer, so both readers
     reject the count rather than round it."""
     with pytest.raises(CsvParseError, match="out of range") as err:
-        parse_cases_csv(f"{HEADER}\n,X,0,0,1,2,3\n,Y,0,0,4,{cell},6\n")
+        parse_cases_csv(f"{HEADER}\n,X,0,0,1,2,3\n,Y,0,0,4,{cell},6\n".encode())
     assert (err.value.row, err.value.column) == (3, 6)

@@ -7,6 +7,9 @@ Curves throughout this module are float arrays over one list of dates.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import product
@@ -143,8 +146,8 @@ def run_grid(cases: Panel, seed: int = 0) -> list[GridCell]:
     per (alpha, measure), at the smallest rho of the grid, from the clip of
     that transform to alpha; every rho cell takes the edges of that network
     above its own rho.  The cells run grouped by (alpha, measure), so one
-    such network is alive at a time.  Once the transform has run, this
-    function holds no reference to ``cases``.
+    such network is alive at a time in each process (``_run_shares``).
+    Once the transform has run, this function holds no reference to ``cases``.
     """
     cells = [GridCell(settings=s) for s in GRID]
     try:
@@ -154,17 +157,73 @@ def run_grid(cases: Panel, seed: int = 0) -> list[GridCell]:
             cell.error = _error(exc)
         return cells
     del cases  # frees the panel here if the caller holds no reference to it
-    for alpha, measure in product(ALPHA_VALUES, MEASURES):
-        group = [c for c in cells if (c.settings.alpha, c.settings.measure) == (alpha, measure)]
-        _run_group(unclipped, alpha, measure, group, seed)
+    groups = [[c for c in cells if (c.settings.alpha, c.settings.measure) == key]
+              for key in product(ALPHA_VALUES, MEASURES)]
+    _run_shares(unclipped, groups, seed)
     return cells
 
 
-def _run_group(unclipped: Panel, alpha: float, measure: SimilarityMeasure,
-               group: list[GridCell], seed: int) -> None:
+def _grid_processes() -> int:
+    """One per CPU this process may use, at most one per group; 1 off Linux."""
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    return min(len(ALPHA_VALUES) * len(MEASURES), cpus)
+
+
+def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> None:
+    """Run ``groups`` in ``_grid_processes()`` contiguous shares: the first
+    here, each other in a forked child that pipes back each cell's error,
+    partition and node rows in ``unclipped``, or here if that child fails.
+    On any exception the children left are killed: none outlives this call."""
+    p = _grid_processes()
+    shares = [groups[s * len(groups) // p:(s + 1) * len(groups) // p] for s in range(p)]
+    children = []  # (pid, None once reaped or if the fork failed; read end of its pipe; share)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory
+                pid = None
+            if pid == 0:  # exits 0 once its cells are sent, 1 on any exception
+                try:
+                    for group in share:
+                        _run_group(unclipped, group, seed)
+                    row_of = {id(key): r for r, key in enumerate(unclipped.keys)}
+                    sent = [(c.error, c.partition, c.nodes and [row_of[id(k)] for k in c.nodes])
+                            for c in sum(share, [])]
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(sent, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # never returns, nor flushes the parent's stdio buffers
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), share))
+        for group in shares[0]:
+            _run_group(unclipped, group, seed)
+        for k, (pid, pipe, share) in enumerate(children):
+            payload = pipe.read()
+            status = os.waitpid(pid, 0)[1] if pid else 1
+            children[k] = (None, pipe, share)  # reaped
+            if status != 0:  # a child that exits 0 has sent all of its cells
+                for group in share:
+                    _run_group(unclipped, group, seed)
+                continue
+            for cell, (error, partition, rows) in zip(sum(share, []), pickle.loads(payload)):
+                cell.error, cell.partition = error, partition
+                cell.nodes = None if rows is None else [unclipped.keys[r] for r in rows]
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            if pid:
+                os.kill(pid, 9)  # SIGKILL; the CLI does not load the signal module
+                os.waitpid(pid, 0)
+
+
+def _run_group(unclipped: Panel, group: list[GridCell], seed: int) -> None:
     """Fill the cells of one (alpha, measure) from one network built at the
     smallest rho; the clipped panel is freed before Louvain runs, and the
     network when this returns."""
+    alpha, measure = group[0].settings.alpha, group[0].settings.measure
     try:
         base = build_network(clip_exponents(unclipped, alpha), rho=min(RHO_VALUES), measure=measure)
     except EpinetError as exc:

@@ -123,22 +123,29 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: f
     visits = np.array(order)
     comm = np.arange(n)
     tot = deg.copy()
+    degrees = deg.tolist()
+    # with every weight > 0, i's candidates are the communities it has weight to
+    positive = len(data) == 0 or bool(data.min() > 0)
+    score, cost, other = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     any_move = False
     start = 0
     while True:
         moved_in_sweep = False
         for i in order[start:]:
-            ki = deg[i]
+            ki = degrees[i]
             cur = comm[i]
             nbr_comm = comm[rows[i][0]]
             # weight from i to each community (i excluded); candidates are the
             # communities of i's neighbours, whatever their weights sum to
             w_to = np.bincount(nbr_comm, weights=rows[i][1], minlength=n)
-            other = np.bincount(nbr_comm, minlength=n) == 0
+            np.equal(w_to if positive else np.bincount(nbr_comm, minlength=n), 0, out=other)
             other[cur] = False
             # take i out while scoring candidates
             tot[cur] -= ki
-            score = (2.0 * w_to) / two_m - resolution * 2.0 * ki * tot / (two_m * two_m)
+            # as _unmoved scores; not w_to / (two_m / 2), inexact when two_m is subnormal
+            np.divide(np.multiply(2.0, w_to, out=score), two_m, out=score)
+            np.divide(np.multiply(resolution * 2.0 * ki, tot, out=cost), two_m * two_m, out=cost)
+            np.subtract(score, cost, out=score)
             score[other] = -np.inf
             best = int(score.argmax())  # smallest label among the best
             if score[cur] == score[best]:
@@ -182,6 +189,7 @@ def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: fl
     Scores are computed as ``_local_moving`` does, operation by operation, so
     a visit keeps its community here exactly when it would there.
     """
+    positive = len(data) == 0 or bool(data.min() > 0)
     labels, lab = np.unique(comm, return_inverse=True)
     k = len(labels)
     running = tot[labels].tolist()
@@ -198,7 +206,7 @@ def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: fl
         del nbr
         code += np.repeat(np.arange(0, m * k, k), lengths)
         w_to = np.bincount(code, weights=weight, minlength=m * k).reshape(m, k)
-        candidate = np.bincount(code, minlength=m * k).reshape(m, k) > 0
+        candidate = (w_to if positive else np.bincount(code, minlength=m * k).reshape(m, k)) != 0
         del code, weight
         own, ki = lab[nodes], deg[nodes]
         # a visit that stays leaves its community's total at (tot - ki) + ki

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import tracemalloc
 import warnings
 from datetime import date, timedelta
@@ -177,6 +178,47 @@ class TestDetectPeaks:
         assert detect_peaks(dates, values) == []
 
 
+@pytest.fixture
+def one_process(monkeypatch):
+    """run_grid runs every group in this process, where spies and tracemalloc
+    see them."""
+    monkeypatch.setattr(analysis, "_grid_processes", lambda: 1)
+
+
+def grid_input(name, request):
+    """The cases of a grid test input, by name."""
+    if name == "anti_correlated":
+        return anti_correlated_pair()
+    if name == "cases_300":
+        return request.getfixturevalue("cases_300")
+    planted = request.getfixturevalue("planted")[0]
+    if name == "short":  # too few days for one exponent
+        return Panel(keys=planted.keys, start=planted.start, values=planted.values[:, :8])
+    return planted
+
+
+def assert_same_cells(got, want, keys):
+    """Equal settings, errors, nodes (the same key objects, from ``keys``),
+    assignments and modularity, bit for bit."""
+    assert [c.settings for c in got] == [c.settings for c in want] == list(GRID)
+    ids = {id(key) for key in keys}
+    for cell, ref in zip(got, want):
+        assert cell.error == ref.error
+        assert (cell.nodes is None) == (ref.nodes is None)
+        if cell.nodes is not None:
+            assert len(cell.nodes) == len(ref.nodes)
+            assert all(a is b and id(a) in ids for a, b in zip(cell.nodes, ref.nodes))
+        assert (cell.partition is None) == (ref.partition is None)
+        if cell.partition is not None:
+            assert cell.partition.assignment == ref.partition.assignment
+            assert float(cell.partition.modularity).hex() == float(ref.partition.modularity).hex()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestRunGrid:
     def test_default_grid_has_18_cells(self):
         assert len(GRID) == 18
@@ -184,6 +226,7 @@ class TestRunGrid:
     def test_reference_is_third_cell(self):
         assert GRID[2] == REFERENCE == BuildSettings(0.0, 7.0, SimilarityMeasure.PEARSON)
 
+    @pytest.mark.usefixtures("one_process")
     def test_one_network_per_alpha_and_measure(self, planted):
         """run_grid clips and builds once per (alpha, measure), at the
         smallest rho, in product(ALPHA_VALUES, MEASURES) order."""
@@ -220,6 +263,7 @@ class TestRunGrid:
             agreement, _ = compare_partitions(cell.partition, truth)
             assert agreement == 1.0, cell.settings.label()
 
+    @pytest.mark.usefixtures("one_process")
     def test_grid_holds_one_network_at_a_time(self, cases_300):
         """Beside its input, run_grid holds the unclipped exponents and one
         network at a time, and its cells keep nodes and partitions only."""
@@ -238,16 +282,11 @@ class TestRunGrid:
         cells = run_grid(anti_correlated_pair())
         assert all(c.error is not None for c in cells)
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("fixture", ["planted", "anti_correlated", "short"])
-    def test_shared_grid_equals_cell_by_cell(self, planted, fixture):
+    def test_shared_grid_equals_cell_by_cell(self, request, fixture):
         seed = 4
-        if fixture == "planted":
-            cases = planted[0]
-        elif fixture == "short":  # too few days for one exponent
-            cases = Panel(keys=planted[0].keys, start=planted[0].start,
-                          values=planted[0].values[:, :8])
-        else:
-            cases = anti_correlated_pair()
+        cases = grid_input(fixture, request)
         networks = []  # every network passed to louvain, in call order
 
         def spy(net, seed):
@@ -280,6 +319,72 @@ class TestRunGrid:
             assert all(c.error is None for c in shared)
         else:
             assert all(c.error is not None for c in shared)
+
+    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated", "short", "cases_300"])
+    def test_same_cells_for_every_process_count(self, monkeypatch, request, fixture):
+        cases = grid_input(fixture, request)
+        runs = {}
+        for p in (1, 2, 3, 6):  # forced, so a 1-CPU machine forks too
+            monkeypatch.setattr(analysis, "_grid_processes", lambda p=p: p)
+            runs[p] = run_grid(cases, seed=4)
+            assert_no_child_left()
+        for cells in runs.values():
+            assert_same_cells(cells, runs[1], cases.keys)
+
+    def test_a_child_runs_its_share_and_none_outlives_the_grid(self, monkeypatch, planted):
+        parent, run_group, here = os.getpid(), analysis._run_group, []
+
+        def spy(unclipped, group, seed):
+            if os.getpid() == parent:
+                here.append((group[0].settings.alpha, group[0].settings.measure))
+            run_group(unclipped, group, seed)
+
+        monkeypatch.setattr(analysis, "_run_group", spy)
+        monkeypatch.setattr(analysis, "_grid_processes", lambda: 2)
+        assert all(c.error is None for c in run_grid(planted[0]))
+        # this process ran the first three groups, and the child the others
+        assert here == list(product(ALPHA_VALUES, MEASURES))[:3]
+        assert_no_child_left()
+
+    def test_an_exception_here_kills_the_children(self, monkeypatch, planted):
+        parent, run_group = os.getpid(), analysis._run_group
+
+        def fail_here(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("the share run here failed")
+            run_group(*args)
+
+        monkeypatch.setattr(analysis, "_grid_processes", lambda: 3)
+        monkeypatch.setattr(analysis, "_run_group", fail_here)
+        with pytest.raises(RuntimeError, match="the share run here failed"):
+            run_grid(planted[0])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["child_exits_7", "fork_fails"])
+    def test_a_share_whose_child_fails_runs_here(self, monkeypatch, planted, failure):
+        cases = planted[0]
+        monkeypatch.setattr(analysis, "_grid_processes", lambda: 1)
+        want = run_grid(cases, seed=4)
+        parent, run_group, fork, forks = os.getpid(), analysis._run_group, os.fork, []
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            run_group(*args)
+
+        def fork_then_fail():  # the first fork succeeds, the second fails
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError("no process to spare")
+            return fork()
+
+        if failure == "child_exits_7":
+            monkeypatch.setattr(analysis, "_run_group", die_in_child)
+        else:
+            monkeypatch.setattr(os, "fork", fork_then_fail)
+        monkeypatch.setattr(analysis, "_grid_processes", lambda: 3)
+        assert_same_cells(run_grid(cases, seed=4), want, cases.keys)
+        assert_no_child_left()
 
 
 def anti_correlated_pair():

@@ -441,15 +441,17 @@ def regenerate_grid_golden():
                 (GOLDEN / fixture / name).write_bytes((out / name).read_bytes())
 
 
+@pytest.mark.parametrize("processes", [1, 2])
 @pytest.mark.parametrize("fixture", sorted(GOLDEN_INPUTS))
-def test_grid_outputs_equal_the_pinned_files(fixture, request, tmp_path):
+def test_grid_outputs_equal_the_pinned_files(fixture, processes, request, tmp_path, monkeypatch):
     """The membership matrix byte for byte; in grid_cells.json the sizes and
     fingerprints exactly, and each modularity to a relative 1e-9, since BLAS
-    builds differ in the last bits.  After a change meant to alter them,
-    regenerate the files with
+    builds differ in the last bits.  The grid runs in 1 and in 2 processes.
+    After a change meant to alter them, regenerate the files with
 
         PYTHONPATH=src:tests python -c "import test_cli; test_cli.regenerate_grid_golden()"
     """
+    monkeypatch.setattr(analysis, "_grid_processes", lambda: processes)
     out = tmp_path / "out"
     assert main(["grid", "--input", str(request.getfixturevalue(fixture)), "--out", str(out)]) == 0
     golden = GOLDEN / fixture

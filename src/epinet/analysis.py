@@ -23,6 +23,7 @@ from .errors import (
     ParameterError,
 )
 from .ingest import Panel, RegionKey, csv_field, write_rows
+from . import netbuild
 from .netbuild import CorrelationNetwork, SimilarityMeasure, build_network
 from .community import Partition, louvain
 from .transform import clip_exponents, to_exponent_series
@@ -164,17 +165,23 @@ def run_grid(cases: Panel, seed: int = 0) -> list[GridCell]:
 
 
 def _grid_processes() -> int:
-    """One per CPU this process may use, at most one per group; 1 off Linux."""
-    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-    return min(len(ALPHA_VALUES) * len(MEASURES), cpus)
+    """One per CPU this process may use, at most one per group; 1 off Linux,
+    and 1 in a process with a second thread, since a forked child copies only
+    the calling thread and would find a lock the other held still held."""
+    if sys.platform != "linux" or len(os.listdir("/proc/self/task")) > 1:
+        return 1
+    return min(len(ALPHA_VALUES) * len(MEASURES), len(os.sched_getaffinity(0)))
 
 
 def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> None:
-    """Run ``groups`` in ``_grid_processes()`` contiguous shares: the first
+    """Run ``groups`` in ``_grid_processes()`` contiguous shares, at most as
+    many as n x n similarity matrices fit in MAX_MATRIX_BYTES: the first
     here, each other in a forked child that pipes back each cell's error,
     partition and node rows in ``unclipped``, or here if that child fails.
     On any exception the children left are killed: none outlives this call."""
-    p = _grid_processes()
+    # each process builds its own n x n matrix
+    matrices = netbuild.MAX_MATRIX_BYTES // max(1, len(unclipped) ** 2 * 8)
+    p = min(_grid_processes(), max(1, matrices))
     shares = [groups[s * len(groups) // p:(s + 1) * len(groups) // p] for s in range(p)]
     children = []  # (pid, None once reaped or if the fork failed; read end of its pipe; share)
     try:
@@ -238,11 +245,10 @@ def _run_group(unclipped: Panel, group: list[GridCell], seed: int) -> None:
 
 
 def _rows_and_labels(cell: GridCell, row_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix row and the community label of each node of the cell's
-    partition; ``row_of`` maps the ``id`` of a region key to its row."""
-    assignment = cell.partition.assignment
-    rows = [row_of[id(cell.nodes[i])] for i in assignment]
-    return np.array(rows, dtype=np.intp), np.fromiter(assignment.values(), np.intp, len(rows))
+    """The matrix row and the community label of each node of the cell;
+    ``row_of`` maps the ``id`` of a region key to its row."""
+    rows = np.array([row_of[id(key)] for key in cell.nodes], dtype=np.intp)
+    return rows, cell.partition.labels
 
 
 def align_labels(results: list[GridCell]) -> MembershipMatrix:

@@ -22,6 +22,8 @@ from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, community, ingest, netbuild, transform
 from .errors import (
     CsvFormatError,
@@ -251,8 +253,8 @@ def cmd_pipeline(config: RunConfig) -> tuple[dict, dict]:
     part = community.louvain(net, seed=config.seed)
     dates = exps.dates
     medians = [
-        analysis.median_curve(exps, {net.nodes[i] for i in members})
-        for members in part.communities()[:3]
+        analysis.median_curve(exps, {net.nodes[i] for i in np.flatnonzero(part.labels == label)})
+        for label in range(min(3, part.num_communities))
     ]
     peaks = {
         label: analysis.detect_peaks(dates, values)
@@ -282,12 +284,9 @@ def partition_summary(part: community.Partition, settings: analysis.BuildSetting
                       seed: int) -> dict:
     """The summary.json entry of a partition found by ``louvain`` at ``seed``
     on the network of ``settings``."""
-    sizes = [0] * part.num_communities
-    for lab in part.assignment.values():
-        sizes[lab] += 1
     return {
         "modularity": float(netbuild.fmt9(part.modularity)),
-        "community_sizes": sizes,
+        "community_sizes": np.bincount(part.labels).tolist(),
         "settings_fingerprint": {
             "rho": settings.rho,
             "alpha": settings.alpha,

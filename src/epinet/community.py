@@ -30,38 +30,40 @@ BRUTE_FORCE_MAX_NODES = 12
 
 @dataclass
 class Partition:
-    """Community assignment (dense labels 0..k-1) with its modularity score."""
+    """One community label per network node (dense labels 0..k-1) and the
+    partition's modularity score."""
 
-    assignment: dict[int, int]
+    labels: np.ndarray  # intp, indexed by node
     modularity: float
 
     @property
     def num_communities(self) -> int:
-        return max(self.assignment.values()) + 1 if self.assignment else 0
-
-    def communities(self) -> list[set[int]]:
-        out = [set() for _ in range(self.num_communities)]
-        for node, label in self.assignment.items():
-            out[label].add(node)
-        return out
+        return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
 def modularity_of(
     net: CorrelationNetwork,
-    assignment: dict[int, int],
+    labels: np.ndarray,
     resolution: float = 1.0,
 ) -> float:
-    """Recompute Q of an assignment from scratch (self-loop-free convention)."""
-    dense: dict[int, int] = {}  # label -> index, in order of first appearance
-    community = np.empty(net.n, dtype=np.intp)
-    for i in range(net.n):
-        if i not in assignment:
-            raise CoverageError(f"node {i} ({net.nodes[i].display}) missing from assignment")
-        community[i] = dense.setdefault(assignment[i], len(dense))
+    """Recompute Q of one label per node, any integers, from scratch
+    (self-loop-free convention)."""
+    labels = np.asarray(labels)
+    if labels.shape != (net.n,):
+        raise CoverageError(f"labels of shape {labels.shape} for {net.n} nodes")
+    community, k = _first_seen(labels)
     # degrees accumulate edge by edge, one end after the other
     ends = np.column_stack([net.src, net.dst]).ravel()
     deg = np.bincount(ends, weights=np.repeat(net.weight, 2), minlength=net.n)
-    return _modularity(net, community, len(dense), deg, _two_m(net), resolution)
+    return _modularity(net, community, k, deg, _two_m(net), resolution)
+
+
+def _first_seen(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each node's community numbered 0..k-1 in the order of its first node, and k."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    number = np.empty(len(first), dtype=np.intp)
+    number[np.argsort(first)] = np.arange(len(first))
+    return number[inverse], len(first)
 
 
 def _two_m(net: CorrelationNetwork) -> float:
@@ -324,21 +326,13 @@ def louvain(
                 new_canon[sup] = name
         canon = new_canon
 
-    # dense labels by descending size, ties by smallest member node index
-    members: dict[int, list[int]] = {}
-    for node, sup in enumerate(node_of.tolist()):
-        members.setdefault(sup, []).append(node)
-    ranked = sorted(members.values(), key=lambda nodes: (-len(nodes), nodes[0]))
-    assignment = {}
-    for label, nodes in enumerate(ranked):
-        for node in nodes:
-            assignment[node] = label
-    # modularity_of's labels: communities in order of their first node
-    first_seen = np.empty(net.n, dtype=np.intp)
-    for label, nodes in enumerate(members.values()):
-        first_seen[nodes] = label
-    q = _modularity(net, first_seen, len(members), node_deg, two_m, resolution)
-    return Partition(assignment=assignment, modularity=q)
+    community, k = _first_seen(node_of)
+    q = _modularity(net, community, k, node_deg, two_m, resolution)
+    # dense labels by descending size, ties by smallest member node index:
+    # ``community`` numbers the communities in that order, which a stable sort keeps
+    rank = np.empty(k, dtype=np.intp)
+    rank[np.argsort(-np.bincount(community), kind="stable")] = np.arange(k)
+    return Partition(labels=rank[community], modularity=q)
 
 
 def _restricted_growth_strings(n: int):
@@ -384,55 +378,41 @@ def brute_force_best(net: CorrelationNetwork) -> Partition:
         if q > best_q:
             best_q = q
             best = labels
-    assignment = {i: lab for i, lab in enumerate(best)}
-    return Partition(assignment=assignment, modularity=best_q)
+    return Partition(labels=np.array(best, dtype=np.intp), modularity=best_q)
 
 
 def compare_partitions(p: Partition, q: Partition):
-    """Pairwise agreement (Rand index) plus a best-Jaccard community map.
+    """Pairwise agreement (Rand index) plus a best-Jaccard community map, for
+    two partitions of the same nodes.
 
-    Computed over the intersection of the two node sets.  Returns
-    (agreement, {p_label: (q_label, jaccard)}).
+    Returns (agreement, {p_label: (q_label, jaccard)}) over the labels in use.
     """
-    common = sorted(set(p.assignment) & set(q.assignment))
-    if not common:
-        raise ComparisonError("partitions share no nodes")
-    n = len(common)
-    # contingency counts
-    cont: dict[tuple[int, int], int] = {}
-    p_sizes: dict[int, int] = {}
-    q_sizes: dict[int, int] = {}
-    for node in common:
-        a, b = p.assignment[node], q.assignment[node]
-        cont[(a, b)] = cont.get((a, b), 0) + 1
-        p_sizes[a] = p_sizes.get(a, 0) + 1
-        q_sizes[b] = q_sizes.get(b, 0) + 1
+    n = len(p.labels)
+    if n == 0 or len(q.labels) != n:
+        raise ComparisonError(f"partitions of {n} and {len(q.labels)} nodes")
+    kp, kq = p.num_communities, q.num_communities
+    cont = np.bincount(p.labels * kq + q.labels, minlength=kp * kq).reshape(kp, kq)
+    p_sizes, q_sizes = cont.sum(axis=1), cont.sum(axis=0)
 
-    def choose2(x):
-        return x * (x - 1) // 2
+    def pairs(counts):
+        return int((counts * (counts - 1) // 2).sum())
 
-    total = choose2(n)
-    same_both = sum(choose2(c) for c in cont.values())
-    same_p = sum(choose2(c) for c in p_sizes.values())
-    same_q = sum(choose2(c) for c in q_sizes.values())
-    diff_both = total - same_p - same_q + same_both
+    total = n * (n - 1) // 2
+    same_both = pairs(cont)
+    diff_both = total - pairs(p_sizes) - pairs(q_sizes) + same_both
     agreement = 1.0 if total == 0 else (same_both + diff_both) / total
 
-    jaccard_map = {}
-    for a, size_a in p_sizes.items():
-        best_lab, best_j = None, -1.0
-        for b, size_b in sorted(q_sizes.items()):
-            inter = cont.get((a, b), 0)
-            j = inter / (size_a + size_b - inter)
-            if j > best_j:
-                best_lab, best_j = b, j
-        jaccard_map[a] = (best_lab, best_j)
-    return agreement, jaccard_map
+    used = np.flatnonzero(q_sizes)
+    inter = cont[:, used]
+    jaccard = inter / (p_sizes[:, None] + q_sizes[used] - inter)
+    best = jaccard.argmax(axis=1)  # the smallest label among the best
+    return agreement, {a: (int(used[best[a]]), float(jaccard[a, best[a]]))
+                       for a in np.flatnonzero(p_sizes).tolist()}
 
 
 def write_partition_csv(net: CorrelationNetwork, part: Partition, stream) -> None:
     """CSV ``region,community`` with dense labels."""
     stream.write("region,community\n")
     names = [csv_field(key.display) for key in net.nodes]
-    write_rows(stream, "%s,%d\n", names, [part.assignment[i] for i in range(net.n)])
+    write_rows(stream, "%s,%d\n", names, part.labels)
 

@@ -43,8 +43,8 @@ class PartitionSizeError(EpinetError):
 
 
 class CoverageError(EpinetError):
-    """A community assignment does not cover every network node."""
+    """Community labels do not give one label per network node."""
 
 
 class ComparisonError(EpinetError):
-    """Two partitions share no nodes, so they cannot be compared."""
+    """Two partitions are not of the same nodes, or of none, so they cannot be compared."""

@@ -2,6 +2,9 @@ import itertools
 import tracemalloc
 from datetime import date
 
+# epinet before numpy: it pins OpenBLAS to one thread before numpy loads, so
+# this process has one thread, as an epinet command has, and the grid may fork
+import epinet  # noqa: F401
 import numpy as np
 import pytest
 

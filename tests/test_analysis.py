@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import threading
 import tracemalloc
 import warnings
 from datetime import date, timedelta
@@ -11,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from epinet import analysis
+from epinet import analysis, netbuild
 from epinet.analysis import (
     ALPHA_VALUES,
     GRID,
@@ -199,7 +200,7 @@ def grid_input(name, request):
 
 def assert_same_cells(got, want, keys):
     """Equal settings, errors, nodes (the same key objects, from ``keys``),
-    assignments and modularity, bit for bit."""
+    labels and modularity, bit for bit."""
     assert [c.settings for c in got] == [c.settings for c in want] == list(GRID)
     ids = {id(key) for key in keys}
     for cell, ref in zip(got, want):
@@ -210,7 +211,7 @@ def assert_same_cells(got, want, keys):
             assert all(a is b and id(a) in ids for a, b in zip(cell.nodes, ref.nodes))
         assert (cell.partition is None) == (ref.partition is None)
         if cell.partition is not None:
-            assert cell.partition.assignment == ref.partition.assignment
+            assert np.array_equal(cell.partition.labels, ref.partition.labels)
             assert float(cell.partition.modularity).hex() == float(ref.partition.modularity).hex()
 
 
@@ -256,10 +257,7 @@ class TestRunGrid:
         assert len(cells) == 18
         for cell in cells:
             assert cell.error is None, cell.error
-            truth = Partition(
-                assignment={i: labels[key] for i, key in enumerate(cell.nodes)},
-                modularity=0.0,
-            )
+            truth = Partition(labels=np.array([labels[key] for key in cell.nodes]), modularity=0.0)
             agreement, _ = compare_partitions(cell.partition, truth)
             assert agreement == 1.0, cell.settings.label()
 
@@ -313,7 +311,7 @@ class TestRunGrid:
                 if alone.partition is None:
                     assert cell.partition is None
                 else:
-                    assert cell.partition.assignment == alone.partition.assignment
+                    assert np.array_equal(cell.partition.labels, alone.partition.labels)
                     assert cell.partition.modularity == alone.partition.modularity
         if fixture == "planted":
             assert all(c.error is None for c in shared)
@@ -330,6 +328,51 @@ class TestRunGrid:
             assert_no_child_left()
         for cells in runs.values():
             assert_same_cells(cells, runs[1], cases.keys)
+
+    def test_processes_are_capped_by_the_matrices_that_fit(self, monkeypatch, planted):
+        cases = planted[0]
+        monkeypatch.setattr(analysis, "_grid_processes", lambda: 1)
+        want = run_grid(cases, seed=4)
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        # room for two n x n matrices, where six processes would build six
+        monkeypatch.setattr(netbuild, "MAX_MATRIX_BYTES", 2 * len(cases) ** 2 * 8)
+        monkeypatch.setattr(analysis, "_grid_processes", lambda: 6)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert_same_cells(run_grid(cases, seed=4), want, cases.keys)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_second_thread_keeps_the_grid_in_this_process(self, monkeypatch, planted):
+        cases = planted[0]
+        with mock.patch.object(analysis, "_grid_processes", lambda: 1):
+            want = run_grid(cases, seed=4)
+        forks = []
+
+        def no_fork():
+            forks.append(None)
+            raise OSError("fork refused")  # the share then runs here
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(os, "fork", no_fork)
+        # conftest loads epinet before numpy, so OpenBLAS starts no thread here
+        assert analysis._grid_processes() == 4
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert analysis._grid_processes() == 1
+            got = run_grid(cases, seed=4)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert_same_cells(got, want, cases.keys)
 
     def test_a_child_runs_its_share_and_none_outlives_the_grid(self, monkeypatch, planted):
         parent, run_group, here = os.getpid(), analysis._run_group, []
@@ -401,8 +444,8 @@ def anti_correlated_pair():
     return Panel.from_series(cases)
 
 
-def _cell(settings, nodes, assignment):
-    part = Partition(assignment=assignment, modularity=0.0)
+def _cell(settings, nodes, labels):
+    part = Partition(labels=np.array(labels, dtype=np.intp), modularity=0.0)
     return GridCell(settings=settings, nodes=[RegionKey(country=n) for n in nodes], partition=part)
 
 
@@ -412,14 +455,14 @@ OTHER = BuildSettings(rho=0.05, alpha=7.0, measure=SimilarityMeasure.PEARSON)
 
 class TestAlignLabels:
     def test_reference_identity(self):
-        cell = _cell(REF, ["a", "b", "c", "d"], {0: 0, 1: 0, 2: 0, 3: 1})
+        cell = _cell(REF, ["a", "b", "c", "d"], [0, 0, 0, 1])
         matrix = align_labels([cell])
         labels = {r.display: row[0] for r, row in zip(matrix.rows, matrix.cells)}
         assert labels == {"a": 1, "b": 1, "c": 1, "d": 2}
 
     def test_permuted_labels_align(self):
-        ref = _cell(REF, ["a", "b", "c", "d"], {0: 0, 1: 0, 2: 0, 3: 1})
-        other = _cell(OTHER, ["a", "b", "c", "d"], {0: 1, 1: 1, 2: 1, 3: 0})
+        ref = _cell(REF, ["a", "b", "c", "d"], [0, 0, 0, 1])
+        other = _cell(OTHER, ["a", "b", "c", "d"], [1, 1, 1, 0])
         matrix = align_labels([ref, other])
         for row in matrix.cells:
             assert row[0] == row[1]
@@ -427,39 +470,37 @@ class TestAlignLabels:
     def test_split_community_larger_shard_keeps_label(self):
         # reference: {a,b,c}, {d,e,f}, {g,h,i}; other splits community 3
         nodes = list("abcdefghi")
-        ref = _cell(REF, nodes, {i: i // 3 for i in range(9)})
-        other = _cell(
-            OTHER, nodes, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3}
-        )
+        ref = _cell(REF, nodes, [i // 3 for i in range(9)])
+        other = _cell(OTHER, nodes, [0, 0, 0, 1, 1, 1, 2, 2, 3])
         matrix = align_labels([ref, other])
         by_name = {r.display: row for r, row in zip(matrix.rows, matrix.cells)}
         assert by_name["g"][1] == 3 and by_name["h"][1] == 3
         assert by_name["i"][1] == 4  # smaller shard gets a fresh label
 
     def test_absent_region_blank(self):
-        ref = _cell(REF, ["a", "b"], {0: 0, 1: 0})
-        other = _cell(OTHER, ["a"], {0: 0})
+        ref = _cell(REF, ["a", "b"], [0, 0])
+        other = _cell(OTHER, ["a"], [0])
         matrix = align_labels([ref, other])
         by_name = {r.display: row for r, row in zip(matrix.rows, matrix.cells)}
         assert by_name["b"][1] is None
 
     def test_missing_reference_raises(self):
-        cell = _cell(OTHER, ["a", "b"], {0: 0, 1: 0})
+        cell = _cell(OTHER, ["a", "b"], [0, 0])
         with pytest.raises(InsufficientStructureError, match="^reference grid cell failed: None$"):
             align_labels([cell])
 
     def test_errored_reference_raises(self):
         bad = GridCell(settings=REF, error="boom")
         with pytest.raises(InsufficientStructureError, match="^reference grid cell failed: boom$"):
-            align_labels([bad, _cell(OTHER, ["a", "b"], {0: 0, 1: 0})])
+            align_labels([bad, _cell(OTHER, ["a", "b"], [0, 0])])
 
 
 def reference_align(results, reference):
     """``align_labels`` on sets of region keys."""
     def key_sets(cell):
         out = [set() for _ in range(cell.partition.num_communities)]
-        for idx, lab in cell.partition.assignment.items():
-            out[lab].add(cell.nodes[idx])
+        for key, lab in zip(cell.nodes, cell.partition.labels.tolist()):
+            out[lab].add(key)
         return out
 
     ref_comms = key_sets(next(c for c in results if c.settings == reference))
@@ -484,8 +525,8 @@ def reference_align(results, reference):
                 used.add(ri)
         for ci in range(len(run_comms)):
             mapping.setdefault(ci, k + 1 + sum(v > k for v in mapping.values()))
-        for idx, lab in cell.partition.assignment.items():
-            cells[row_index[cell.nodes[idx]]][col] = mapping[lab]
+        for key, lab in zip(cell.nodes, cell.partition.labels.tolist()):
+            cells[row_index[key]][col] = mapping[lab]
     return rows, cells
 
 
@@ -514,7 +555,7 @@ def test_align_and_order_equal_set_and_sort_key_references():
         for s in settings:
             nodes = [n for n in names if rng.random() < 0.8] or ["a"]
             k = int(rng.integers(1, 5))
-            cell = _cell(s, nodes, {i: int(rng.integers(0, k)) for i in range(len(nodes))})
+            cell = _cell(s, nodes, [int(rng.integers(0, k)) for _ in nodes])
             if s != REF and rng.random() < 0.1:
                 cell.partition = None
             results.append(cell)
@@ -526,20 +567,20 @@ def test_align_and_order_equal_set_and_sort_key_references():
 
 class TestOrderRows:
     def test_alphabetical_on_uniform_labels(self):
-        cell = _cell(REF, ["zeta", "alpha", "mid"], {0: 0, 1: 0, 2: 0})
+        cell = _cell(REF, ["zeta", "alpha", "mid"], [0, 0, 0])
         matrix = order_rows(align_labels([cell]))
         assert [r.display for r in matrix.rows] == ["alpha", "mid", "zeta"]
 
     def test_majority_label_primary_key(self):
-        cell = _cell(REF, ["x", "y", "z"], {0: 1, 1: 0, 2: 2})
+        cell = _cell(REF, ["x", "y", "z"], [1, 0, 2])
         matrix = order_rows(align_labels([cell]))
         labels = [row[0] for row in matrix.cells]
         assert labels == sorted(labels)
 
     def test_deterministic(self):
         cells = [
-            _cell(REF, list("abcdef"), {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}),
-            _cell(OTHER, list("abcdef"), {0: 0, 1: 1, 2: 1, 3: 0, 4: 2, 5: 2}),
+            _cell(REF, list("abcdef"), [0, 0, 1, 1, 2, 2]),
+            _cell(OTHER, list("abcdef"), [0, 1, 1, 0, 2, 2]),
         ]
         out1 = order_rows(align_labels(cells))
         out2 = order_rows(align_labels(cells))
@@ -647,8 +688,8 @@ def reference_bspline(ctrl, samples_per_segment):
 
 def test_membership_csv_layout():
     cells = [
-        _cell(REF, ["a", "b"], {0: 0, 1: 1}),
-        _cell(OTHER, ["a"], {0: 0}),
+        _cell(REF, ["a", "b"], [0, 1]),
+        _cell(OTHER, ["a"], [0]),
     ]
     matrix = order_rows(align_labels(cells))
     buf = io.StringIO()

@@ -41,33 +41,33 @@ from test_netbuild import awkward_network
 class TestModularityOf:
     def test_single_community_is_zero(self):
         net = make_net(5, clique_edges(range(5), 0.7))
-        q = modularity_of(net, {i: 0 for i in range(5)})
+        q = modularity_of(net, [0] * 5)
         assert q == pytest.approx(0.0, abs=1e-12)
 
     def test_bridge_of_triangles_hand_value(self):
         net = bridge_of_triangles()
-        q = modularity_of(net, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
+        q = modularity_of(net, [0, 0, 0, 1, 1, 1])
         assert q == pytest.approx(5 / 14, abs=1e-12)
 
     def test_all_singletons(self):
         net = make_net(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        q = modularity_of(net, {i: i for i in range(4)})
+        q = modularity_of(net, range(4))
         # no internal edges: Q = -sum (k_i/2m)^2
         deg = [1, 2, 2, 1]
         expected = -sum((k / 6) ** 2 for k in deg)
         assert q == pytest.approx(expected, abs=1e-12)
 
-    def test_missing_node_raises(self):
+    def test_too_few_labels_raise(self):
         net = make_net(3, clique_edges(range(3)))
         with pytest.raises(CoverageError):
-            modularity_of(net, {0: 0, 1: 0})
+            modularity_of(net, np.array([0, 0]))
 
     def test_range(self):
         suite = small_graph_suite()
         rng = np.random.default_rng(0)
         for net in suite.values():
             labels = rng.integers(0, 3, size=net.n)
-            q = modularity_of(net, {i: int(l) for i, l in enumerate(labels)})
+            q = modularity_of(net, labels)
             assert -0.5 - 1e-12 <= q <= 1.0
 
 
@@ -85,8 +85,11 @@ class TestModularityOf:
             labels = rng.integers(0, 4, size=net.n)
             same = labels[:, None] == labels[None, :]
             want = float((adj - resolution * np.outer(k, k) / two_m)[same].sum()) / two_m
-            got = modularity_of(net, {i: int(l) for i, l in enumerate(labels)}, resolution)
+            got = modularity_of(net, labels, resolution)
             assert got == pytest.approx(want, abs=1e-12)
+            # labels with gaps, added in order of their first node
+            assert modularity_of(net, 7 * labels + 3, resolution) == reference_modularity(
+                net, labels, resolution)
             checked += 1
         assert checked > 40
 
@@ -106,7 +109,7 @@ def added_in_order(values):
     return total
 
 
-def reference_modularity(net, assignment, resolution=1.0):
+def reference_modularity(net, labels, resolution=1.0):
     """Edge-by-edge Q, summing in the order ``modularity_of`` keeps."""
     two_m = 2.0 * added_in_order(w for _, _, w in net.edges)
     deg = np.zeros(net.n)
@@ -114,11 +117,11 @@ def reference_modularity(net, assignment, resolution=1.0):
     for a, b, w in net.edges:
         deg[a] += w
         deg[b] += w
-        if assignment[a] == assignment[b]:
+        if labels[a] == labels[b]:
             internal += 2.0 * w
     tot = {}
     for i in range(net.n):
-        tot[assignment[i]] = tot.get(assignment[i], 0.0) + deg[i]
+        tot[labels[i]] = tot.get(labels[i], 0.0) + deg[i]
     q = internal / two_m
     q -= resolution * sum((s / two_m) ** 2 for s in tot.values())
     return q
@@ -186,11 +189,21 @@ def reference_louvain(net, seed=0, resolution=1.0):
                 new_canon[sup] = name
         nbrs, selfw, canon = new_nbrs, new_self, new_canon
         node_of = [remap[comm[c]] for c in node_of]
+    return reference_ranking(node_of)
+
+
+def reference_ranking(node_of):
+    """Each node's label from its super-node, through a dict of members:
+    communities by descending size, ties by smallest member node index."""
     members = {}
     for node, sup in enumerate(node_of):
         members.setdefault(sup, []).append(node)
-    ranked = sorted(members.values(), key=lambda m: (-len(m), m[0]))
-    return {node: label for label, m in enumerate(ranked) for node in m}
+    ranked = sorted(members.values(), key=lambda nodes: (-len(nodes), nodes[0]))
+    assignment = {}
+    for label, nodes in enumerate(ranked):
+        for node in nodes:
+            assignment[node] = label
+    return [assignment[node] for node in range(len(node_of))]
 
 
 def confirm_pass_cases(indptr, indices, data, order, comm, deg, start):
@@ -301,18 +314,18 @@ class TestBruteForce:
     def test_two_nodes_one_edge(self):
         net = make_net(2, [(0, 1, 0.5)])
         part = brute_force_best(net)
-        assert part.assignment == {0: 0, 1: 0}
+        assert part.labels.tolist() == [0, 0]
         assert part.modularity == pytest.approx(0.0, abs=1e-12)
 
     def test_bridge_of_triangles(self):
         part = brute_force_best(bridge_of_triangles())
-        assert part.assignment == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
+        assert part.labels.tolist() == [0, 0, 0, 1, 1, 1]
         assert part.modularity == pytest.approx(5 / 14, abs=1e-12)
 
     def test_matches_stored_modularity(self):
         net = bridge_of_triangles()
         part = brute_force_best(net)
-        assert modularity_of(net, part.assignment) == pytest.approx(
+        assert modularity_of(net, part.labels) == pytest.approx(
             part.modularity, abs=1e-12
         )
 
@@ -324,7 +337,7 @@ class TestLouvain:
 
     def test_bridge_of_triangles(self):
         part = louvain(bridge_of_triangles())
-        assert part.assignment == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
+        assert part.labels.tolist() == [0, 0, 0, 1, 1, 1]
         assert part.modularity == pytest.approx(5 / 14, abs=1e-12)
 
     def test_complete_graph_single_community(self):
@@ -343,13 +356,13 @@ class TestLouvain:
         net = bridge_of_triangles()
         a = louvain(net, seed=17)
         b = louvain(net, seed=17)
-        assert a.assignment == b.assignment
+        assert np.array_equal(a.labels, b.labels)
         assert a.modularity == b.modularity
 
     def test_stored_modularity_matches_recompute(self):
         for net in small_graph_suite().values():
             part = louvain(net, seed=0)
-            assert modularity_of(net, part.assignment) == pytest.approx(
+            assert modularity_of(net, part.labels) == pytest.approx(
                 part.modularity, abs=1e-12
             )
 
@@ -362,11 +375,9 @@ class TestLouvain:
             7, clique_edges([0, 1, 2, 3], 1.0) + clique_edges([4, 5, 6], 1.0) + [(3, 4, 0.05)]
         )
         part = louvain(net)
-        sizes = [0] * part.num_communities
-        for lab in part.assignment.values():
-            sizes[lab] += 1
+        sizes = np.bincount(part.labels).tolist()
         assert sizes == sorted(sizes, reverse=True)
-        assert set(part.assignment.values()) == set(range(part.num_communities))
+        assert set(part.labels.tolist()) == set(range(part.num_communities))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
@@ -386,7 +397,7 @@ class TestLouvain:
             # same partition up to relabeling: compare by region key groupings
             def groups(n_, p_):
                 out = {}
-                for i, lab in p_.assignment.items():
+                for i, lab in enumerate(p_.labels.tolist()):
                     out.setdefault(lab, set()).add(n_.nodes[i].display)
                 return sorted(map(frozenset, out.values()), key=sorted)
 
@@ -418,10 +429,35 @@ class TestLouvain:
                 continue
             for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
                 part = louvain(net, seed=seed, resolution=resolution)
-                assert part.assignment == reference_louvain(net, seed, resolution)
-                assert part.modularity == reference_modularity(
-                    net, part.assignment, resolution
-                )
+                assert part.labels.tolist() == reference_louvain(net, seed, resolution)
+                assert part.modularity == reference_modularity(net, part.labels, resolution)
+
+    @pytest.mark.parametrize("graphs", ["community", "planted", "cases_300"])
+    def test_labels_equal_the_ranking_reference(self, monkeypatch, request, graphs):
+        """The labels rank the super-nodes that the nodes end in as the dict
+        loop does, and Q adds the communities in order of their first node."""
+        if graphs == "community":
+            nets = list(small_graph_suite().values()) + confirm_pass_nets()
+        elif graphs == "planted":
+            nets = [build_network(to_exponent_series(request.getfixturevalue("planted")[0]),
+                                  rho=0.0)]
+        else:
+            nets = [build_network(request.getfixturevalue("exponents_300"), rho=0.0)]
+        node_of = []
+        first_seen = community._first_seen
+
+        def spy(labels):  # louvain's one call, on each node's super-node
+            node_of.append(labels.tolist())
+            return first_seen(labels)
+
+        monkeypatch.setattr(community, "_first_seen", spy)
+        for net in nets:
+            for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
+                node_of.clear()
+                part = louvain(net, seed=seed, resolution=resolution)
+                assert part.labels.dtype == np.intp and len(node_of) == 1
+                assert part.labels.tolist() == reference_ranking(node_of[0])
+                assert part.modularity == reference_modularity(net, part.labels, resolution)
 
     @CONFIRM_STEPS
     def test_confirm_pass_same_decisions_as_dict_reference(self, monkeypatch, cells, first):
@@ -438,10 +474,8 @@ class TestLouvain:
         for net in confirm_pass_nets():
             for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
                 part = louvain(net, seed=seed, resolution=resolution)
-                assert part.assignment == reference_louvain(net, seed, resolution)
-                assert part.modularity == reference_modularity(
-                    net, part.assignment, resolution
-                )
+                assert part.labels.tolist() == reference_louvain(net, seed, resolution)
+                assert part.modularity == reference_modularity(net, part.labels, resolution)
         cases = ["mid_sweep", "whole_sweep", "isolated_super_node", "zero_sum_candidate"]
         if (cells, first) != (None, None):
             cases.append("several_steps")
@@ -522,7 +556,7 @@ class TestLouvain:
         wide = dataclasses.replace(net, src=net.src.astype(np.intp), dst=net.dst.astype(np.intp))
         for seed in (0, 5):
             got, want = louvain(net, seed=seed), louvain(wide, seed=seed)
-            assert got.assignment == want.assignment
+            assert np.array_equal(got.labels, want.labels)
             assert got.modularity == want.modularity
 
     def test_no_positive_weight_raises(self):
@@ -545,40 +579,46 @@ class TestComparePartitions:
         assert all(j == 1.0 and a == b for a, (b, j) in jmap.items())
 
     def test_singletons_vs_lump(self):
-        p = Partition(assignment={0: 0, 1: 1, 2: 2}, modularity=0.0)
-        q = Partition(assignment={0: 0, 1: 0, 2: 0}, modularity=0.0)
+        p = Partition(labels=np.array([0, 1, 2]), modularity=0.0)
+        q = Partition(labels=np.array([0, 0, 0]), modularity=0.0)
         agreement, _ = compare_partitions(p, q)
         assert agreement == 0.0
 
-    def test_disjoint_nodes_raise(self):
-        p = Partition(assignment={0: 0}, modularity=0.0)
-        q = Partition(assignment={1: 0}, modularity=0.0)
-        with pytest.raises(ComparisonError):
-            compare_partitions(p, q)
+    def test_partitions_of_other_nodes_raise(self):
+        for n_p, n_q in [(12, 11), (0, 0)]:
+            p = Partition(labels=np.zeros(n_p, dtype=np.intp), modularity=0.0)
+            q = Partition(labels=np.zeros(n_q, dtype=np.intp), modularity=0.0)
+            with pytest.raises(ComparisonError):
+                compare_partitions(p, q)
 
     def test_pair_count_oracle(self):
-        # brute-force pair enumeration as the independent check
+        # brute-force pair enumeration, and set-by-set Jaccard for the map, as
+        # the independent checks; labels may leave gaps, as 0 and 3 alone do
         rng = np.random.default_rng(2)
-        nodes = list(range(12))
-        p = Partition(assignment={i: int(rng.integers(0, 3)) for i in nodes}, modularity=0.0)
-        q = Partition(assignment={i: int(rng.integers(0, 4)) for i in nodes}, modularity=0.0)
-        agreement, _ = compare_partitions(p, q)
-        same = total = 0
-        for i in nodes:
-            for j in nodes:
-                if i < j:
-                    total += 1
-                    if (p.assignment[i] == p.assignment[j]) == (
-                        q.assignment[i] == q.assignment[j]
-                    ):
-                        same += 1
-        assert agreement == pytest.approx(same / total, abs=1e-12)
+        label_sets = [(range(3), range(4)), ([0, 3], range(3)), ([2, 5, 6], [1, 4]), ([0], [0, 2])]
+        for (used_p, used_q), n in itertools.product(label_sets, (1, 2, 5, 12, 40)):
+            p = Partition(labels=rng.choice(used_p, n), modularity=0.0)
+            q = Partition(labels=rng.choice(used_q, n), modularity=0.0)
+            agreement, jmap = compare_partitions(p, q)
+            same = total = 0
+            for i, j in itertools.combinations(range(n), 2):
+                total += 1
+                same += (p.labels[i] == p.labels[j]) == (q.labels[i] == q.labels[j])
+            assert agreement == (1.0 if total == 0 else pytest.approx(same / total, abs=1e-12))
 
-    def test_intersection_only(self):
-        p = Partition(assignment={0: 0, 1: 0, 2: 1, 9: 5}, modularity=0.0)
-        q = Partition(assignment={0: 0, 1: 0, 2: 1}, modularity=0.0)
-        agreement, _ = compare_partitions(p, q)
-        assert agreement == 1.0
+            def groups(labels):
+                out = {}
+                for node, lab in enumerate(labels.tolist()):
+                    out.setdefault(lab, set()).add(node)
+                return out
+
+            q_groups = sorted(groups(q.labels).items())
+            want = {}
+            for a, members in groups(p.labels).items():
+                scores = [(len(members & m) / len(members | m), b) for b, m in q_groups]
+                best = max(j for j, _ in scores)
+                want[a] = (min(b for j, b in scores if j == best), best)
+            assert jmap == want
 
 
 def test_partition_csv_and_summary():
@@ -598,14 +638,14 @@ def reference_write_partition_csv(net, part, stream):
     """The earlier csv.writer writer, kept as the byte-for-byte reference."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["region", "community"])
-    writer.writerows((key.display, part.assignment[i]) for i, key in enumerate(net.nodes))
+    writer.writerows(zip((key.display for key in net.nodes), part.labels.tolist()))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_partition_csv_equals_reference_bytes(seed):
     net = awkward_network(seed)
-    labels = np.random.default_rng(seed).integers(0, 4, size=net.n).tolist()
-    part = Partition(assignment=dict(enumerate(labels)), modularity=0.0)
+    labels = np.random.default_rng(seed).integers(0, 4, size=net.n)
+    part = Partition(labels=labels, modularity=0.0)
     got, expected = io.StringIO(), io.StringIO()
     write_partition_csv(net, part, got)
     reference_write_partition_csv(net, part, expected)

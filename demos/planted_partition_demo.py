@@ -35,7 +35,7 @@ def main():
 
     cells = run_grid(cases)
     matrix = order_rows(align_labels(cells))
-    consistent = sum(1 for row in matrix.cells if len(set(row)) == 1)
+    consistent = sum(1 for row in matrix.labels.tolist() if len(set(row)) == 1)
     print(f"robustness grid: {len(cells)} cells, "
           f"{consistent}/{len(matrix.rows)} regions consistent across all settings")
 

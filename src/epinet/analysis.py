@@ -58,23 +58,27 @@ REFERENCE = GRID[2]
 
 @dataclass
 class GridCell:
-    """One grid run: the nodes of its network once built, and the partition
-    of those nodes once found, or the error that stopped it."""
+    """One grid run: the panel key list and the node rows of its network once
+    built, and the partition of those nodes once found, or the error that
+    stopped it."""
 
     settings: BuildSettings
-    nodes: list[RegionKey] | None = None
+    keys: list[RegionKey] | None = None
+    rows: np.ndarray | None = None  # intp panel rows, ascending
     partition: Partition | None = None
     error: str | None = None
 
 
 @dataclass
 class MembershipMatrix:
-    """Regions x settings table of aligned community labels (1-based);
-    None marks a region absent from that run's network."""
+    """Regions x settings table of aligned community labels (1-based); 0
+    marks a region absent from that run's network.  Row ``i`` of ``labels``
+    is region ``keys[rows[i]]``."""
 
-    rows: list[RegionKey]
+    keys: list[RegionKey]
+    rows: np.ndarray  # intp panel rows
     columns: list[str]
-    cells: list[list[int | None]]
+    labels: np.ndarray  # intp, (len(rows), len(columns))
 
 
 @dataclass
@@ -84,17 +88,15 @@ class PhaseTrajectory:
     smoothed: np.ndarray  # (m, 3) sampled B-spline curve
 
 
-def median_curve(exps: Panel, members: set[RegionKey]) -> np.ndarray:
-    """Per-day median of the member exponents, on the panel's axis.
+def median_curve(exps: Panel, rows: np.ndarray) -> np.ndarray:
+    """Per-day median of the exponents in the panel ``rows``, on the panel's
+    axis.
 
-    Even member counts take the mean of the two central values.  Bit-equal
-    to ``np.nanmedian`` over the member rows, signed zeros included.
+    Even row counts take the mean of the two central values.  Bit-equal
+    to ``np.nanmedian`` over the rows, signed zeros included.
     """
-    if not members:
-        raise ParameterError("member set is empty")
-    rows = np.array([k in members for k in exps.keys], dtype=bool)
-    if not rows.any():
-        raise ParameterError("no series matches the member set")
+    if not len(rows):
+        raise ParameterError("no rows to take the median of")
     ranked = np.sort(exps.values[rows], axis=0)
     lo = ranked[(len(ranked) - 1) // 2]
     hi = ranked[len(ranked) // 2]
@@ -118,7 +120,7 @@ def _error(exc: EpinetError) -> str:
 
 def _partition(cell: GridCell, net: CorrelationNetwork, seed: int) -> None:
     """Record the network's nodes in ``cell``, then its Louvain partition."""
-    cell.nodes = net.nodes
+    cell.keys, cell.rows = net.keys, net.rows
     cell.partition = louvain(net, seed=seed)
 
 
@@ -177,7 +179,7 @@ def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> No
     """Run ``groups`` in ``_grid_processes()`` contiguous shares, at most as
     many as n x n similarity matrices fit in MAX_MATRIX_BYTES: the first
     here, each other in a forked child that pipes back each cell's error,
-    partition and node rows in ``unclipped``, or here if that child fails.
+    partition and node rows, or here if that child fails.
     On any exception the children left are killed: none outlives this call."""
     # each process builds its own n x n matrix
     matrices = netbuild.MAX_MATRIX_BYTES // max(1, len(unclipped) ** 2 * 8)
@@ -195,9 +197,7 @@ def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> No
                 try:
                     for group in share:
                         _run_group(unclipped, group, seed)
-                    row_of = {id(key): r for r, key in enumerate(unclipped.keys)}
-                    sent = [(c.error, c.partition, c.nodes and [row_of[id(k)] for k in c.nodes])
-                            for c in sum(share, [])]
+                    sent = [(c.error, c.partition, c.rows) for c in sum(share, [])]
                     with open(write_fd, "wb") as pipe:
                         pickle.dump(sent, pipe)
                     os._exit(0)
@@ -216,8 +216,8 @@ def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> No
                     _run_group(unclipped, group, seed)
                 continue
             for cell, (error, partition, rows) in zip(sum(share, []), pickle.loads(payload)):
-                cell.error, cell.partition = error, partition
-                cell.nodes = None if rows is None else [unclipped.keys[r] for r in rows]
+                cell.error, cell.partition, cell.rows = error, partition, rows
+                cell.keys = None if rows is None else unclipped.keys
     finally:
         for pid, pipe, _ in children:
             pipe.close()
@@ -244,17 +244,12 @@ def _run_group(unclipped: Panel, group: list[GridCell], seed: int) -> None:
             cell.error = _error(exc)
 
 
-def _rows_and_labels(cell: GridCell, row_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix row and the community label of each node of the cell;
-    ``row_of`` maps the ``id`` of a region key to its row."""
-    rows = np.array([row_of[id(key)] for key in cell.nodes], dtype=np.intp)
-    return rows, cell.partition.labels
-
-
 def align_labels(results: list[GridCell]) -> MembershipMatrix:
     """Map every run's communities onto the labels 1..k of the REFERENCE
     cell's run; without a partition of that cell, raise
-    InsufficientStructureError.
+    InsufficientStructureError.  The runs are rows of one panel, whose key
+    list every cell with a partition holds; the matrix has a row for each
+    region in some run's network, in panel order.
 
     Greedy maximal-Jaccard matching; each reference label is used at most
     once per run, leftover communities get fresh labels k+1, k+2, ...
@@ -262,31 +257,23 @@ def align_labels(results: list[GridCell]) -> MembershipMatrix:
     ref_cell = next((c for c in results if c.settings == REFERENCE), GridCell(REFERENCE))
     if ref_cell.partition is None:
         raise InsufficientStructureError(f"reference grid cell failed: {ref_cell.error}")
-
-    # Cells of one grid share their key objects: hash each object once, then
-    # work on matrix rows.
-    key_of = {id(key): key for c in results if c.nodes is not None for key in c.nodes}
-    all_regions = sorted(dict.fromkeys(key_of.values()), key=lambda key: key.display)
-    row_index = {key: r for r, key in enumerate(all_regions)}
-    row_of = {i: row_index[key] for i, key in key_of.items()}
-    columns = [c.settings.label() for c in results]
-    cells: list[list[int | None]] = [[None] * len(results) for _ in all_regions]
+    keys = ref_cell.keys
+    labels = np.zeros((len(keys), len(results)), dtype=np.intp)
 
     k = ref_cell.partition.num_communities  # reference label i -> aligned label i+1
-    ref_label = np.full(len(all_regions), -1, dtype=np.intp)
-    rows, labels = _rows_and_labels(ref_cell, row_of)
-    ref_label[rows] = labels
-    ref_sizes = np.bincount(labels, minlength=k)
+    ref_label = np.full(len(keys), -1, dtype=np.intp)
+    ref_label[ref_cell.rows] = ref_cell.partition.labels
+    ref_sizes = np.bincount(ref_cell.partition.labels, minlength=k)
 
     for col, cell in enumerate(results):
         if cell.partition is None:
             continue
-        rows, labels = _rows_and_labels(cell, row_of)
+        rows, cell_labels = cell.rows, cell.partition.labels
         kc = cell.partition.num_communities
-        sizes = np.bincount(labels, minlength=kc)
+        sizes = np.bincount(cell_labels, minlength=kc)
         both = ref_label[rows] >= 0
         inter = np.bincount(
-            ref_label[rows[both]] * kc + labels[both], minlength=k * kc
+            ref_label[rows[both]] * kc + cell_labels[both], minlength=k * kc
         ).reshape(k, kc)
         pairs = []
         for ri in range(k):
@@ -296,49 +283,42 @@ def align_labels(results: list[GridCell]) -> MembershipMatrix:
                 if union:
                     pairs.append((common / union, ri, ci))
         pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-        mapping: dict[int, int] = {}
+        mapping = np.zeros(kc, dtype=np.intp)  # 0 until mapped
         used_ref: set[int] = set()
         for jac, ri, ci in pairs:
-            if jac <= 0 or ci in mapping or ri in used_ref:
+            if jac <= 0 or mapping[ci] or ri in used_ref:
                 continue
             mapping[ci] = ri + 1
             used_ref.add(ri)
-        fresh = k + 1
-        for ci in range(kc):
-            if ci not in mapping:
-                mapping[ci] = fresh
-                fresh += 1
-        for row, lab in zip(rows.tolist(), labels.tolist()):
-            cells[row][col] = mapping[lab]
+        fresh = mapping == 0
+        mapping[fresh] = np.arange(k + 1, k + 1 + np.count_nonzero(fresh))
+        labels[rows, col] = mapping[cell_labels]
 
-    return MembershipMatrix(rows=all_regions, columns=columns, cells=cells)
+    present = np.flatnonzero(labels.any(axis=1))
+    columns = [c.settings.label() for c in results]
+    return MembershipMatrix(keys=keys, rows=present, columns=columns, labels=labels[present])
 
 
 def order_rows(matrix: MembershipMatrix) -> MembershipMatrix:
     """Deterministic row order: majority aligned label, then the full label
-    tuple, then region display name.  The majority is the most frequent label
-    of a row, the smallest on a tie; a missing label sorts after every label."""
-    n = len(matrix.rows)
-    labels = np.array(
-        [[math.inf if lab is None else lab for lab in row] for row in matrix.cells], dtype=float
-    ).reshape(n, len(matrix.columns))
-    present = labels != math.inf
-    values, codes = np.unique(labels[present], return_inverse=True)
-    rows = np.nonzero(present)[0]
-    counts = np.bincount(rows * len(values) + codes, minlength=n * len(values))
-    counts = counts.reshape(n, len(values))
-    majority = np.full(n, math.inf)
-    labelled = present.any(axis=1)
-    if labelled.any():
-        majority[labelled] = values[counts[labelled].argmax(axis=1)]
-    by_name = sorted(range(n), key=lambda r: matrix.rows[r].display)
+    tuple, then region display name, then panel row.  The majority is the
+    most frequent label of a row, the smallest on a tie; a missing label
+    sorts after every label."""
+    labels = matrix.labels
+    n = len(labels)
+    absent = int(labels.max(initial=0)) + 1  # the sort key of a missing label
+    counts = np.bincount((np.arange(n)[:, None] * absent + labels).ravel(),
+                         minlength=n * absent).reshape(n, absent)
+    counts[:, 0] = 0
+    majority = counts.argmax(axis=1)  # the smallest on a tie; 0 for no label
+    majority[majority == 0] = absent
+    rows = matrix.rows.tolist()
     name_rank = np.empty(n, dtype=np.intp)
-    name_rank[by_name] = np.arange(n)
-    order = np.lexsort([name_rank, *labels.T[::-1], majority]).tolist()
+    name_rank[sorted(range(n), key=lambda i: (matrix.keys[rows[i]].display, rows[i]))] = range(n)
+    order = np.lexsort([name_rank, *np.where(labels > 0, labels, absent).T[::-1], majority])
     return MembershipMatrix(
-        rows=[matrix.rows[r] for r in order],
-        columns=list(matrix.columns),
-        cells=[matrix.cells[r] for r in order],
+        keys=matrix.keys, rows=matrix.rows[order], columns=list(matrix.columns),
+        labels=labels[order],
     )
 
 
@@ -388,9 +368,10 @@ def bspline_smooth(points) -> np.ndarray:
 
 def write_membership_csv(matrix: MembershipMatrix, stream) -> None:
     stream.write(",".join(map(csv_field, ["region", *matrix.columns])) + "\n")
-    names = [csv_field(key.display) for key in matrix.rows]
-    labels = [["" if lab is None else lab for lab in column] for column in zip(*matrix.cells)]
-    write_rows(stream, "%s" + ",%s" * len(matrix.columns) + "\n", names, *labels)
+    names = [csv_field(matrix.keys[r].display) for r in matrix.rows.tolist()]
+    text = matrix.labels.astype(str)
+    text[matrix.labels == 0] = ""
+    write_rows(stream, "%s" + ",%s" * len(matrix.columns) + "\n", names, *text.T)
 
 
 def write_medians_csv(dates: list[date], medians: list, stream) -> None:

@@ -105,7 +105,7 @@ def read_config_file(path: Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file; '#' starts a comment.  A key
     that is not one of SETTINGS raises ParameterError."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte order mark is no text
     except UnicodeDecodeError:
         raise ParameterError(f"{path}: config file is not UTF-8 text") from None
     values: dict[str, str] = {}
@@ -253,7 +253,7 @@ def cmd_pipeline(config: RunConfig) -> tuple[dict, dict]:
     part = community.louvain(net, seed=config.seed)
     dates = exps.dates
     medians = [
-        analysis.median_curve(exps, {net.nodes[i] for i in np.flatnonzero(part.labels == label)})
+        analysis.median_curve(exps, net.rows[part.labels == label])
         for label in range(min(3, part.num_communities))
     ]
     peaks = {

@@ -84,8 +84,11 @@ def _modularity(net, community: np.ndarray, k: int, deg: np.ndarray, two_m: floa
     internal = float(np.cumsum(2.0 * net.weight[same])[-1]) if same.any() else 0.0
     tot = np.bincount(community, weights=deg, minlength=k)
     q = internal / two_m
-    q -= resolution * sum((s / two_m) ** 2 for s in tot)
-    return q
+    # one addition at a time, in label order (sum() of floats compensates from Python 3.12)
+    squares = 0.0
+    for s in tot:
+        squares += (s / two_m) ** 2
+    return q - resolution * squares
 
 
 def _csr(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):

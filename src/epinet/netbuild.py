@@ -31,15 +31,18 @@ class SimilarityMeasure(str, Enum):
 
 @dataclass
 class CorrelationNetwork:
-    """Weighted undirected graph over region keys; weights are similarities.
+    """Weighted undirected graph over rows of a panel; weights are similarities.
 
-    Edge ``e`` joins nodes ``src[e] < dst[e]`` with weight ``weight[e]``;
-    networks from ``build_network`` list their edges in row-major order.
-    Their edge arrays are read-only, and ``above`` shares them when it keeps
-    every edge.
+    Node ``i`` is region ``keys[rows[i]]``: ``keys`` is the panel's key list,
+    held by reference, and ``rows`` a read-only intp array of ascending panel
+    rows.  Edge ``e`` joins nodes ``src[e] < dst[e]`` with weight
+    ``weight[e]``; networks from ``build_network`` list their edges in
+    row-major order.  Their edge arrays are read-only, and ``above`` shares
+    them when it keeps every edge.
     """
 
-    nodes: list[RegionKey]
+    keys: list[RegionKey]
+    rows: np.ndarray  # intp
     src: np.ndarray  # int32
     dst: np.ndarray  # int32
     weight: np.ndarray  # float
@@ -47,7 +50,12 @@ class CorrelationNetwork:
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.rows)
+
+    @property
+    def nodes(self) -> list[RegionKey]:
+        """The region key of each node."""
+        return [self.keys[r] for r in self.rows.tolist()]
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
@@ -72,7 +80,7 @@ class CorrelationNetwork:
         keep = self.weight > rho
         if not keep.all():
             edges = tuple(a[keep] for a in edges)
-        return _without_isolated(self.nodes, *edges, rho)
+        return _without_isolated(self.keys, self.rows, *edges, rho)
 
 
 def _check_rho(rho: float) -> None:
@@ -80,29 +88,24 @@ def _check_rho(rho: float) -> None:
         raise ParameterError(f"rho must be a number, got {rho}")
 
 
-def _without_isolated(nodes, src, dst, weight, rho: float) -> CorrelationNetwork:
-    """Network over the nodes that keep an edge, renumbered in their order.
+def _without_isolated(keys, rows, src, dst, weight, rho: float) -> CorrelationNetwork:
+    """Network over the nodes that keep an edge, renumbered in their order;
+    ``rows`` are the panel rows of the nodes ``src`` and ``dst`` index.
 
-    Node indices are held as int32.  The edge arrays are made read-only so
-    that networks can share them: an array that needs no renumbering or cast
-    is used as given.
+    Node indices are held as int32.  The arrays are made read-only so that
+    networks can share them: an array that needs no renumbering or cast is
+    used as given.
     """
-    used = np.zeros(len(nodes), dtype=bool)
+    used = np.zeros(len(rows), dtype=bool)
     used[src] = True
     used[dst] = True
     if not used.all():
         new_index = np.cumsum(used, dtype=np.int32) - 1
-        src, dst = new_index[src], new_index[dst]
+        src, dst, rows = new_index[src], new_index[dst], rows[used]
     src, dst = src.astype(np.int32, copy=False), dst.astype(np.int32, copy=False)
-    for a in (src, dst, weight):
+    for a in (rows, src, dst, weight):
         a.flags.writeable = False
-    return CorrelationNetwork(
-        nodes=[nodes[i] for i in np.flatnonzero(used).tolist()],
-        src=src,
-        dst=dst,
-        weight=weight,
-        rho=rho,
-    )
+    return CorrelationNetwork(keys=keys, rows=rows, src=src, dst=dst, weight=weight, rho=rho)
 
 
 def _matrix_similarity(vals: np.ndarray, measure: SimilarityMeasure) -> np.ndarray:
@@ -141,7 +144,7 @@ def build_network(
 
     An edge exists iff the similarity of the two rows is defined and strictly
     greater than rho.  Regions with no surviving edge are omitted from the
-    node list; node order is row order restricted to survivors.  A NaN rho
+    network's ``rows``, which keep the panel's order.  A NaN rho
     raises ``ParameterError``, and so does a panel whose similarity matrix
     would take more than MAX_MATRIX_BYTES.
     """
@@ -158,10 +161,10 @@ def build_network(
 
     sims = _matrix_similarity(exps.values, measure)
     # the kept pairs above the diagonal, row-major; NaN (undefined) is never kept
-    rows, cols = np.nonzero(np.triu(sims > rho, 1))
-    weight = sims[rows, cols]
+    src, dst = np.nonzero(np.triu(sims > rho, 1))
+    weight = sims[src, dst]
     del sims
-    return _without_isolated(exps.keys, rows, cols, weight, rho)
+    return _without_isolated(exps.keys, np.arange(n), src, dst, weight, rho)
 
 
 def fmt9(x: float) -> str:

@@ -18,7 +18,8 @@ def make_net(n, edges, rho=0.0):
     """Small hand-built network with nodes N00..N<n-1> and ``(a, b, w)`` edges."""
     src, dst, weight = (np.array(col) for col in zip(*edges)) if edges else ([], [], [])
     return CorrelationNetwork(
-        nodes=[RegionKey(country=f"N{i:02d}") for i in range(n)],
+        keys=[RegionKey(country=f"N{i:02d}") for i in range(n)],
+        rows=np.arange(n),
         src=np.asarray(src, dtype=np.intp),
         dst=np.asarray(dst, dtype=np.intp),
         weight=np.asarray(weight, dtype=float),
@@ -97,12 +98,16 @@ def planted():
     return Panel.from_series(cases), labels
 
 
-@pytest.fixture(scope="session")
-def cases_300():
+def make_cases_300():
     """The cases of the benchmark's ``pipeline-300`` input at seed 1: 300
     regions in 3 groups over 859 days."""
     cases, _ = make_planted_cases(per_group=100, days=859, seed=1, start=date(2020, 1, 22))
     return Panel.from_series(cases)
+
+
+@pytest.fixture(scope="session")
+def cases_300():
+    return make_cases_300()
 
 
 @pytest.fixture(scope="session")

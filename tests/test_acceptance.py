@@ -136,7 +136,8 @@ def test_criterion_4_planted_recovery(planted):
     assert len(cells) == 18
     for cell in cells:
         assert cell.error is None, cell.error
-        truth = Partition(labels=np.array([labels[key] for key in cell.nodes]), modularity=0.0)
+        truth = Partition(labels=np.array([labels[cell.keys[r]] for r in cell.rows]),
+                          modularity=0.0)
         agreement, _ = compare_partitions(cell.partition, truth)
         assert agreement == 1.0, cell.settings.label()
     assert time.monotonic() - t0 < 30
@@ -217,7 +218,7 @@ def test_criterion_6_grid_consistency(planted, tmp_path):
 
     cells = run_grid(cases)
     matrix = order_rows(align_labels(cells))
-    for row in matrix.cells:
+    for row in matrix.labels.tolist():
         assert len(set(row)) == 1  # identical aligned label in all 18 columns
 
     # the child imports the same epinet sources as this test, installed or not

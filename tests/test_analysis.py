@@ -60,27 +60,27 @@ def dated(values, start=date(2021, 1, 1)):
 class TestMedianCurve:
     def test_single_member(self):
         exps = exp_panel({"A": [1.0, -2.0, 0.5], "B": [9.0, 9.0, 9.0]})
-        med = median_curve(exps, {exps.keys[0]})
+        med = median_curve(exps, np.array([0]))
         assert med.tolist() == [1.0, -2.0, 0.5]  # one value per day of the panel
 
     def test_odd_count(self):
         exps = exp_panel({n: [v] for n, v in zip("ABC", (-1.0, 0.0, 5.0))})
-        med = median_curve(exps, set(exps.keys))
+        med = median_curve(exps, np.arange(len(exps)))
         assert med.tolist() == [0.0]
 
     def test_even_count_mean_of_central(self):
         exps = exp_panel({n: [v] for n, v in zip("ABCD", (-1.0, 0.0, 2.0, 7.0))})
-        med = median_curve(exps, set(exps.keys))
+        med = median_curve(exps, np.arange(len(exps)))
         assert med.tolist() == [1.0]
 
     def test_empty_members(self):
         with pytest.raises(ParameterError):
-            median_curve(exp_panel({"A": [1.0]}), set())
+            median_curve(exp_panel({"A": [1.0]}), np.array([], dtype=np.intp))
 
     def test_bounded_by_member_extremes(self):
         rng = np.random.default_rng(4)
         exps = exp_panel({f"R{i}": rng.normal(size=30) for i in range(7)})
-        med = median_curve(exps, set(exps.keys))
+        med = median_curve(exps, np.arange(len(exps)))
         assert np.all(med >= exps.values.min(axis=0) - 1e-12)
         assert np.all(med <= exps.values.max(axis=0) + 1e-12)
 
@@ -110,11 +110,10 @@ class TestMedianEqualsNanmedian:
 
     @staticmethod
     def check(panel, rows):
-        members = {k for k, ok in zip(panel.keys, rows) if ok}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = np.nanmedian(panel.values[rows], axis=0)
-        assert median_curve(panel, members).tobytes() == expected.tobytes()
+        assert median_curve(panel, np.flatnonzero(rows)).tobytes() == expected.tobytes()
 
     def test_small_panels_bit_equal(self):
         for panel, rows in nanmedian_panels(seed=6, count=1500):
@@ -198,17 +197,21 @@ def grid_input(name, request):
     return planted
 
 
+def nodes_of(cell):
+    """The region keys of a cell's nodes, or None."""
+    return None if cell.rows is None else [cell.keys[r] for r in cell.rows.tolist()]
+
+
 def assert_same_cells(got, want, keys):
-    """Equal settings, errors, nodes (the same key objects, from ``keys``),
-    labels and modularity, bit for bit."""
+    """Equal settings, errors, nodes (rows of the key list ``keys``), labels
+    and modularity, bit for bit."""
     assert [c.settings for c in got] == [c.settings for c in want] == list(GRID)
-    ids = {id(key) for key in keys}
     for cell, ref in zip(got, want):
         assert cell.error == ref.error
-        assert (cell.nodes is None) == (ref.nodes is None)
-        if cell.nodes is not None:
-            assert len(cell.nodes) == len(ref.nodes)
-            assert all(a is b and id(a) in ids for a, b in zip(cell.nodes, ref.nodes))
+        assert (cell.rows is None) == (ref.rows is None)
+        if cell.rows is not None:
+            assert cell.keys is keys and ref.keys is keys
+            assert np.array_equal(cell.rows, ref.rows)
         assert (cell.partition is None) == (ref.partition is None)
         if cell.partition is not None:
             assert np.array_equal(cell.partition.labels, ref.partition.labels)
@@ -257,7 +260,8 @@ class TestRunGrid:
         assert len(cells) == 18
         for cell in cells:
             assert cell.error is None, cell.error
-            truth = Partition(labels=np.array([labels[key] for key in cell.nodes]), modularity=0.0)
+            truth = Partition(labels=np.array([labels[key] for key in nodes_of(cell)]),
+                              modularity=0.0)
             agreement, _ = compare_partitions(cell.partition, truth)
             assert agreement == 1.0, cell.settings.label()
 
@@ -293,18 +297,20 @@ class TestRunGrid:
 
         with mock.patch.object(analysis, "louvain", spy):
             shared = run_grid(cases, seed)
-            assert len(networks) == sum(c.nodes is not None for c in shared)
-            # a cell's nodes are those of the network its partition came from
-            shared_networks = {id(net.nodes): net for net in networks}
+            assert len(networks) == sum(c.rows is not None for c in shared)
+            # a cell's nodes are those of the network its partition came from;
+            # the networks of one (alpha, measure) may share their rows
+            shared_networks = {(id(net.rows), net.rho): net for net in networks}
             assert [c.settings for c in shared] == list(GRID)
             for cell, settings in zip(shared, GRID):
                 networks.clear()
                 alone = run_cell(cases, settings, seed=seed)
                 assert cell.error == alone.error
-                assert cell.nodes == alone.nodes
-                net = shared_networks.get(id(cell.nodes))
+                assert nodes_of(cell) == nodes_of(alone)
+                net = shared_networks.get((id(cell.rows), settings.rho))
                 assert (net is None) == (not networks)
                 if net is not None:
+                    assert cell.rows is net.rows
                     assert net.nodes == networks[0].nodes
                     for field in ("src", "dst", "weight"):
                         assert np.array_equal(getattr(net, field), getattr(networks[0], field))
@@ -444,9 +450,26 @@ def anti_correlated_pair():
     return Panel.from_series(cases)
 
 
+# the panel of the hand-built cells: its rows are not in name order
+CELL_KEYS = [RegionKey(country=n) for n in "z y x zeta mid i h g f e d c b alpha a".split()]
+
+
 def _cell(settings, nodes, labels):
-    part = Partition(labels=np.array(labels, dtype=np.intp), modularity=0.0)
-    return GridCell(settings=settings, nodes=[RegionKey(country=n) for n in nodes], partition=part)
+    """A cell of the regions named ``nodes``, with ``labels``, over CELL_KEYS."""
+    rows = [next(r for r, k in enumerate(CELL_KEYS) if k.display == n) for n in nodes]
+    order = np.argsort(rows)
+    part = Partition(labels=np.array(labels, dtype=np.intp)[order], modularity=0.0)
+    return GridCell(settings=settings, keys=CELL_KEYS, rows=np.array(rows)[order], partition=part)
+
+
+def table(matrix):
+    """The matrix's region keys and its rows of labels, None where absent."""
+    keys = [matrix.keys[r] for r in matrix.rows.tolist()]
+    return keys, [[lab or None for lab in row] for row in matrix.labels.tolist()]
+
+
+def by_name(matrix):
+    return {key.display: row for key, row in zip(*table(matrix))}
 
 
 REF = REFERENCE
@@ -457,14 +480,14 @@ class TestAlignLabels:
     def test_reference_identity(self):
         cell = _cell(REF, ["a", "b", "c", "d"], [0, 0, 0, 1])
         matrix = align_labels([cell])
-        labels = {r.display: row[0] for r, row in zip(matrix.rows, matrix.cells)}
+        labels = {name: row[0] for name, row in by_name(matrix).items()}
         assert labels == {"a": 1, "b": 1, "c": 1, "d": 2}
 
     def test_permuted_labels_align(self):
         ref = _cell(REF, ["a", "b", "c", "d"], [0, 0, 0, 1])
         other = _cell(OTHER, ["a", "b", "c", "d"], [1, 1, 1, 0])
         matrix = align_labels([ref, other])
-        for row in matrix.cells:
+        for row in table(matrix)[1]:
             assert row[0] == row[1]
 
     def test_split_community_larger_shard_keeps_label(self):
@@ -473,16 +496,15 @@ class TestAlignLabels:
         ref = _cell(REF, nodes, [i // 3 for i in range(9)])
         other = _cell(OTHER, nodes, [0, 0, 0, 1, 1, 1, 2, 2, 3])
         matrix = align_labels([ref, other])
-        by_name = {r.display: row for r, row in zip(matrix.rows, matrix.cells)}
-        assert by_name["g"][1] == 3 and by_name["h"][1] == 3
-        assert by_name["i"][1] == 4  # smaller shard gets a fresh label
+        rows = by_name(matrix)
+        assert rows["g"][1] == 3 and rows["h"][1] == 3
+        assert rows["i"][1] == 4  # smaller shard gets a fresh label
 
     def test_absent_region_blank(self):
         ref = _cell(REF, ["a", "b"], [0, 0])
         other = _cell(OTHER, ["a"], [0])
         matrix = align_labels([ref, other])
-        by_name = {r.display: row for r, row in zip(matrix.rows, matrix.cells)}
-        assert by_name["b"][1] is None
+        assert by_name(matrix)["b"][1] is None
 
     def test_missing_reference_raises(self):
         cell = _cell(OTHER, ["a", "b"], [0, 0])
@@ -499,14 +521,14 @@ def reference_align(results, reference):
     """``align_labels`` on sets of region keys."""
     def key_sets(cell):
         out = [set() for _ in range(cell.partition.num_communities)]
-        for key, lab in zip(cell.nodes, cell.partition.labels.tolist()):
+        for key, lab in zip(nodes_of(cell), cell.partition.labels.tolist()):
             out[lab].add(key)
         return out
 
     ref_comms = key_sets(next(c for c in results if c.settings == reference))
     k = len(ref_comms)
-    rows = sorted({key for c in results if c.nodes is not None for key in c.nodes},
-                  key=lambda key: key.display)
+    present = {key for c in results if c.rows is not None for key in nodes_of(c)}
+    rows = [key for key in CELL_KEYS if key in present]  # in panel order
     row_index = {key: r for r, key in enumerate(rows)}
     cells = [[None] * len(results) for _ in rows]
     for col, cell in enumerate(results):
@@ -525,27 +547,29 @@ def reference_align(results, reference):
                 used.add(ri)
         for ci in range(len(run_comms)):
             mapping.setdefault(ci, k + 1 + sum(v > k for v in mapping.values()))
-        for key, lab in zip(cell.nodes, cell.partition.labels.tolist()):
+        for key, lab in zip(nodes_of(cell), cell.partition.labels.tolist()):
             cells[row_index[key]][col] = mapping[lab]
     return rows, cells
 
 
 def reference_order(matrix):
     """``order_rows`` by a Python sort key per row."""
+    keys, cells = table(matrix)
+
     def row_key(r):
-        labels = [lab for lab in matrix.cells[r] if lab is not None]
+        labels = [lab for lab in cells[r] if lab is not None]
         counts = {lab: labels.count(lab) for lab in labels}
         majority = min(counts, key=lambda lab: (-counts[lab], lab)) if labels else math.inf
-        tup = tuple(math.inf if lab is None else lab for lab in matrix.cells[r])
-        return (majority, tup, matrix.rows[r].display)
+        tup = tuple(math.inf if lab is None else lab for lab in cells[r])
+        return (majority, tup, keys[r].display)
 
-    order = sorted(range(len(matrix.rows)), key=row_key)
-    return [matrix.rows[r] for r in order], [matrix.cells[r] for r in order]
+    order = sorted(range(len(keys)), key=row_key)
+    return [keys[r] for r in order], [cells[r] for r in order]
 
 
 def test_align_and_order_equal_set_and_sort_key_references():
-    # equal keys in distinct objects, regions missing from some runs, failed
-    # runs, unused labels, and rows whose labels tie, so their names decide
+    # regions missing from some runs, failed runs, unused labels, and rows
+    # whose labels tie, so their names decide
     rng = np.random.default_rng(4)
     names = ["a", "b", "c", "d", "e", "f", "g", "h"]
     settings = [REF, OTHER] + [BuildSettings(rho=r, alpha=7.0, measure=SimilarityMeasure.COSINE)
@@ -560,22 +584,28 @@ def test_align_and_order_equal_set_and_sort_key_references():
                 cell.partition = None
             results.append(cell)
         matrix = align_labels(results)
-        assert (matrix.rows, matrix.cells) == reference_align(results, REF)
+        assert table(matrix) == reference_align(results, REF)
         ordered = order_rows(matrix)
-        assert (ordered.rows, ordered.cells) == reference_order(matrix)
+        assert table(ordered) == reference_order(matrix)
 
 
 class TestOrderRows:
     def test_alphabetical_on_uniform_labels(self):
         cell = _cell(REF, ["zeta", "alpha", "mid"], [0, 0, 0])
         matrix = order_rows(align_labels([cell]))
-        assert [r.display for r in matrix.rows] == ["alpha", "mid", "zeta"]
+        assert [key.display for key in table(matrix)[0]] == ["alpha", "mid", "zeta"]
 
     def test_majority_label_primary_key(self):
         cell = _cell(REF, ["x", "y", "z"], [1, 0, 2])
         matrix = order_rows(align_labels([cell]))
-        labels = [row[0] for row in matrix.cells]
+        labels = [row[0] for row in table(matrix)[1]]
         assert labels == sorted(labels)
+
+    def test_equal_names_keep_panel_order(self):
+        keys = [RegionKey(country="A: B"), RegionKey(country="A", province="B")]
+        matrix = MembershipMatrix(keys=keys, rows=np.array([1, 0]), columns=[REF.label()],
+                                  labels=np.array([[1], [1]]))
+        assert order_rows(matrix).rows.tolist() == [0, 1]
 
     def test_deterministic(self):
         cells = [
@@ -584,7 +614,7 @@ class TestOrderRows:
         ]
         out1 = order_rows(align_labels(cells))
         out2 = order_rows(align_labels(cells))
-        assert out1 == out2
+        assert table(out1) == table(out2)
 
 
 class TestTrajectory:
@@ -704,7 +734,7 @@ def reference_write_membership_csv(matrix, stream):
     """The earlier csv.writer writers, kept as the byte-for-byte references."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["region"] + list(matrix.columns))
-    for key, row in zip(matrix.rows, matrix.cells):
+    for key, row in zip(*table(matrix)):
         writer.writerow([key.display] + ["" if lab is None else lab for lab in row])
 
 
@@ -724,7 +754,9 @@ def test_membership_csv_equals_reference_bytes(seed):
         [None if rng.random() < 0.2 else int(rng.integers(1, 6)) for _ in columns]
         for _ in AWKWARD_KEYS
     ]
-    matrix = MembershipMatrix(rows=list(AWKWARD_KEYS), columns=columns, cells=cells)
+    labels = np.array([[lab or 0 for lab in row] for row in cells])
+    matrix = MembershipMatrix(keys=list(AWKWARD_KEYS), rows=np.arange(len(AWKWARD_KEYS)),
+                              columns=columns, labels=labels)
     got, expected = io.StringIO(), io.StringIO()
     write_membership_csv(matrix, got)
     reference_write_membership_csv(matrix, expected)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epinet
+from conftest import make_cases_300
 from epinet import analysis, ingest, netbuild, transform
 from epinet.cli import OUTPUT_FILES, SETTINGS, RunConfig, build_parser, load_cases, main
 from epinet.errors import InsufficientDataError
@@ -50,6 +51,17 @@ def fixture_csv(tmp_path_factory):
 def awkward_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "awkward.csv"
     path.write_text(awkward_text(), encoding="utf-8")
+    return path
+
+
+def cases_300_text():
+    return to_wide_csv(make_cases_300())
+
+
+@pytest.fixture(scope="module")
+def cases_300_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "cases_300.csv"
+    path.write_text(cases_300_text(), encoding="utf-8")
     return path
 
 
@@ -357,6 +369,18 @@ class TestConfigFile:
         assert summary["config"]["measure"] == "cosine"
         assert summary["config"]["seed"] == 3
 
+    def test_config_file_with_a_byte_order_mark(self, fixture_csv, tmp_path):
+        """A config that starts with a byte order mark, as Windows Notepad
+        writes it, runs as the same text without one does."""
+        out, outputs = tmp_path / "out", {}
+        for encoding in ("utf-8", "utf-8-sig"):
+            cfg = tmp_path / f"{encoding}.cfg"
+            cfg.write_text(f"input = {fixture_csv}\nalpha = 5\n", encoding=encoding)
+            assert main(["network", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs[encoding] = read_bytes_map(out)
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs["utf-8-sig"] == outputs["utf-8"]
+
     def test_flags_override_file(self, fixture_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"input = {fixture_csv}\nalpha = 5\n")
@@ -425,7 +449,8 @@ class TestGrid:
 
 # grid's outputs on each fixture, pinned: tests/golden/<fixture>/<file>
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_INPUTS = {"fixture_csv": planted_text, "awkward_csv": awkward_text}
+GOLDEN_INPUTS = {"fixture_csv": planted_text, "awkward_csv": awkward_text,
+                 "cases_300_csv": cases_300_text}
 GOLDEN_FILES = ("membership_matrix.csv", "grid_cells.json")
 
 
@@ -488,6 +513,28 @@ def test_matrix_past_the_size_limit_exits_with_one_error_line(
         "message": message,
     }
     assert not out.exists()
+
+
+def test_medians_are_of_each_communitys_regions_after_an_isolated_one(tmp_path):
+    """A flat region leads the panel and has no edge, so network node i is
+    panel row i + 1; each median is still that of its community's regions."""
+    planted = Panel.from_series(make_planted_cases()[0])
+    flat = np.full((1, planted.days), 200_000.0)
+    cases = Panel(keys=[RegionKey(country="Flat"), *planted.keys], start=planted.start,
+                  values=np.vstack([flat, planted.values]))
+    path, out = tmp_path / "cases.csv", tmp_path / "out"
+    path.write_text(to_wide_csv(cases), encoding="utf-8")
+    assert main(["pipeline", "--input", str(path), "--out", str(out)]) == 0
+    with (out / "partition.csv").open() as fh:
+        community = {row["region"]: int(row["community"]) for row in csv.DictReader(fh)}
+    assert "Flat" not in community and len(community) == len(planted)
+    exps = transform.to_exponent_series(cases, alpha=7.0)
+    with (out / "medians.csv").open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    for label in range(3):
+        members = [community.get(key.display) == label for key in exps.keys]
+        want = np.median(exps.values[members], axis=0)
+        assert [row[1 + label] for row in rows] == [fmt9(v) for v in want]
 
 
 def test_fingerprints_record_each_partitions_settings(fixture_csv, tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -123,8 +124,19 @@ def reference_modularity(net, labels, resolution=1.0):
     for i in range(net.n):
         tot[labels[i]] = tot.get(labels[i], 0.0) + deg[i]
     q = internal / two_m
-    q -= resolution * sum((s / two_m) ** 2 for s in tot.values())
+    q -= resolution * added_in_order((s / two_m) ** 2 for s in tot.values())
     return q
+
+
+def test_modularity_adds_the_community_totals_in_order():
+    """Q adds the squared community totals one at a time, in label order, on
+    every Python; a compensated sum, as ``sum`` of floats is from Python 3.12,
+    rounds these totals differently."""
+    deg = np.array([1.0, 1e-8, 1e-8])  # each node its own community; 2m = 1
+    squares = [s ** 2 for s in deg]
+    assert math.fsum(squares) != added_in_order(squares)
+    q = community._modularity(make_net(3, []), np.arange(3), 3, deg, 1.0, 1.0)
+    assert q == -added_in_order(squares)
 
 
 def reference_louvain(net, seed=0, resolution=1.0):
@@ -391,7 +403,7 @@ class TestLouvain:
                 (min(inv[a], inv[b]), max(inv[a], inv[b]), w) for a, b, w in net.edges
             ]
             pnet = make_net(net.n, pedges)
-            pnet.nodes = pnodes
+            pnet.keys = pnodes
             part = louvain(pnet, seed=3)
             assert part.modularity == pytest.approx(base.modularity, abs=1e-12)
             # same partition up to relabeling: compare by region key groupings

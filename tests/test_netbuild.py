@@ -375,7 +375,8 @@ def awkward_network(seed, n=len(AWKWARD_KEYS)):
     weight[: len(AWKWARD_WEIGHTS)] = AWKWARD_WEIGHTS
     rng.shuffle(weight)
     return CorrelationNetwork(
-        nodes=nodes,
+        keys=nodes,
+        rows=np.arange(n),
         src=src,
         dst=dst,
         weight=weight,

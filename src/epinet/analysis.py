@@ -26,7 +26,7 @@ from .ingest import Panel, RegionKey, csv_field, write_rows
 from . import netbuild
 from .netbuild import CorrelationNetwork, SimilarityMeasure, build_network
 from .community import Partition, louvain
-from .transform import clip_exponents, to_exponent_series
+from .transform import to_exponent_series
 
 RHO_VALUES = (0.0, 0.05, 0.1)
 ALPHA_VALUES = (5.0, 7.0, 9.0)
@@ -146,23 +146,26 @@ def run_grid(cases: Panel, seed: int = 0) -> list[GridCell]:
 
     Each cell equals ``run_cell`` on its settings, error strings included,
     but the transform runs once, unclipped, and the network is built once
-    per (alpha, measure), at the smallest rho of the grid, from the clip of
-    that transform to alpha; every rho cell takes the edges of that network
-    above its own rho.  The cells run grouped by (alpha, measure), so one
-    such network is alive at a time in each process (``_run_shares``).
-    Once the transform has run, this function holds no reference to ``cases``.
+    per (alpha, measure), at the smallest rho of the grid, from that
+    transform clipped to alpha; every rho cell takes the edges of that
+    network above its own rho.  The cells run grouped by (alpha, measure),
+    so one such network is alive at a time in each process (``_run_shares``),
+    and in non-increasing alpha, so each process clips its one exponent
+    panel in place: a clip to alpha of a clip to a larger alpha is the clip
+    to alpha.  Once the transform has run, this function holds no reference
+    to ``cases``.
     """
     cells = [GridCell(settings=s) for s in GRID]
     try:
-        unclipped = to_exponent_series(cases, alpha=math.inf)
+        exps = to_exponent_series(cases, alpha=math.inf)
     except EpinetError as exc:
         for cell in cells:
             cell.error = _error(exc)
         return cells
     del cases  # frees the panel here if the caller holds no reference to it
     groups = [[c for c in cells if (c.settings.alpha, c.settings.measure) == key]
-              for key in product(ALPHA_VALUES, MEASURES)]
-    _run_shares(unclipped, groups, seed)
+              for key in product(sorted(ALPHA_VALUES, reverse=True), MEASURES)]
+    _run_shares(exps, groups, seed)
     return cells
 
 
@@ -175,14 +178,16 @@ def _grid_processes() -> int:
     return min(len(ALPHA_VALUES) * len(MEASURES), len(os.sched_getaffinity(0)))
 
 
-def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> None:
+def _run_shares(exps: Panel, groups: list[list[GridCell]], seed: int) -> None:
     """Run ``groups`` in ``_grid_processes()`` contiguous shares, at most as
     many as n x n similarity matrices fit in MAX_MATRIX_BYTES: the first
     here, each other in a forked child that pipes back each cell's error,
-    partition and node rows, or here if that child fails.
+    partition and node rows, or here, after the first, if that child fails.
+    So each process runs its groups in their order, which ``_run_group``'s
+    in-place clip of ``exps`` needs.
     On any exception the children left are killed: none outlives this call."""
     # each process builds its own n x n matrix
-    matrices = netbuild.MAX_MATRIX_BYTES // max(1, len(unclipped) ** 2 * 8)
+    matrices = netbuild.MAX_MATRIX_BYTES // max(1, len(exps) ** 2 * 8)
     p = min(_grid_processes(), max(1, matrices))
     shares = [groups[s * len(groups) // p:(s + 1) * len(groups) // p] for s in range(p)]
     children = []  # (pid, None once reaped or if the fork failed; read end of its pipe; share)
@@ -196,7 +201,7 @@ def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> No
             if pid == 0:  # exits 0 once its cells are sent, 1 on any exception
                 try:
                     for group in share:
-                        _run_group(unclipped, group, seed)
+                        _run_group(exps, group, seed)
                     sent = [(c.error, c.partition, c.rows) for c in sum(share, [])]
                     with open(write_fd, "wb") as pipe:
                         pickle.dump(sent, pipe)
@@ -206,18 +211,18 @@ def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> No
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb"), share))
         for group in shares[0]:
-            _run_group(unclipped, group, seed)
+            _run_group(exps, group, seed)
         for k, (pid, pipe, share) in enumerate(children):
             payload = pipe.read()
             status = os.waitpid(pid, 0)[1] if pid else 1
             children[k] = (None, pipe, share)  # reaped
             if status != 0:  # a child that exits 0 has sent all of its cells
                 for group in share:
-                    _run_group(unclipped, group, seed)
+                    _run_group(exps, group, seed)
                 continue
             for cell, (error, partition, rows) in zip(sum(share, []), pickle.loads(payload)):
                 cell.error, cell.partition, cell.rows = error, partition, rows
-                cell.keys = None if rows is None else unclipped.keys
+                cell.keys = None if rows is None else exps.keys
     finally:
         for pid, pipe, _ in children:
             pipe.close()
@@ -226,13 +231,15 @@ def _run_shares(unclipped: Panel, groups: list[list[GridCell]], seed: int) -> No
                 os.waitpid(pid, 0)
 
 
-def _run_group(unclipped: Panel, group: list[GridCell], seed: int) -> None:
-    """Fill the cells of one (alpha, measure) from one network built at the
-    smallest rho; the clipped panel is freed before Louvain runs, and the
-    network when this returns."""
+def _run_group(exps: Panel, group: list[GridCell], seed: int) -> None:
+    """Clip ``exps`` to the group's alpha in place, then fill the cells of
+    one (alpha, measure) from one network built at the smallest rho; the
+    network is freed when this returns.  ``exps`` must be unclipped or
+    clipped to an alpha no smaller than the group's."""
     alpha, measure = group[0].settings.alpha, group[0].settings.measure
+    np.clip(exps.values, -alpha, alpha, out=exps.values)
     try:
-        base = build_network(clip_exponents(unclipped, alpha), rho=min(RHO_VALUES), measure=measure)
+        base = build_network(exps, rho=min(RHO_VALUES), measure=measure)
     except EpinetError as exc:
         for cell in group:
             cell.error = _error(exc)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -95,10 +96,14 @@ class RunConfig:
 
 
 def _plain(value):
-    """The JSON form of a setting: dates in ISO, paths and the measure as text."""
+    """The JSON form of a setting: dates in ISO, paths and the measure as
+    text, and a number that is not finite as the text its flag takes ("inf",
+    "-inf", "nan"), since JSON has no infinity or NaN."""
     if isinstance(value, Enum):
         return value.value
-    return str(value) if isinstance(value, (date, Path)) else value
+    if isinstance(value, (date, Path)) or isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 def read_config_file(path: Path) -> dict[str, str]:
@@ -228,8 +233,8 @@ def cmd_transform(config: RunConfig) -> tuple[dict, dict]:
 
 
 def _build(config: RunConfig):
-    cases = load_cases(config)
-    exps = transform.to_exponent_series(cases, alpha=config.alpha)
+    # no reference to the cases here: they go once transformed
+    exps = transform.to_exponent_series(load_cases(config), alpha=config.alpha)
     net = netbuild.build_network(exps, rho=config.rho, measure=config.measure)
     return exps, net
 
@@ -288,8 +293,8 @@ def partition_summary(part: community.Partition, settings: analysis.BuildSetting
         "modularity": float(netbuild.fmt9(part.modularity)),
         "community_sizes": np.bincount(part.labels).tolist(),
         "settings_fingerprint": {
-            "rho": settings.rho,
-            "alpha": settings.alpha,
+            "rho": _plain(settings.rho),
+            "alpha": _plain(settings.alpha),
             "measure": settings.measure.value,
             "seed": seed,
             "resolution": 1.0,

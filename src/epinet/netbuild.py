@@ -172,8 +172,20 @@ def fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
+# The characters that XML 1.0 allows in no document, escaped or not; tab, LF
+# and CR are allowed
+XML_FORBIDDEN = frozenset(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
+
+
 def _escape(text: str) -> str:
-    """XML character data: ``&`` first, so the entities it makes stay intact."""
+    """XML character data: ``&`` first, so the entities it makes stay intact.
+    A character XML cannot hold raises ParameterError."""
+    if not XML_FORBIDDEN.isdisjoint(text):
+        bad = min(XML_FORBIDDEN.intersection(text))
+        raise ParameterError(
+            f"region {text!r} has the character U+{ord(bad):04X} in its name, which "
+            "XML 1.0 forbids, so network.graphml cannot hold it"
+        )
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -185,7 +197,10 @@ def write_edge_csv(net: CorrelationNetwork, stream) -> None:
 
 
 def write_graphml(net: CorrelationNetwork, stream) -> None:
-    """GraphML export with weight as an edge attribute; byte-stable."""
+    """GraphML export with weight as an edge attribute; byte-stable.  A region
+    name that XML cannot hold raises ParameterError before anything is
+    written."""
+    labels = [_escape(key.display) for key in net.nodes]
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
     stream.write(
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
@@ -194,7 +209,7 @@ def write_graphml(net: CorrelationNetwork, stream) -> None:
         '  <graph id="G" edgedefault="undirected">\n'
     )
     node = '    <node id="n%d"><data key="label">%s</data></node>\n'
-    write_rows(stream, node, range(net.n), [_escape(key.display) for key in net.nodes])
+    write_rows(stream, node, range(net.n), labels)
     edge = '    <edge source="n%d" target="n%d"><data key="weight">%.9g</data></edge>\n'
     write_rows(stream, edge, net.src, net.dst, net.weight)
     stream.write("  </graph>\n</graphml>\n")

@@ -25,6 +25,9 @@ DEFAULT_ALPHA = 7.0
 FLOOR_EPS = 1e-9
 
 WARMUP_DAYS = 8  # 1 (diff) + 6 (window) + 1 (log ratio)
+# to_exponent_series works on blocks of rows of about this many bytes (38
+# rows at 859 days), so its temporaries stay far below a panel's size
+BLOCK_BYTES = 2**18
 
 
 def daily_diffs(cumulative) -> np.ndarray:
@@ -62,10 +65,10 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError(f"alpha must be positive, got {alpha}")
 
 
-def _log_ratios(floored: np.ndarray, alpha: float) -> np.ndarray:
+def _log_ratios(floored: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
     """Clipped log-ratios of consecutive floored averages along the last
-    axis, in one new array."""
-    ratio = floored[..., 1:] / floored[..., :-1]
+    axis, in ``out`` or one new array."""
+    ratio = np.divide(floored[..., 1:], floored[..., :-1], out=out)
     # in place: no further array of the panel's size
     return np.clip(np.log(ratio, out=ratio), -alpha, alpha, out=ratio)
 
@@ -78,13 +81,6 @@ def change_exponents(avgs, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """
     _check_alpha(alpha)
     return _log_ratios(np.maximum(np.asarray(avgs, dtype=float), FLOOR_EPS), alpha)
-
-
-def clip_exponents(exps: Panel, alpha: float) -> Panel:
-    """``exps`` clipped to [-alpha, alpha].  On the unclipped series
-    (``alpha=inf``) this equals ``to_exponent_series`` at ``alpha``."""
-    _check_alpha(alpha)
-    return Panel(keys=exps.keys, start=exps.start, values=np.clip(exps.values, -alpha, alpha))
 
 
 def _check_days(panel: Panel) -> None:
@@ -114,11 +110,16 @@ def to_exponent_series(panel: Panel, alpha: float = DEFAULT_ALPHA) -> Panel:
     """Full composition: diffs -> 7-day average -> clipped exponents, as a
     panel that starts WARMUP_DAYS after the input.
 
-    Equal to the exponents of ``_exponent_stages``, but at most two arrays of
-    the panel's size are alive at once: the diffs go once averaged, and the
-    averages are floored in place.
+    Equal to the exponents of ``_exponent_stages``, but the one array it
+    allocates at the panel's size is its result: it fills that a block of
+    rows at a time, whose diffs and averages take about BLOCK_BYTES each.
     """
     _check_days(panel)
     _check_alpha(alpha)
-    avgs = moving_average_7(daily_diffs(panel.values))
-    return _exponent_panel(panel, _log_ratios(np.maximum(avgs, FLOOR_EPS, out=avgs), alpha))
+    n, days = panel.values.shape
+    exps = np.empty((n, days - WARMUP_DAYS))
+    step = max(1, BLOCK_BYTES // (8 * days))
+    for lo in range(0, n, step):
+        avgs = moving_average_7(daily_diffs(panel.values[lo : lo + step]))
+        _log_ratios(np.maximum(avgs, FLOOR_EPS, out=avgs), alpha, out=exps[lo : lo + step])
+    return _exponent_panel(panel, exps)

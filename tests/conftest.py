@@ -1,6 +1,8 @@
 import itertools
+import sys
 import tracemalloc
 from datetime import date
+from pathlib import Path
 
 # epinet before numpy: it pins OpenBLAS to one thread before numpy loads, so
 # this process has one thread, as an epinet command has, and the grid may fork
@@ -8,7 +10,7 @@ import epinet  # noqa: F401
 import numpy as np
 import pytest
 
-from epinet.ingest import Panel, RegionKey
+from epinet.ingest import Panel, RegionKey, parse_cases_csv
 from epinet.netbuild import CorrelationNetwork
 from epinet.synthetic import make_planted_cases
 from epinet.transform import to_exponent_series
@@ -108,6 +110,26 @@ def make_cases_300():
 @pytest.fixture(scope="session")
 def cases_300():
     return make_cases_300()
+
+
+def grid_300_text():
+    """The benchmark's ``grid-300`` input CSV at seed 1, as
+    ``perfbench/inputs.py`` makes it: 300 regions in 3 groups over 859 days,
+    about half with a reporting artefact that clipping bites on at every
+    alpha of the grid."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)  # inputs.py imports its sibling checks.py
+    try:
+        import inputs
+    finally:
+        sys.path.remove(perfbench)
+    return inputs.make_inputs("grid-300", seed=1).wide_csv()
+
+
+@pytest.fixture(scope="session")
+def grid_300():
+    """The cases of the benchmark's ``grid-300`` input at seed 1."""
+    return parse_cases_csv(grid_300_text().encode())
 
 
 @pytest.fixture(scope="session")

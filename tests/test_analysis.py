@@ -189,8 +189,8 @@ def grid_input(name, request):
     """The cases of a grid test input, by name."""
     if name == "anti_correlated":
         return anti_correlated_pair()
-    if name == "cases_300":
-        return request.getfixturevalue("cases_300")
+    if name in ("cases_300", "grid_300"):
+        return request.getfixturevalue(name)
     planted = request.getfixturevalue("planted")[0]
     if name == "short":  # too few days for one exponent
         return Panel(keys=planted.keys, start=planted.start, values=planted.values[:, :8])
@@ -230,29 +230,35 @@ class TestRunGrid:
     def test_reference_is_third_cell(self):
         assert GRID[2] == REFERENCE == BuildSettings(0.0, 7.0, SimilarityMeasure.PEARSON)
 
-    @pytest.mark.usefixtures("one_process")
-    def test_one_network_per_alpha_and_measure(self, planted):
-        """run_grid clips and builds once per (alpha, measure), at the
-        smallest rho, in product(ALPHA_VALUES, MEASURES) order."""
-        calls = []
-        clip, build = analysis.clip_exponents, analysis.build_network
+    def test_the_grid_300_input_clips_at_every_alpha(self, grid_300):
+        unclipped = analysis.to_exponent_series(grid_300, alpha=math.inf).values
+        for alpha in ALPHA_VALUES:
+            assert np.count_nonzero(np.abs(unclipped) > alpha) > 0, alpha
 
-        def clip_spy(panel, alpha):
-            calls.append(("clip", alpha))
-            return clip(panel, alpha)
+    @pytest.mark.usefixtures("one_process")
+    def test_one_network_per_alpha_and_measure(self, grid_300):
+        """run_grid clips and builds once per (alpha, measure), at the
+        smallest rho, in product(ALPHA_VALUES, MEASURES) order with alpha
+        non-increasing, from one exponent panel that it clips in place."""
+        calls, panels = [], set()
+        build = analysis.build_network
 
         def build_spy(exps, rho, measure):
+            panels.add(id(exps.values))
+            # the input's exponents pass every alpha, so the largest of the
+            # panel is the alpha it was clipped to
+            calls.append(("clip", float(np.abs(exps.values).max())))
             calls.append(("build", rho, measure))
             return build(exps, rho=rho, measure=measure)
 
-        with mock.patch.object(analysis, "clip_exponents", clip_spy), \
-                mock.patch.object(analysis, "build_network", build_spy):
-            cells = run_grid(planted[0])
+        with mock.patch.object(analysis, "build_network", build_spy):
+            cells = run_grid(grid_300)
         assert all(c.error is None for c in cells)
         assert calls == [
-            step for alpha, measure in product(ALPHA_VALUES, MEASURES)
+            step for alpha, measure in product(sorted(ALPHA_VALUES, reverse=True), MEASURES)
             for step in (("clip", alpha), ("build", min(RHO_VALUES), measure))
         ]
+        assert len(panels) == 1
 
     def test_planted_recovery_all_cells(self, planted):
         cases, labels = planted
@@ -267,8 +273,9 @@ class TestRunGrid:
 
     @pytest.mark.usefixtures("one_process")
     def test_grid_holds_one_network_at_a_time(self, cases_300):
-        """Beside its input, run_grid holds the unclipped exponents and one
-        network at a time, and its cells keep nodes and partitions only."""
+        """Beside its input, run_grid holds one exponent panel, which it
+        clips in place, and one network at a time, and its cells keep nodes
+        and partitions only."""
         tracemalloc.start()
         try:
             cells = run_grid(cases_300)
@@ -277,7 +284,7 @@ class TestRunGrid:
             tracemalloc.stop()
         panel_bytes = cases_300.values.nbytes
         assert all(c.error is None for c in cells)
-        assert peak <= 4 * panel_bytes, peak / panel_bytes
+        assert peak <= 3 * panel_bytes, peak / panel_bytes
         assert held <= 0.25 * panel_bytes, held / panel_bytes
 
     def test_cell_error_recorded_not_raised(self):
@@ -285,7 +292,7 @@ class TestRunGrid:
         assert all(c.error is not None for c in cells)
 
     @pytest.mark.usefixtures("one_process")
-    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated", "short"])
+    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated", "short", "grid_300"])
     def test_shared_grid_equals_cell_by_cell(self, request, fixture):
         seed = 4
         cases = grid_input(fixture, request)
@@ -319,12 +326,13 @@ class TestRunGrid:
                 else:
                     assert np.array_equal(cell.partition.labels, alone.partition.labels)
                     assert cell.partition.modularity == alone.partition.modularity
-        if fixture == "planted":
+        if fixture in ("planted", "grid_300"):
             assert all(c.error is None for c in shared)
         else:
             assert all(c.error is not None for c in shared)
 
-    @pytest.mark.parametrize("fixture", ["planted", "anti_correlated", "short", "cases_300"])
+    @pytest.mark.parametrize(
+        "fixture", ["planted", "anti_correlated", "short", "cases_300", "grid_300"])
     def test_same_cells_for_every_process_count(self, monkeypatch, request, fixture):
         cases = grid_input(fixture, request)
         runs = {}
@@ -392,7 +400,7 @@ class TestRunGrid:
         monkeypatch.setattr(analysis, "_grid_processes", lambda: 2)
         assert all(c.error is None for c in run_grid(planted[0]))
         # this process ran the first three groups, and the child the others
-        assert here == list(product(ALPHA_VALUES, MEASURES))[:3]
+        assert here == list(product(sorted(ALPHA_VALUES, reverse=True), MEASURES))[:3]
         assert_no_child_left()
 
     def test_an_exception_here_kills_the_children(self, monkeypatch, planted):
@@ -410,8 +418,10 @@ class TestRunGrid:
         assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["child_exits_7", "fork_fails"])
-    def test_a_share_whose_child_fails_runs_here(self, monkeypatch, planted, failure):
-        cases = planted[0]
+    def test_a_share_whose_child_fails_runs_here(self, monkeypatch, grid_300, failure):
+        """In 3 and in 6 processes; this process reruns each failed share
+        after its own, on its one exponent panel, clipped in place."""
+        cases = grid_300
         monkeypatch.setattr(analysis, "_grid_processes", lambda: 1)
         want = run_grid(cases, seed=4)
         parent, run_group, fork, forks = os.getpid(), analysis._run_group, os.fork, []
@@ -431,9 +441,11 @@ class TestRunGrid:
             monkeypatch.setattr(analysis, "_run_group", die_in_child)
         else:
             monkeypatch.setattr(os, "fork", fork_then_fail)
-        monkeypatch.setattr(analysis, "_grid_processes", lambda: 3)
-        assert_same_cells(run_grid(cases, seed=4), want, cases.keys)
-        assert_no_child_left()
+        for p in (3, 6):
+            forks.clear()
+            monkeypatch.setattr(analysis, "_grid_processes", lambda p=p: p)
+            assert_same_cells(run_grid(cases, seed=4), want, cases.keys)
+            assert_no_child_left()
 
 
 def anti_correlated_pair():

@@ -13,11 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epinet
-from conftest import make_cases_300
+from conftest import grid_300_text, make_cases_300
 from epinet import analysis, ingest, netbuild, transform
 from epinet.cli import OUTPUT_FILES, SETTINGS, RunConfig, build_parser, load_cases, main
 from epinet.errors import InsufficientDataError
@@ -62,6 +62,13 @@ def cases_300_text():
 def cases_300_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "cases_300.csv"
     path.write_text(cases_300_text(), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def grid_300_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "grid_300.csv"
+    path.write_text(grid_300_text(), encoding="utf-8")
     return path
 
 
@@ -450,7 +457,7 @@ class TestGrid:
 # grid's outputs on each fixture, pinned: tests/golden/<fixture>/<file>
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = {"fixture_csv": planted_text, "awkward_csv": awkward_text,
-                 "cases_300_csv": cases_300_text}
+                 "cases_300_csv": cases_300_text, "grid_300_csv": grid_300_text}
 GOLDEN_FILES = ("membership_matrix.csv", "grid_cells.json")
 
 
@@ -557,6 +564,17 @@ def test_fingerprints_record_each_partitions_settings(fixture_csv, tmp_path):
     assert {label: cell["settings_fingerprint"] for label, cell in cells.items()} == want
 
 
+def test_settings_that_are_not_finite_are_written_as_their_flag_text(fixture_csv, tmp_path):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", str(fixture_csv), "--out", str(out), "--alpha", "inf",
+            "--rho=-inf"]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
+    assert (summary["config"]["alpha"], summary["config"]["rho"]) == ("inf", "-inf")
+    fingerprint = summary["partition"]["settings_fingerprint"]
+    assert (fingerprint["alpha"], fingerprint["rho"]) == ("inf", "-inf")
+
+
 class TestStageCommands:
     def test_network_outputs(self, fixture_csv, tmp_path):
         out = tmp_path / "out"
@@ -646,7 +664,16 @@ def drawn_settings(draw):
     }
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @settings(max_examples=600, deadline=None, derandomize=True)
+# settings that are not finite numbers, which summary.json must still write as JSON
+@example(command="pipeline", data=PLANTED_CSV, drawn={"alpha": ("flag", "inf")}, env_seed=None)
+@example(command="network", data=PLANTED_CSV, drawn={"rho": ("file", "-inf")}, env_seed=None)
+@example(command="grid", data=PLANTED_CSV, drawn={"alpha": ("flag", "inf")}, env_seed=None)
+@example(command="grid", data=PLANTED_CSV, drawn={"alpha": ("file", "nan")}, env_seed=None)
 @given(
     command=st.sampled_from(["pipeline", "grid", "network", "transform"]),
     data=mutated_csv(),
@@ -678,11 +705,33 @@ def test_exit_code_contract(command, data, drawn, env_seed):
         if rc == 0:
             assert stdout.getvalue() == ""
             assert (out / "summary.json").is_file()
+            for path in out.glob("*.json"):  # JSON has no NaN or infinity
+                json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
         else:
             lines = stdout.getvalue().splitlines()
             assert len(lines) == 1, argv
             assert set(json.loads(lines[0])) == {"error", "message"}
             assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("command, code", [("network", 2), ("pipeline", 2), ("grid", 0)])
+def test_a_name_that_xml_forbids_stops_the_graphml_commands(
+    fixture_csv, tmp_path, capsys, command, code
+):
+    """A region name with U+0001 cannot go into network.graphml: the commands
+    that write it exit 2, name the region and leave --out as it was."""
+    path, out = tmp_path / "cases.csv", tmp_path / "out"
+    path.write_text(planted_text().replace("Group1 Region01", "A\x01B", 1), encoding="utf-8")
+    assert main([command, "--input", str(fixture_csv), "--out", str(out)]) == 0
+    before = read_bytes_map(out)
+    capsys.readouterr()
+    assert main([command, "--input", str(path), "--out", str(out)]) == code
+    if code == 0:
+        return
+    payload = json.loads(capsys.readouterr().out)  # one line, or this raises
+    assert payload["error"] == "ParameterError"
+    assert "'A\\x01B'" in payload["message"], payload
+    assert read_bytes_map(out) == before
 
 
 def test_counts_at_the_bound_keep_every_exponent_finite(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import warnings
 from datetime import date
 
@@ -12,6 +13,7 @@ from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import (
     MIN_OVERLAP,
+    XML_FORBIDDEN,
     CorrelationNetwork,
     SimilarityMeasure,
     build_network,
@@ -414,3 +416,31 @@ def test_graphml_escapes_ampersand_first():
     assert [d.text or "" for d in data] == [
         key.display.replace("\r", "\n") for key in AWKWARD_KEYS
     ]
+
+
+def with_name(net, name):
+    """``net`` with its fourth node renamed ``name``."""
+    net.keys = [*net.keys[:3], RegionKey(country=name), *net.keys[4:]]
+    return net
+
+
+def test_graphml_refuses_a_name_that_xml_forbids():
+    assert len(XML_FORBIDDEN) == 31
+    for char in sorted(XML_FORBIDDEN):
+        buf = io.StringIO()
+        with pytest.raises(ParameterError, match=re.escape(f"region {f'A{char}B'!r} ")):
+            write_graphml(with_name(awkward_network(0), f"A{char}B"), buf)
+        assert buf.getvalue() == ""
+
+
+def test_graphml_holds_a_name_that_xml_allows():
+    import xml.etree.ElementTree as ET
+
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    for char in ["\t", "\n", "\r", " ", "\x7f", "\x85", "\ud7ff", "\ue000", "\ufffd",
+                 "\U00010000", "\U0010ffff"]:
+        buf = io.StringIO()
+        write_graphml(with_name(awkward_network(0), f"A{char}B"), buf)
+        label = list(ET.fromstring(buf.getvalue().encode()).iter(f"{ns}data"))[3].text
+        # an XML parser reads a carriage return as a line feed
+        assert label == f"A{char}B".replace("\r", "\n"), repr(char)

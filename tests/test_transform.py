@@ -15,7 +15,6 @@ from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.transform import (
     WARMUP_DAYS,
     change_exponents,
-    clip_exponents,
     daily_diffs,
     moving_average_7,
     to_exponent_series,
@@ -178,13 +177,29 @@ class TestComposition:
         e = to_exponent_series(panel_of(counts), alpha=alpha)
         assert np.all(np.abs(e.values) <= alpha)
 
-    def test_holds_at_most_two_and_a_half_panels(self, cases_300):
-        """The diffs go once averaged and the averages are floored in place,
-        so at most two arrays of the panel's size are alive at once."""
+    def test_holds_at_most_one_and_a_half_panels(self, cases_300):
+        """The result is the one array of the panel's size: the diffs and
+        averages are made a block of rows at a time."""
         exps, peak = traced_peak(to_exponent_series, cases_300)
         panel_bytes = cases_300.values.nbytes
         assert exps.values.shape == (300, 859 - WARMUP_DAYS)
-        assert peak <= 2.5 * panel_bytes, peak / panel_bytes
+        assert peak <= 1.5 * panel_bytes, peak / panel_bytes
+
+    @pytest.mark.parametrize("regions", [1, 37, 38, 39, 77, 100])
+    def test_row_blocks_equal_the_whole_panel(self, regions):
+        """Blocks of 38 rows at 859 days, the last one short; a zero stretch
+        and a negative correction send log-ratios past every alpha."""
+        rng = np.random.default_rng(regions)
+        daily = rng.integers(0, 10**6, size=(regions, 859))
+        daily[0, 100:120] = 0
+        daily[-1, 300] = -(10**7)
+        panel = Panel(keys=[RegionKey(country=f"R{i}") for i in range(regions)],
+                      start=date(2020, 1, 22), values=np.cumsum(daily, axis=1).astype(float))
+        for alpha in (5.0, math.inf):
+            _, _, staged = transform._exponent_stages(panel, alpha=alpha)
+            got = to_exponent_series(panel, alpha=alpha)
+            assert (got.keys, got.start) == (staged.keys, staged.start)
+            assert got.values.tobytes() == staged.values.tobytes()
 
     @given(st.integers(2, 1000))
     @settings(max_examples=30, deadline=None)
@@ -206,12 +221,12 @@ class TestClipExponents:
         daily[1, 30] = -5000
         panel = Panel(keys=[RegionKey(country=c) for c in "ABCD"], start=date(2021, 1, 1),
                       values=np.cumsum(daily, axis=1).astype(float))
-        unclipped = to_exponent_series(panel, alpha=math.inf)
+        unclipped = to_exponent_series(panel, alpha=math.inf).values
         for alpha in (1e-3, 5.0, 7.0, 9.0, math.inf):
             want = to_exponent_series(panel, alpha=alpha)
-            got = clip_exponents(unclipped, alpha)
-            assert (got.keys, got.start) == (want.keys, want.start)
-            assert got.values.tobytes() == want.values.tobytes()
+            # as the grid clips its exponents, in place
+            got = np.clip(unclipped, -alpha, alpha, out=unclipped.copy())
+            assert got.tobytes() == want.values.tobytes()
             # the transform command's exponents, beside its diffs and averages
             staged = transform._exponent_stages(panel, alpha=alpha)[2]
             assert (staged.keys, staged.start) == (want.keys, want.start)
@@ -219,9 +234,11 @@ class TestClipExponents:
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
     def test_bad_alpha_as_transform(self, alpha):
+        """The transform command's stages reject an alpha as the composition
+        that network, pipeline and grid run does."""
         panel = panel_of(np.arange(20) ** 2)
         with pytest.raises(ParameterError) as want:
             to_exponent_series(panel, alpha=alpha)
         with pytest.raises(ParameterError) as got:
-            clip_exponents(to_exponent_series(panel, alpha=math.inf), alpha)
+            transform._exponent_stages(panel, alpha=alpha)
         assert str(got.value) == str(want.value)

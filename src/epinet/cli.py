@@ -2,9 +2,10 @@
 
 Subcommands: ``pipeline`` (full run), ``grid`` (robustness grid),
 ``network`` (stop after network construction), ``transform`` (stop after the
-exponent transform).  A flat key=value config file can supply any flag's
-value; command-line flags win over the file, and EPINET_SEED is the seed
-fallback of last resort.
+exponent transform).  Each command takes the settings it reads, as flags: a
+flag it does not read is a usage error.  A flat key=value config file can
+supply any setting, and each command reads the ones it takes; command-line
+flags win over the file, and EPINET_SEED is the seed fallback of last resort.
 
 Exit codes: 0 success, 2 input/format errors, 3 insufficient structure.
 """
@@ -18,7 +19,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
@@ -65,7 +66,8 @@ def _parse_count(text: str) -> int:
 
 # Every run setting, keyed by its name in the config file, in RunConfig and in
 # summary.json: the conversion from text and the help text.  The flag is the
-# key with "-" for "_".
+# key with "-" for "_".  A command takes COMMON_SETTINGS and those that
+# COMMANDS names for it.
 SETTINGS = {
     "input": (Path, "wide-format cumulative case CSV"),
     "out": (Path, "output directory (default out)"),
@@ -77,6 +79,7 @@ SETTINGS = {
     "measure": (SimilarityMeasure, "similarity measure, pearson or cosine (default pearson)"),
     "seed": (int, "community detection seed (default 0)"),
 }
+COMMON_SETTINGS = ("input", "out", "start", "end", "min_cases")
 
 
 @dataclass
@@ -91,8 +94,8 @@ class RunConfig:
     measure: SimilarityMeasure = SimilarityMeasure.PEARSON
     seed: int = 0
 
-    def as_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+    def as_dict(self, keys) -> dict:
+        return {key: _plain(getattr(self, key)) for key in keys}
 
 
 def _plain(value):
@@ -151,21 +154,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Epidemic case-count correlation-network community analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    for name, (command, _) in COMMANDS.items():
         p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="flat key=value config file")
-        for key, (_, text) in SETTINGS.items():
-            p.add_argument(_flag(key), help=text)
+        for key in command_settings(name):
+            p.add_argument(_flag(key), help=SETTINGS[key][1])
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Each setting from its flag, else the config file, else (seed only)
-    EPINET_SEED, else the RunConfig default."""
+    """Each setting that ``args.command`` takes from its flag, else the config
+    file, else (seed only) EPINET_SEED, else the RunConfig default."""
     filevals = read_config_file(Path(args.config)) if args.config else {}
     env = {"seed": os.environ.get("EPINET_SEED") or None}
     values = {}
-    for key, (parse, _) in SETTINGS.items():
+    for key in command_settings(args.command):
+        parse = SETTINGS[key][0]
         sources = (
             (getattr(args, key), _flag(key)),
             (filevals.get(key), f"{args.config}: {key}"),
@@ -213,21 +217,10 @@ def _json(payload: dict):
 def cmd_transform(config: RunConfig) -> tuple[dict, dict]:
     """stop after the exponent transform (exponents.csv)"""
     cases = load_cases(config)
-    diffs, avgs, exps = transform._exponent_stages(cases, alpha=config.alpha)
-
-    def write_exponents(fh) -> None:
-        fh.write("region,date,diff,avg7,exponent,defined\n")
-        days = [d.isoformat() for d in exps.dates]
-        # exponent day t is diff day t + WARMUP_DAYS - 1 and average day t + 1
-        rows = zip(exps.keys, diffs[:, transform.WARMUP_DAYS - 1 :], avgs[:, 1:], exps.values)
-        for key, d_row, a_row, e_row in rows:
-            # every exponent is defined; the column stays for the file format
-            names = [ingest.csv_field(key.display)] * len(days)
-            ingest.write_rows(fh, "%s,%s,%.9g,%.9g,%.9g,1\n", names, days, d_row, a_row, e_row)
-
+    exps = transform.to_exponent_series(cases, alpha=config.alpha)
     files = {
         "selected.csv": lambda fh: ingest.write_long_csv(cases, fh),
-        "exponents.csv": write_exponents,
+        "exponents.csv": lambda fh: transform.write_exponents_csv(cases, exps, fh),
     }
     return files, {"regions": len(exps)}
 
@@ -321,12 +314,20 @@ def cmd_grid(config: RunConfig) -> tuple[dict, dict]:
     return files, {"cells": len(cells), "errors": len(errors)}
 
 
+# Each command and the settings it takes beyond COMMON_SETTINGS: those it reads
 COMMANDS = {
-    "pipeline": cmd_pipeline,
-    "grid": cmd_grid,
-    "network": cmd_network,
-    "transform": cmd_transform,
+    "pipeline": (cmd_pipeline, ("alpha", "rho", "measure", "seed")),
+    "grid": (cmd_grid, ("seed",)),
+    "network": (cmd_network, ("alpha", "rho", "measure")),
+    "transform": (cmd_transform, ("alpha",)),
 }
+
+
+def command_settings(name: str) -> list[str]:
+    """The settings that command ``name`` takes, in SETTINGS order: its flags,
+    and the ``config`` entries of its summary.json."""
+    takes = COMMON_SETTINGS + COMMANDS[name][1]
+    return [key for key in SETTINGS if key in takes]
 
 
 # Every file name a command writes.  An existing --out is replaced as a whole,
@@ -372,8 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = resolve_config(args)
-        files, summary = COMMANDS[args.command](config)
-        files["summary.json"] = _json({"config": config.as_dict(), **summary})
+        files, summary = COMMANDS[args.command][0](config)
+        settings = command_settings(args.command)
+        files["summary.json"] = _json({"config": config.as_dict(settings), **summary})
         _write_outputs(config.out, files)
         return EXIT_OK
     except INPUT_ERRORS as exc:

@@ -11,9 +11,12 @@ regions x days table on the header's date axis, and the window and selection
 filters work on that panel.  Counts are bounded at +-2**53, so every one is
 held exactly as a float and every exponent derived from them is finite.
 
-Count cells in the feed's own shape (plain ASCII ``-?[0-9]+``) are read in one
-``np.loadtxt`` call; any other input goes through a per-cell ``int()`` loop,
-which accepts what ``int`` accepts and names the row and column of a bad cell.
+Lines are decoded from UTF-8 as they are read, with no separate check of the
+whole input first.  Count cells in the feed's own shape (plain ASCII
+``-?[0-9]+``) are read in one ``np.loadtxt`` call; any other input, an
+undecodable line included, goes through a per-cell ``int()`` loop, which
+accepts what ``int`` accepts, names the row and column of a bad cell and
+reports the first fault in file order.
 """
 
 from __future__ import annotations
@@ -156,33 +159,21 @@ def _header_dates(cells: list[str]) -> list[date]:
     return dates
 
 
-def _lines(data: bytes, start: int = 0):
-    """The lines of ``data[start:]`` as io.BytesIO yields them: each with its
-    newline, and no empty last line."""
+def _text_lines(data: bytes, start: int):
+    """The lines of ``data[start:]`` as text, each with its newline and no
+    empty last line, decoded one at a time, so no copy of the whole input is
+    made.  UTF-8 never encodes a character with a newline byte, so
+    each line decodes on its own; the first that does not raises
+    CsvFormatError, naming the file offset of its first bad byte."""
     while start < len(data):
         end = data.find(b"\n", start) + 1 or len(data)
-        yield data[start:end]
-        start = end
-
-
-def _text_lines(data: bytes, start: int):
-    """The lines of ``data[start:]`` as text, decoded one line at a time, so
-    no copy of the whole input is made.  UTF-8 never encodes a character with
-    a newline byte, so each line decodes on its own."""
-    return map(bytes.decode, _lines(data, start))
-
-
-def _check_utf8(data: bytes, start: int) -> None:
-    """Raise CsvFormatError, naming the file offset of the first bad byte,
-    unless ``data[start:]`` is UTF-8 text."""
-    for line in _lines(data, start):
         try:
-            line.decode()
+            yield data[start:end].decode()
         except UnicodeDecodeError as exc:
             raise CsvFormatError(
                 f"input is not UTF-8 text: {exc.reason} at byte {start + exc.start}"
             ) from None
-        start += len(line)
+        start = end
 
 
 def _records(reader):
@@ -213,8 +204,8 @@ def _exact_rows(lines, days: int) -> tuple[list[RegionKey], np.ndarray] | None:
     """Keys and counts of the data ``lines`` (any iterable, each line with or
     without its newline) when there is at least one and every non-empty line
     is four CSV metadata fields and then ``days`` fields of ASCII
-    ``-?[0-9]+`` text within +-MAX_COUNT, with no duplicate key; otherwise
-    None, and the per-cell loop decides.
+    ``-?[0-9]+`` text within +-MAX_COUNT, with no duplicate key; otherwise,
+    a line that is not UTF-8 included, None, and the per-cell loop decides.
 
     The counts are read by one ``np.loadtxt`` call, which takes each line's
     count text as soon as that line passes the shape check, so no count text
@@ -250,7 +241,7 @@ def _exact_rows(lines, days: int) -> tuple[list[RegionKey], np.ndarray] | None:
             return None
         values = np.loadtxt(chain([first], texts), dtype=np.int64, delimiter=",", ndmin=2)
         records = list(csv.reader(metas, strict=True))
-    except (ValueError, csv.Error):
+    except (ValueError, csv.Error, CsvFormatError):
         return None
     if len(records) != len(metas) or values.max() > MAX_COUNT or values.min() < -MAX_COUNT:
         return None
@@ -311,10 +302,10 @@ def parse_cases_csv(data: bytes) -> Panel:
     (synthetic fixtures) and must be consecutive days.  Lat/Long are ignored.
     Raises CsvFormatError for undecodable bytes, malformed CSV or a bad
     header, CsvParseError (with coordinates) for a bad cell or a count past
-    +-MAX_COUNT, and DuplicateKeyError when two rows key the same region.
+    +-MAX_COUNT, and DuplicateKeyError when two rows key the same region:
+    the first fault in file order.
     """
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    _check_utf8(data, start)
     reader = csv.reader(_text_lines(data, start))
     records = _records(reader)
     try:
@@ -388,11 +379,13 @@ def write_rows(stream, line: str, *columns) -> None:
 
 
 def write_long_csv(panel: Panel, stream) -> None:
-    """Write the normalized long-format CSV ``region,date,cumulative``."""
+    """Write the normalized long-format CSV ``region,date,cumulative``,
+    turning each row's counts into integers as it writes that row."""
     stream.write("region,date,cumulative\n")
     days = [d.isoformat() for d in panel.dates]
-    for key, row in zip(panel.keys, panel.values.astype(np.int64)):
-        write_rows(stream, "%s,%s,%d\n", [csv_field(key.display)] * len(days), days, row)
+    for key, row in zip(panel.keys, panel.values):
+        names = [csv_field(key.display)] * len(days)
+        write_rows(stream, "%s,%s,%d\n", names, days, row.astype(np.int64))
 
 
 def to_wide_csv(panel: Panel) -> str:

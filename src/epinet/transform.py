@@ -10,6 +10,10 @@ row or a whole panel; a NaN in an input array propagates.
 Warm-up bookkeeping: the first diff consumes 1 source day, the 7-day window
 6 more, and the log-ratio 1 more, so the first exponent lands on source
 index 8 and a series of length L yields L - 8 exponents.
+
+``to_exponent_series`` is the one composition that every command runs;
+``write_exponents_csv`` writes its exponents beside each region's diffs and
+averages, made again one row at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from datetime import timedelta
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .ingest import Panel
+from .ingest import Panel, csv_field, write_rows
 
 DEFAULT_ALPHA = 7.0
 FLOOR_EPS = 1e-9
@@ -83,38 +87,17 @@ def change_exponents(avgs, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     return _log_ratios(np.maximum(np.asarray(avgs, dtype=float), FLOOR_EPS), alpha)
 
 
-def _check_days(panel: Panel) -> None:
-    if panel.days < WARMUP_DAYS + 1:
-        raise InsufficientDataError(
-            f"need >= {WARMUP_DAYS + 1} days, got {panel.days}"
-        )
-
-
-def _exponent_panel(panel: Panel, values: np.ndarray) -> Panel:
-    return Panel(keys=panel.keys, start=panel.start + timedelta(days=WARMUP_DAYS), values=values)
-
-
-def _exponent_stages(
-    panel: Panel, alpha: float = DEFAULT_ALPHA
-) -> tuple[np.ndarray, np.ndarray, Panel]:
-    """The daily diffs, their 7-day averages and the exponent panel of
-    ``to_exponent_series``."""
-    _check_days(panel)
-    diffs = daily_diffs(panel.values)
-    avgs = moving_average_7(diffs)
-    exps = change_exponents(avgs, alpha=alpha)
-    return diffs, avgs, _exponent_panel(panel, exps)
-
-
 def to_exponent_series(panel: Panel, alpha: float = DEFAULT_ALPHA) -> Panel:
     """Full composition: diffs -> 7-day average -> clipped exponents, as a
     panel that starts WARMUP_DAYS after the input.
 
-    Equal to the exponents of ``_exponent_stages``, but the one array it
-    allocates at the panel's size is its result: it fills that a block of
-    rows at a time, whose diffs and averages take about BLOCK_BYTES each.
+    Equal to ``change_exponents(moving_average_7(daily_diffs(panel.values)),
+    alpha)``, but the one array it allocates at the panel's size is its
+    result: it fills that a block of rows at a time, whose diffs and averages
+    take about BLOCK_BYTES each.
     """
-    _check_days(panel)
+    if panel.days < WARMUP_DAYS + 1:
+        raise InsufficientDataError(f"need >= {WARMUP_DAYS + 1} days, got {panel.days}")
     _check_alpha(alpha)
     n, days = panel.values.shape
     exps = np.empty((n, days - WARMUP_DAYS))
@@ -122,4 +105,24 @@ def to_exponent_series(panel: Panel, alpha: float = DEFAULT_ALPHA) -> Panel:
     for lo in range(0, n, step):
         avgs = moving_average_7(daily_diffs(panel.values[lo : lo + step]))
         _log_ratios(np.maximum(avgs, FLOOR_EPS, out=avgs), alpha, out=exps[lo : lo + step])
-    return _exponent_panel(panel, exps)
+    return Panel(keys=panel.keys, start=panel.start + timedelta(days=WARMUP_DAYS), values=exps)
+
+
+def write_exponents_csv(cases: Panel, exps: Panel, stream) -> None:
+    """Write ``region,date,diff,avg7,exponent,defined``, one line per region
+    and exponent day, where ``exps`` is ``to_exponent_series(cases, alpha)``.
+
+    Each region's diffs and 7-day averages are made again from its row of
+    ``cases``: both work element by element along the day axis, so a row's
+    equal the whole panel's bit for bit, and no panel of them is held.
+    """
+    stream.write("region,date,diff,avg7,exponent,defined\n")
+    days = [d.isoformat() for d in exps.dates]
+    for key, counts, e_row in zip(exps.keys, cases.values, exps.values):
+        diffs = daily_diffs(counts)
+        avgs = moving_average_7(diffs)
+        # exponent day t is diff day t + WARMUP_DAYS - 1 and average day t + 1;
+        # every exponent is defined, and the column stays for the file format
+        names = [csv_field(key.display)] * len(days)
+        write_rows(stream, "%s,%s,%.9g,%.9g,%.9g,1\n", names, days,
+                   diffs[WARMUP_DAYS - 1 :], avgs[1:], e_row)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import sys
 import tracemalloc
@@ -112,18 +113,23 @@ def cases_300():
     return make_cases_300()
 
 
+def perfbench_module(name):
+    """The module ``name`` of ``perfbench/``, imported with that directory on
+    the path, since its modules import their siblings."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(perfbench)
+
+
 def grid_300_text():
     """The benchmark's ``grid-300`` input CSV at seed 1, as
     ``perfbench/inputs.py`` makes it: 300 regions in 3 groups over 859 days,
     about half with a reporting artefact that clipping bites on at every
     alpha of the grid."""
-    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
-    sys.path.insert(0, perfbench)  # inputs.py imports its sibling checks.py
-    try:
-        import inputs
-    finally:
-        sys.path.remove(perfbench)
-    return inputs.make_inputs("grid-300", seed=1).wide_csv()
+    return perfbench_module("inputs").make_inputs("grid-300", seed=1).wide_csv()
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epinet
-from conftest import grid_300_text, make_cases_300
+from conftest import grid_300_text, make_cases_300, perfbench_module, traced_peak
 from epinet import analysis, ingest, netbuild, transform
 from epinet.cli import OUTPUT_FILES, SETTINGS, RunConfig, build_parser, load_cases, main
-from epinet.errors import InsufficientDataError
+from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey, to_wide_csv
 from epinet.netbuild import fmt9
 from epinet.synthetic import make_planted_cases
@@ -257,6 +257,10 @@ class TestPipeline:
             "pipeline --input {csv} --out {out} --measure foo",
             "grid --input {csv} --out {out} --bogus 1",
             "network --input {csv} --out {out} --rho",
+            # a setting that the command does not read is no flag of it
+            "grid --input {csv} --out {out} --alpha=5",
+            "network --input {csv} --out {out} --seed 3",
+            "transform --input {csv} --out {out} --rho=0.1",
             "--input {csv} --out {out}",
             "",
         ],
@@ -349,16 +353,45 @@ class TestPipeline:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "empty", "file"]
 
 
+# the settings each command reads beyond input, out, start, end and min_cases
+COMMAND_SETTINGS = {
+    "pipeline": {"alpha", "rho", "measure", "seed"},
+    "grid": {"seed"},
+    "network": {"alpha", "rho", "measure"},
+    "transform": {"alpha"},
+}
+
+
 class TestConfigFile:
     def test_flags_config_keys_and_summary_share_one_table(self, fixture_csv, tmp_path):
+        """Each command's flags and its summary's config are the settings it
+        reads; another setting's flag is a usage error."""
+        for command, own in COMMAND_SETTINGS.items():
+            takes = {"input", "out", "start", "end", "min_cases"} | own
+            out = tmp_path / command
+            assert main([command, "--input", str(fixture_csv), "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert set(summary["config"]) == takes, command
+            # the parser keeps every flag's text as given: SETTINGS converts it
+            flags = [f"--{key.replace('_', '-')}=x" for key in takes]
+            args = build_parser().parse_args([command] + flags)
+            assert all(getattr(args, key) == "x" for key in takes)
+            for key in set(SETTINGS) - takes:
+                with pytest.raises(ParameterError, match="unrecognized arguments"):
+                    build_parser().parse_args([command, f"--{key.replace('_', '-')}=x"])
+
+    def test_a_command_reads_only_the_settings_it_takes(self, fixture_csv, tmp_path, monkeypatch):
+        """A config file may hold another command's settings, and EPINET_SEED
+        is read only by the commands that take a seed."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {fixture_csv}\nalpha = nan\nrho = 0.1\n")
         out = tmp_path / "out"
-        main(["network", "--input", str(fixture_csv), "--out", str(out)])
-        summary = json.loads((out / "summary.json").read_text())
-        assert set(summary["config"]) == set(SETTINGS)
-        # the parser keeps every flag's text as given: SETTINGS converts it
-        flags = [f"--{key.replace('_', '-')}=x" for key in SETTINGS]
-        args = build_parser().parse_args(["network"] + flags)
-        assert all(getattr(args, key) == "x" for key in SETTINGS)
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert "alpha" not in config and "rho" not in config
+        monkeypatch.setenv("EPINET_SEED", "abc")
+        assert main(["network", "--input", str(fixture_csv), "--out", str(out)]) == 0
+        assert main(["grid", "--input", str(fixture_csv), "--out", str(out)]) == 2
 
     def test_config_file_values(self, fixture_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -603,6 +636,40 @@ class TestStageCommands:
         cases = load_cases(RunConfig(input=awkward_csv))
         expected = reference_exponents_csv(cases, transform.DEFAULT_ALPHA)
         assert (out / "exponents.csv").read_bytes() == expected.encode()
+
+    def test_transform_files_equal_the_numpy_recomputation(self, grid_300_csv, tmp_path):
+        """Both files on the grid-300 input (late onsets, freezes, negative
+        corrections, clipped exponents) against perfbench/checks.py, which
+        recomputes the exponents with numpy alone."""
+        checks = perfbench_module("checks")
+        out = tmp_path / "out"
+        assert main(["transform", "--input", str(grid_300_csv), "--out", str(out)]) == 0
+        names, _, cumulative = checks.read_cases(grid_300_csv)
+
+        def read(name, column):
+            """The file's ``column`` as a regions x days array; each region's
+            name must lead its rows, in input order."""
+            with (out / name).open(newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            days = len(rows) // len(names)
+            assert [r[0] for r in rows] == [n for n in names for _ in range(days)], name
+            return np.array([r[column] for r in rows], dtype=float).reshape(len(names), days)
+
+        want = checks.exponents(cumulative)  # at alpha 7, the CLI default
+        got = read("exponents.csv", 4)
+        assert got.shape == want.shape
+        assert checks._close(got, want).all()
+        assert np.array_equal(read("selected.csv", 2), cumulative)
+
+    def test_transform_holds_at_most_three_case_panels(self, grid_300_csv, tmp_path):
+        """The exponents are the one panel-sized array that the command adds
+        to the cases: each region's diffs and averages are made again as its
+        lines are written, and its counts turn to integers one row at a time."""
+        panel_bytes = load_cases(RunConfig(input=grid_300_csv)).values.nbytes
+        argv = ["transform", "--input", str(grid_300_csv), "--out", str(tmp_path / "out")]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak <= 3 * panel_bytes, peak / panel_bytes
 
     def test_min_cases_filter(self, fixture_csv, tmp_path):
         out = tmp_path / "out"

@@ -91,10 +91,30 @@ def test_parse_accepts_bytes_with_bom():
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
 def test_undecodable_byte_named_by_its_file_offset(bom):
+    """Also when a bad cell follows it: faults are reported in file order."""
     data = bom + HEADER.encode() + b"\n,Alb\xffnia,0,0,1,2,3\n"
     offset = data.index(b"\xff")
-    with pytest.raises(CsvFormatError, match=f"invalid start byte at byte {offset}$"):
+    for data in (data, data + b",X,0,0,1,oops,3\n"):
+        with pytest.raises(CsvFormatError, match=f"invalid start byte at byte {offset}$"):
+            parse_cases_csv(data)
+        assert _outcome(data) == _per_cell_outcome(data)
+
+
+@pytest.mark.parametrize(
+    "lines, error, message",
+    [
+        ([HEADER, ",X,0,0,1,oops,3"], CsvParseError, "non-numeric case count 'oops' (row 2, "),
+        ([HEADER, ",X,0,0,1,2,3", ",X,0,0,4,5,6"], DuplicateKeyError, "duplicate region key"),
+        ([HEADER.replace("Lat", "Latitude"), ",X,0,0,1,2,3"], CsvFormatError, "header column 3"),
+    ],
+    ids=["bad_cell", "duplicate_key", "bad_header"],
+)
+def test_a_fault_before_an_undecodable_byte_is_reported(lines, error, message):
+    data = "\n".join(lines).encode() + b"\n,Alb\xffnia,0,0,1,2,3\n"
+    with pytest.raises(error) as err:
         parse_cases_csv(data)
+    assert str(err.value).startswith(message)
+    assert _outcome(data) == _per_cell_outcome(data)
 
 
 def test_parse_bad_header_column():

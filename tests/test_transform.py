@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import traced_peak
-from epinet import transform
 from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.transform import (
@@ -28,6 +27,12 @@ def series_of(counts, name="X", start=date(2021, 1, 1)):
 
 def panel_of(counts, name="X", start=date(2021, 1, 1)):
     return Panel.from_series([series_of(counts, name, start)])
+
+
+def whole_panel_exponents(panel, alpha):
+    """The public steps composed over the whole panel: the reference of
+    to_exponent_series, which runs them a block of rows at a time."""
+    return change_exponents(moving_average_7(daily_diffs(panel.values)), alpha)
 
 
 class TestDailyDiffs:
@@ -196,10 +201,10 @@ class TestComposition:
         panel = Panel(keys=[RegionKey(country=f"R{i}") for i in range(regions)],
                       start=date(2020, 1, 22), values=np.cumsum(daily, axis=1).astype(float))
         for alpha in (5.0, math.inf):
-            _, _, staged = transform._exponent_stages(panel, alpha=alpha)
+            staged = whole_panel_exponents(panel, alpha)
             got = to_exponent_series(panel, alpha=alpha)
-            assert (got.keys, got.start) == (staged.keys, staged.start)
-            assert got.values.tobytes() == staged.values.tobytes()
+            assert (got.keys, got.start) == (panel.keys, panel.dates[WARMUP_DAYS])
+            assert got.values.tobytes() == staged.tobytes()
 
     @given(st.integers(2, 1000))
     @settings(max_examples=30, deadline=None)
@@ -227,18 +232,18 @@ class TestClipExponents:
             # as the grid clips its exponents, in place
             got = np.clip(unclipped, -alpha, alpha, out=unclipped.copy())
             assert got.tobytes() == want.values.tobytes()
-            # the transform command's exponents, beside its diffs and averages
-            staged = transform._exponent_stages(panel, alpha=alpha)[2]
-            assert (staged.keys, staged.start) == (want.keys, want.start)
-            assert staged.values.tobytes() == want.values.tobytes()
+            # the public steps composed over the whole panel
+            staged = whole_panel_exponents(panel, alpha)
+            assert (want.keys, want.start) == (panel.keys, panel.dates[WARMUP_DAYS])
+            assert staged.tobytes() == want.values.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
     def test_bad_alpha_as_transform(self, alpha):
-        """The transform command's stages reject an alpha as the composition
-        that network, pipeline and grid run does."""
+        """The public steps reject an alpha as the composition that every
+        command runs does."""
         panel = panel_of(np.arange(20) ** 2)
         with pytest.raises(ParameterError) as want:
             to_exponent_series(panel, alpha=alpha)
         with pytest.raises(ParameterError) as got:
-            transform._exponent_stages(panel, alpha=alpha)
+            whole_panel_exponents(panel, alpha)
         assert str(got.value) == str(want.value)

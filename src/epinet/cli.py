@@ -7,7 +7,9 @@ flag it does not read is a usage error.  A flat key=value config file can
 supply any setting, and each command reads the ones it takes; command-line
 flags win over the file, and EPINET_SEED is the seed fallback of last resort.
 
-Exit codes: 0 success, 2 input/format errors, 3 insufficient structure.
+Exit codes: 0 success, 2 input/format errors and running out of memory,
+3 insufficient structure.  ``run`` is the ``epinet`` script and
+``python -m epinet.cli``; ``main`` runs a command in process.
 """
 
 from __future__ import annotations
@@ -384,6 +386,28 @@ def main(argv: list[str] | None = None) -> int:
     except STRUCTURE_ERRORS as exc:
         _report_error(exc)
         return EXIT_STRUCTURE
+    except MemoryError as exc:
+        # numpy raises a subclass of its own; Python's own has no message
+        _report_error(MemoryError(str(exc) or "out of memory"))
+        return EXIT_INPUT
+
+
+def run() -> None:
+    """The ``epinet`` command: ``main``, then, once standard output and error
+    are flushed, ``os._exit`` with its code, which skips the interpreter's
+    teardown and ``atexit`` handlers.  A reader of standard output that has
+    gone changes neither the exit code nor standard error; an exception that
+    escapes ``main`` ends the process as usual, with a traceback and exit 1.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # started with the descriptor closed
+            continue
+        try:
+            stream.flush()
+        except BrokenPipeError:  # nobody reads it any more
+            pass
+    os._exit(code)
 
 
 def _report_error(exc: Exception) -> None:
@@ -400,4 +424,4 @@ def _report_error(exc: Exception) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -26,7 +26,7 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -123,6 +123,19 @@ class Panel:
 
 def _parse_header_date(text: str, column: int) -> date:
     text = text.strip()
+    # the feed's unpadded M/D/YY, read as strptime's %m/%d/%y reads it; any
+    # other text goes to strptime
+    parts = text.split("/")
+    if len(parts) == 3 and all(p.isascii() and p.isdigit() for p in parts):
+        month, day, yy = map(int, parts)
+        try:
+            # %y reads 69..99 as 19xx and 00..68 as 20xx
+            found = date(yy + (1900 if yy >= 69 else 2000), month, day)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if text == f"{found.month}/{found.day}/{found.year % 100:02d}":
+                return found
     for fmt in ("%m/%d/%y", "%Y-%m-%d"):
         try:
             return datetime.strptime(text, fmt).date()
@@ -324,7 +337,10 @@ def parse_cases_csv(data: bytes) -> Panel:
             )
     dates = _header_dates(header[4:])
 
-    rows = _exact_rows(islice(_text_lines(data, start), reader.line_num, None), len(dates))
+    # the data lines start after the header's reader.line_num lines
+    for _ in range(reader.line_num):
+        start = data.find(b"\n", start) + 1 or len(data)
+    rows = _exact_rows(_text_lines(data, start), len(dates))
     if rows is None:
         rows = _checked_rows(records, len(header))
     keys, values = rows

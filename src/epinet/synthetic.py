@@ -14,7 +14,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import CaseSeries, RegionKey
+from .errors import ParameterError
+from .ingest import MAX_COUNT, CaseSeries, RegionKey
 
 DEFAULT_DAYS = 220
 DEFAULT_START = date(2021, 1, 1)
@@ -33,7 +34,8 @@ def make_planted_cases(
     Returns (series, labels) where labels maps each region key to its group.
     The latent signals are sinusoids with group-specific periods and phases
     (amplitude 0.4, so clipping at alpha >= 5 never bites); noise_sd = 0.05
-    keeps the signal-to-noise ratio above 5.
+    keeps the signal-to-noise ratio above 5.  A draw with a daily count
+    above MAX_COUNT / days raises ParameterError before any count is cast.
     """
     rng = np.random.default_rng(seed)
     t = np.arange(days, dtype=float)
@@ -52,6 +54,11 @@ def make_planted_cases(
             exps = latents[g] + rng.normal(0.0, noise_sd, size=days)
             exps[0] = 0.0
             log_new = log_base + np.cumsum(exps)
+            if log_new.max() > math.log(MAX_COUNT / days):  # before exp can overflow
+                raise ParameterError(
+                    f"noise_sd={noise_sd} drew a daily count above {MAX_COUNT // days}, "
+                    f"so {days} days of counts could pass {MAX_COUNT}"
+                )
             new_cases = np.rint(np.exp(log_new)).astype(np.int64)
             cumulative = np.cumsum(new_cases)
             key = RegionKey(country=f"Group{g + 1} Region{r + 1:02d}")

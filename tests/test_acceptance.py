@@ -18,6 +18,7 @@ import pytest
 from conftest import small_graph_suite
 from epinet.analysis import align_labels, bspline_smooth, order_rows, run_grid
 from epinet.community import Partition, brute_force_best, compare_partitions, louvain
+from epinet.errors import ParameterError
 from epinet.ingest import (
     CaseSeries,
     Panel,
@@ -141,6 +142,16 @@ def test_criterion_4_planted_recovery(planted):
         agreement, _ = compare_partitions(cell.partition, truth)
         assert agreement == 1.0, cell.settings.label()
     assert time.monotonic() - t0 < 30
+
+
+def test_a_planted_draw_past_the_count_bound_is_refused():
+    """At noise_sd 1.0 and seed 7 the generator draws daily counts far past
+    MAX_COUNT / days; it refuses the draw before exp overflows or a count is
+    cast, so no floating-point warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="noise_sd=1.0 drew a daily count above"):
+            make_planted_cases(per_group=10, noise_sd=1.0, seed=7)
 
 
 COMMUNITY_1 = """Albania, Australia: Victoria, Australia: Western Australia, Austria,

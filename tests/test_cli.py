@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -825,14 +826,15 @@ def test_counts_at_the_bound_keep_every_exponent_finite(tmp_path):
 
 def test_commands_skip_unneeded_imports(fixture_csv, tmp_path):
     """xml.sax (which loads urllib, http.client and ssl) and numpy.ma cost
-    start-up time and serve no output; neither pipeline nor grid loads them."""
+    start-up time and serve no output, and a header in the feed's M/D/YY
+    needs no _strptime; neither pipeline nor grid loads them."""
     out = str(tmp_path / "out")
     code = (
         "import json, sys\n"
         "from epinet.cli import main\n"
         f"codes = [main([c, '--input', {str(fixture_csv)!r}, '--out', {out!r} + c])"
         " for c in ('pipeline', 'grid')]\n"
-        "heavy = ('xml.sax', 'urllib.request', 'numpy.ma')\n"
+        "heavy = ('xml.sax', 'urllib.request', 'numpy.ma', '_strptime')\n"
         "print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))\n"
     )
     codes, loaded = run_python(code, os.environ)
@@ -884,6 +886,115 @@ def test_error_line_to_a_closed_pipe_keeps_the_exit_code(tmp_path, header, code)
     assert proc.returncode == code
     assert proc.stderr.startswith("epinet: error: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, header, code",
+    [
+        ("pipeline", None, 0),
+        ("grid", None, 0),
+        ("grid", "not,the,header", 2),
+        ("pipeline", "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20", 3),
+    ],
+)
+def test_the_module_ends_as_main_returns(fixture_csv, tmp_path, capsys, command, header, code):
+    """``python -m epinet.cli`` leaves through ``os._exit`` once it has
+    flushed: its exit code, standard output, standard error and files are
+    those of ``main`` in process."""
+    data = fixture_csv
+    if header is not None:
+        data = tmp_path / "cases.csv"
+        data.write_text(header + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--input", str(data), "--out", str(out)]
+    assert main(argv) == code
+    printed = capsys.readouterr()
+    files = read_bytes_map(out) if out.exists() else None
+    shutil.rmtree(out, ignore_errors=True)
+    src = str(Path(epinet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "epinet.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (printed.out, printed.err)
+    assert (read_bytes_map(out) if out.exists() else None) == files
+    if code:
+        assert len(proc.stdout.splitlines()) == len(proc.stderr.splitlines()) == 1
+    else:
+        grid_files = {"grid_errors.json", "grid_cells.json", "membership_matrix.csv",
+                      "summary.json"}
+        assert files.keys() == (PIPELINE_FILES if command == "pipeline" else grid_files)
+
+
+# Far above what the import and the run up to the matrix take, far below the
+# 1.07 GiB similarity matrix of 12,000 regions
+ADDRESS_SPACE_ALLOWANCE = 512 * 2**20
+OUT_OF_MEMORY = """import resource, sys
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
+from epinet.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status for its size")
+@pytest.mark.parametrize("command", ["pipeline", "grid"])
+def test_running_out_of_memory_exits_2_with_one_error_line(tmp_path, command):
+    """A process whose address space ends 512 MB above its size before it
+    imports epinet cannot allocate the similarity matrix of 12,000 regions,
+    which MAX_MATRIX_BYTES allows: numpy raises MemoryError before any BLAS
+    call, and the command exits 2 with one JSON line and one line on standard
+    error.  One such matrix fits MAX_MATRIX_BYTES, so the grid forks no child,
+    and OpenBLAS runs one thread: the test starts no other process or thread."""
+    rng = np.random.default_rng(0)
+    days = 20
+    counts = 100_000 + np.cumsum(rng.integers(0, 1000, size=(12_000, days)), axis=1)
+    header = ",".join(["Province/State,Country/Region,Lat,Long"]
+                      + [f"1/{d}/21" for d in range(1, days + 1)])
+    rows = [f",R{r},0,0," + ",".join(map(str, row)) for r, row in enumerate(counts.tolist())]
+    data, out = tmp_path / "cases.csv", tmp_path / "out"
+    data.write_text("\n".join([header, *rows]) + "\n")
+    src = str(Path(epinet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY, str(ADDRESS_SPACE_ALLOWANCE),
+         command, "--input", str(data), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    payload = json.loads(proc.stdout)  # one line, or this raises
+    assert payload["error"] == "MemoryError", payload
+    assert proc.stderr.startswith("epinet: error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_grid_share_short_of_memory_again_here_exits_2(fixture_csv, tmp_path, capsys,
+                                                         monkeypatch):
+    """A child that runs out of memory exits 1, and this process reruns its
+    share; when that runs out of memory too, the command exits 2 with one JSON
+    line and leaves no --out."""
+    parent, run_group, here = os.getpid(), analysis._run_group, []
+
+    def short_of_memory(exps, group, seed):
+        if group[0].settings.alpha == 5.0:  # the second share's
+            here.append(os.getpid() == parent)
+            raise MemoryError
+        run_group(exps, group, seed)
+
+    monkeypatch.setattr(analysis, "_grid_processes", lambda: 2)
+    monkeypatch.setattr(analysis, "_run_group", short_of_memory)
+    out = tmp_path / "out"
+    assert main(["grid", "--input", str(fixture_csv), "--out", str(out)]) == 2
+    assert here == [True]  # the rerun here; the child's attempt is not seen here
+    assert json.loads(capsys.readouterr().out) == {"error": "MemoryError",
+                                                   "message": "out of memory"}
+    assert not out.exists()
 
 
 def run_commands(commands, csv_path, workdir, env, args=()):

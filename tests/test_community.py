@@ -17,7 +17,7 @@ from conftest import (
     small_graph_suite,
     traced_peak,
 )
-from epinet import community
+from epinet import analysis, community
 from epinet.analysis import REFERENCE
 from epinet.cli import partition_summary
 from epinet.community import (
@@ -289,6 +289,33 @@ def reference_unmoved(net, deg, order, comm, tot, two_m, resolution):
     return len(order), np.array(tot)
 
 
+def spy_settled(monkeypatch):
+    """Count the visits that ``_settled`` decides and those it leaves to
+    scoring every candidate."""
+    paths = Counter()
+    settled = community._settled
+
+    def spy(*args):
+        best = settled(*args)
+        paths["scored" if best is None else "settled"] += 1
+        return best
+
+    monkeypatch.setattr(community, "_settled", spy)
+    return paths
+
+
+def scored_choice(w_to, cur, tot, ki, two_m, resolution):
+    """The visit's choice from the score of every candidate (``cur`` and each
+    community with weight), ``tot`` without the visit's node: the best, on a
+    tie ``cur``, else the smallest label."""
+    scores = {
+        c: (2.0 * w_to[c]) / two_m - resolution * 2.0 * ki * tot[c] / (two_m * two_m)
+        for c in set(np.flatnonzero(w_to).tolist()) | {cur}
+    }
+    top = max(scores.values())
+    return cur if scores[cur] == top else min(c for c, v in scores.items() if v == top)
+
+
 def confirm_pass_nets():
     """Graphs on which the confirm pass stops mid-sweep, confirms whole
     sweeps, meets an isolated super-node and meets a zero-sum candidate."""
@@ -415,7 +442,8 @@ class TestLouvain:
 
             assert groups(net, base) == groups(pnet, part)
 
-    def test_same_decisions_as_dict_reference(self):
+    def test_same_decisions_as_dict_reference(self, monkeypatch):
+        paths = spy_settled(monkeypatch)
         rng = np.random.default_rng(5)
         nets = list(small_graph_suite().values()) + [
             # a neighbour community whose weights sum to exactly 0 is still a
@@ -443,6 +471,74 @@ class TestLouvain:
                 part = louvain(net, seed=seed, resolution=resolution)
                 assert part.labels.tolist() == reference_louvain(net, seed, resolution)
                 assert part.modularity == reference_modularity(net, part.labels, resolution)
+        assert paths["settled"] and paths["scored"], paths
+
+    def test_grid_300_networks_take_both_paths(self, monkeypatch, grid_300):
+        """Most visits of the 18 grid networks are settled by ``_settled``; the
+        grid goldens pin their partitions."""
+        paths = spy_settled(monkeypatch)
+        monkeypatch.setattr(analysis, "_grid_processes", lambda: 1)
+        cells = analysis.run_grid(grid_300)
+        assert [c.error for c in cells] == [None] * 18
+        assert paths["settled"] > 10 * paths["scored"] > 0, paths
+
+    def test_settled_equals_scoring_every_candidate(self):
+        """On states with exact ties, at the bound too: ``_settled`` decides as
+        scoring every candidate does, or returns None and leaves ``w_to`` as
+        it was."""
+        rng = np.random.default_rng(3)
+        met = Counter()
+        for _ in range(3000):
+            n = int(rng.integers(2, 7))
+            # dyadic weights and totals, so that many scores tie exactly
+            w_to = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0], n)
+            tot = rng.choice([0.5, 1.0, 2.0, 3.0, 5.0], n)
+            cur, ki = int(rng.integers(n)), float(rng.choice([0.0, 1.0, 2.0, 4.0]))
+            tot[cur] -= ki  # the visit takes its node out
+            low = float(np.delete(tot, cur).min()) if n > 1 else 0.0
+            two_m, resolution = 16.0, float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+            want = scored_choice(w_to, cur, tot, ki, two_m, resolution)
+            before = w_to.copy()
+            got = community._settled(w_to, cur, tot, ki, low, two_m, resolution)
+            if got is None:
+                assert np.array_equal(w_to, before)
+            else:
+                assert got == want
+            met["scored" if got is None else "moves" if got != cur else "stays"] += 1
+        assert all(met[case] for case in ("scored", "moves", "stays")), met
+
+    def test_the_bound_follows_totals_that_unmoved_rewrites(self, monkeypatch):
+        """After each confirm pass the bound is the least total again.  Here a
+        stand-in for ``_unmoved`` also writes -1 into the total of a community
+        that has no node, where no node can go, so decisions stay those of the
+        dict reference, and the ``low`` of every later visit must be at most
+        -1."""
+        unmoved, settled = community._unmoved, community._settled
+        lowered = Counter()
+
+        def lowering(indptr, indices, data, order, comm, tot, deg, two_m, resolution):
+            start = unmoved(indptr, indices, data, order, comm, tot, deg, two_m, resolution)
+            empty = np.setdiff1d(np.arange(len(tot)), comm)
+            if len(empty):
+                tot[empty[0]] = -1.0
+                lowered["passes"] += 1
+            return start
+
+        def checked(w_to, cur, tot, ki, low, two_m, resolution):
+            others = np.delete(tot, cur)
+            assert not len(others) or low <= others.min()
+            lowered["visits"] += bool(tot.min() == -1.0)
+            return settled(w_to, cur, tot, ki, low, two_m, resolution)
+
+        monkeypatch.setattr(community, "_unmoved", lowering)
+        monkeypatch.setattr(community, "_settled", checked)
+        for net in list(small_graph_suite().values()) + confirm_pass_nets():
+            if net.weight.min() <= 0:
+                continue
+            for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
+                part = louvain(net, seed=seed, resolution=resolution)
+                assert part.labels.tolist() == reference_louvain(net, seed, resolution)
+        assert lowered["passes"] and lowered["visits"], lowered
 
     @pytest.mark.parametrize("graphs", ["community", "planted", "cases_300"])
     def test_labels_equal_the_ranking_reference(self, monkeypatch, request, graphs):

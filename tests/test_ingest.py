@@ -184,6 +184,16 @@ def _iso(first, days):
         ["garbage", "1/23/20"],
         ["1/22/20", "1/23/20", "13/1/20"],
         ["12/30/68", "12/31/68", "1/1/69"],  # %y turns 69 into 1969
+        ["12/30/69", "12/31/69", "1/1/70"],
+        ["1/1/68", "1/2/68"],
+        ["1/02/20", "1/3/20"],  # zero-padded day
+        ["1/2/020", "1/3/20"],  # a three-digit year
+        ["1/22/2020", "1/23/2020"],  # a four-digit year
+        ["2/30/20", "2/31/20"],  # no such day
+        ["2/29/21", "3/1/21"],
+        ["1/22/\u0662\u0660", "1/23/20"],  # Arabic-Indic digits, which strptime reads
+        ["\u0661/22/20", "1/23/20"],
+        ["9" * 30 + "/1/21", "1/2/21"],  # past any C integer
         ["9999-12-30", "9999-12-31", "1/1/00"],  # no day after date.max
         ["2021-03-01", "3/2/21", "2021-03-03"],
     ],

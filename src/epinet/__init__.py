@@ -16,7 +16,7 @@ from .ingest import (
 )
 from .transform import to_exponent_series
 from .netbuild import CorrelationNetwork, SimilarityMeasure, build_network
-from .community import Partition, brute_force_best, compare_partitions, louvain, modularity_of
+from .community import Partition, compare_partitions, louvain
 from .analysis import (
     BuildSettings,
     MembershipMatrix,

@@ -10,7 +10,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from itertools import product
 
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ingest import Panel, RegionKey, csv_field, write_rows
 from . import netbuild
-from .netbuild import CorrelationNetwork, SimilarityMeasure, build_network
+from .netbuild import SimilarityMeasure, build_network
 from .community import Partition, louvain
 from .transform import to_exponent_series
 
@@ -118,37 +118,15 @@ def _error(exc: EpinetError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _partition(cell: GridCell, net: CorrelationNetwork, seed: int) -> None:
-    """Record the network's nodes in ``cell``, then its Louvain partition."""
-    cell.keys, cell.rows = net.keys, net.rows
-    cell.partition = louvain(net, seed=seed)
-
-
-def run_cell(
-    cases: Panel,
-    settings: BuildSettings,
-    seed: int = 0,
-) -> GridCell:
-    """One pipeline run: transform -> network -> community detection."""
-    cell = GridCell(settings=settings)
-    try:
-        exps = to_exponent_series(cases, alpha=settings.alpha)
-        net = build_network(exps, rho=settings.rho, measure=settings.measure)
-        _partition(cell, net, seed)
-    except EpinetError as exc:
-        cell.error = _error(exc)
-    return cell
-
-
 def run_grid(cases: Panel, seed: int = 0) -> list[GridCell]:
     """Run every cell of GRID at ``seed``; per-cell failures are recorded,
     not raised, and the cells come back in GRID order.
 
-    Each cell equals ``run_cell`` on its settings, error strings included,
-    but the transform runs once, unclipped, and the network is built once
-    per (alpha, measure), at the smallest rho of the grid, from that
-    transform clipped to alpha; every rho cell takes the edges of that
-    network above its own rho.  The cells run grouped by (alpha, measure),
+    Each cell equals one run of transform, network and Louvain on its own
+    settings, error strings included, but the transform runs once,
+    unclipped, and the network is built once per (alpha, measure), at the
+    smallest rho of the grid, from that transform clipped to alpha; every
+    rho cell takes the edges of that network above its own rho.  The cells run grouped by (alpha, measure),
     so one such network is alive at a time in each process (``_run_shares``),
     and in non-increasing alpha, so each process clips its one exponent
     panel in place: a clip to alpha of a clip to a larger alpha is the clip
@@ -185,7 +163,9 @@ def _run_shares(exps: Panel, groups: list[list[GridCell]], seed: int) -> None:
     partition and node rows, or here, after the first, if that child fails.
     So each process runs its groups in their order, which ``_run_group``'s
     in-place clip of ``exps`` needs.
-    On any exception the children left are killed: none outlives this call."""
+    On any exception the children left are killed: none outlives this call.
+    A child holds no read end of any pipe, so once this process is gone, even
+    killed, its write fails with EPIPE and it exits rather than block."""
     # each process builds its own n x n matrix
     matrices = netbuild.MAX_MATRIX_BYTES // max(1, len(exps) ** 2 * 8)
     p = min(_grid_processes(), max(1, matrices))
@@ -200,6 +180,9 @@ def _run_shares(exps: Panel, groups: list[list[GridCell]], seed: int) -> None:
                 pid = None
             if pid == 0:  # exits 0 once its cells are sent, 1 on any exception
                 try:
+                    os.close(read_fd)
+                    for _, pipe, _ in children:
+                        pipe.close()
                     for group in share:
                         _run_group(exps, group, seed)
                     sent = [(c.error, c.partition, c.rows) for c in sum(share, [])]
@@ -246,7 +229,9 @@ def _run_group(exps: Panel, group: list[GridCell], seed: int) -> None:
         return
     for cell in group:
         try:
-            _partition(cell, base.above(cell.settings.rho), seed)
+            net = base.above(cell.settings.rho)
+            cell.keys, cell.rows = net.keys, net.rows
+            cell.partition = louvain(net, seed=seed)
         except EpinetError as exc:
             cell.error = _error(exc)
 

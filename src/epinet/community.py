@@ -1,7 +1,6 @@
-"""Weighted modularity maximization: deterministic Louvain plus an exact
-brute-force oracle for small graphs.
+"""Weighted modularity maximization by deterministic Louvain.
 
-Modularity is the standard weighted form
+Modularity is the standard weighted form (resolution 1)
 Q = (1/2m) * sum_ij (A_ij - k_i k_j / 2m) * delta(c_i, c_j)
 with A the weighted adjacency, k_i the weighted degree and m the total edge
 weight.  The Louvain run is fully deterministic: nodes are visited in a
@@ -16,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    ComparisonError,
-    InsufficientStructureError,
-    PartitionSizeError,
-)
+from .errors import ComparisonError, InsufficientStructureError
 from .ingest import csv_field, write_rows
 from .netbuild import CorrelationNetwork
-
-BRUTE_FORCE_MAX_NODES = 12
 
 
 @dataclass
@@ -39,23 +31,6 @@ class Partition:
     @property
     def num_communities(self) -> int:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
-
-
-def modularity_of(
-    net: CorrelationNetwork,
-    labels: np.ndarray,
-    resolution: float = 1.0,
-) -> float:
-    """Recompute Q of one label per node, any integers, from scratch
-    (self-loop-free convention)."""
-    labels = np.asarray(labels)
-    if labels.shape != (net.n,):
-        raise CoverageError(f"labels of shape {labels.shape} for {net.n} nodes")
-    community, k = _first_seen(labels)
-    # degrees accumulate edge by edge, one end after the other
-    ends = np.column_stack([net.src, net.dst]).ravel()
-    deg = np.bincount(ends, weights=np.repeat(net.weight, 2), minlength=net.n)
-    return _modularity(net, community, k, deg, _two_m(net), resolution)
 
 
 def _first_seen(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -75,8 +50,7 @@ def _two_m(net: CorrelationNetwork) -> float:
     return two_m
 
 
-def _modularity(net, community: np.ndarray, k: int, deg: np.ndarray, two_m: float,
-                resolution: float) -> float:
+def _modularity(net, community: np.ndarray, k: int, deg: np.ndarray, two_m: float) -> float:
     """Q of ``community`` (labels 0..k-1, in order of first appearance); ``deg``
     adds each node's edge weights in edge order."""
     same = community[net.src] == community[net.dst]
@@ -88,7 +62,7 @@ def _modularity(net, community: np.ndarray, k: int, deg: np.ndarray, two_m: floa
     squares = 0.0
     for s in tot:
         squares += (s / two_m) ** 2
-    return q - resolution * squares
+    return q - squares
 
 
 def _csr(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
@@ -116,14 +90,13 @@ _FIRST_STEP = 64
 _CONFIRM_CELLS = 1 << 16
 
 
-def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: float):
+def _local_moving(indptr, indices, data, deg, order, two_m: float):
     """Phase 1: greedy node moves.  Returns (community of each node, moved?).
 
     The first sweep visits one node at a time.  Every later sweep first
     confirms its leading visits that keep their community (``_unmoved``), then
     visits one node at a time from the first that moves.  With every weight
-    > 0 and ``resolution`` >= 0, a visit that ``_settled`` decides scores no
-    further.
+    > 0, a visit that ``_settled`` decides scores no further.
     """
     n = len(deg)
     rows = [(indices[a:b], data[a:b]) for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
@@ -131,10 +104,9 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: f
     comm = np.arange(n)
     tot = deg.copy()
     degrees = deg.tolist()
-    # with every weight > 0, i's candidates are the communities it has weight to
+    # with every weight > 0, i's candidates are the communities it has weight
+    # to, and each score, as rounded, rises with its weight and falls with its total
     positive = len(data) == 0 or bool(data.min() > 0)
-    # then each score, as rounded, rises with its weight and falls with its total
-    settle = positive and resolution >= 0
     low = float(tot.min())  # at most every entry of tot
     score, cost, other = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     any_move = False
@@ -150,14 +122,13 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: f
             w_to = np.bincount(nbr_comm, weights=rows[i][1], minlength=n)
             # take i out while scoring candidates
             tot[cur] -= ki
-            best = _settled(w_to, cur, tot, ki, low, two_m, resolution) if settle else None
+            best = _settled(w_to, cur, tot, ki, low, two_m) if positive else None
             if best is None:
                 np.equal(w_to if positive else np.bincount(nbr_comm, minlength=n), 0, out=other)
                 other[cur] = False
                 # as _unmoved scores; not w_to / (two_m / 2), inexact when two_m is subnormal
                 np.divide(np.multiply(2.0, w_to, out=score), two_m, out=score)
-                np.divide(np.multiply(resolution * 2.0 * ki, tot, out=cost), two_m * two_m,
-                          out=cost)
+                np.divide(np.multiply(2.0 * ki, tot, out=cost), two_m * two_m, out=cost)
                 np.subtract(score, cost, out=score)
                 score[other] = -np.inf
                 best = int(score.argmax())  # smallest label among the best
@@ -171,21 +142,21 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float, resolution: f
                 any_move = True
         if not moved_in_sweep:
             break
-        start = _unmoved(indptr, indices, data, visits, comm, tot, deg, two_m, resolution)
+        start = _unmoved(indptr, indices, data, visits, comm, tot, deg, two_m)
         if start == n:
             break
         low = float(tot.min())  # _unmoved rewrites the totals it passes
     return comm, any_move
 
 
-def _settled(w_to, cur, tot, ki: float, low: float, two_m: float, resolution: float):
+def _settled(w_to, cur, tot, ki: float, low: float, two_m: float):
     """The community that scoring every candidate would pick for a visit, or
     None, with ``w_to`` as it was, when two scores and a bound leave it open.
 
     Needs every weight > 0, so that the candidates are ``cur`` and the
-    communities with weight, ``ki`` >= 0, ``resolution`` >= 0 and ``low`` at
-    most every total but ``cur``'s.  The heaviest community and ``cur`` are
-    scored operation by operation as ``_local_moving`` scores.  Each rounded
+    communities with weight, ``ki`` >= 0 and ``low`` at most every total but
+    ``cur``'s.  The heaviest community and ``cur`` are scored operation by
+    operation as ``_local_moving`` scores.  Each rounded
     operation is monotone, so no other candidate scores above the largest
     weight left at the total ``low``; when that bound is below the better of
     the two, no other candidate can win or tie.
@@ -194,7 +165,7 @@ def _settled(w_to, cur, tot, ki: float, low: float, two_m: float, resolution: fl
     w1, w_own = w_to.item(c1), w_to.item(cur)
     if w1 == 0 and c1 != cur:  # c1 is no candidate
         return None
-    a, tt = resolution * 2.0 * ki, two_m * two_m
+    a, tt = 2.0 * ki, two_m * two_m
     s1 = (2.0 * w1) / two_m - (a * tot.item(c1)) / tt
     s_own = (2.0 * w_own) / two_m - (a * tot.item(cur)) / tt
     w_to[c1] = w_to[cur] = 0.0
@@ -218,8 +189,7 @@ def _rows_of(indptr, indices, data, nodes: np.ndarray):
     return lengths, indices[take], data[take]
 
 
-def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: float,
-             resolution: float) -> int:
+def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: float) -> int:
     """Number of leading visits of a sweep in ``order`` that keep their
     community, with ``tot`` advanced past them exactly as visiting them one at
     a time would.
@@ -266,7 +236,7 @@ def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: fl
         at = (np.arange(m), own)
         seen = before.copy()
         seen[at] -= ki
-        score = (2.0 * w_to) / two_m - resolution * 2.0 * ki[:, None] * seen / (two_m * two_m)
+        score = (2.0 * w_to) / two_m - 2.0 * ki[:, None] * seen / (two_m * two_m)
         candidate[at] = True
         score[~candidate] = -np.inf
         moves = np.flatnonzero(score.max(axis=1) != score[at])
@@ -319,11 +289,7 @@ def _aggregate(indptr, indices, data, selfw, new: np.ndarray, k: int):
     return indptr, cols[order], w[order], new_selfw
 
 
-def louvain(
-    net: CorrelationNetwork,
-    seed: int = 0,
-    resolution: float = 1.0,
-) -> Partition:
+def louvain(net: CorrelationNetwork, seed: int = 0) -> Partition:
     """Greedy multi-level modularity maximization.
 
     Deterministic for a fixed seed: node visit order is a seeded shuffle of
@@ -355,7 +321,7 @@ def louvain(
             node_deg = deg  # each node's edge weights, added in edge order
         order = sorted(range(n), key=canon.__getitem__)
         rng.shuffle(order)
-        comm, improved = _local_moving(indptr, indices, data, deg, order, two_m, resolution)
+        comm, improved = _local_moving(indptr, indices, data, deg, order, two_m)
         if not improved:
             break
         labels, new = np.unique(comm, return_inverse=True)
@@ -368,58 +334,12 @@ def louvain(
         canon = new_canon
 
     community, k = _first_seen(node_of)
-    q = _modularity(net, community, k, node_deg, two_m, resolution)
+    q = _modularity(net, community, k, node_deg, two_m)
     # dense labels by descending size, ties by smallest member node index:
     # ``community`` numbers the communities in that order, which a stable sort keeps
     rank = np.empty(k, dtype=np.intp)
     rank[np.argsort(-np.bincount(community), kind="stable")] = np.arange(k)
     return Partition(labels=rank[community], modularity=q)
-
-
-def _restricted_growth_strings(n: int):
-    """All set partitions of range(n) as canonical label vectors, lex order."""
-    labels = [0] * n
-
-    def rec(i, maxlab):
-        if i == n:
-            yield tuple(labels)
-            return
-        for lab in range(maxlab + 2):
-            labels[i] = lab
-            yield from rec(i + 1, max(maxlab, lab))
-
-    if n == 0:
-        return
-    yield from rec(1, 0)
-
-
-def brute_force_best(net: CorrelationNetwork) -> Partition:
-    """Exact modularity maximum by enumerating every set partition.
-
-    Intended as a test oracle; limited to 12 nodes.  Ties go to the
-    lexicographically smallest canonical label vector.
-    """
-    if not len(net.weight):
-        raise InsufficientStructureError("network has no edges")
-    if net.n > BRUTE_FORCE_MAX_NODES:
-        raise PartitionSizeError(
-            f"{net.n} nodes exceeds the enumeration limit of {BRUTE_FORCE_MAX_NODES}"
-        )
-    adj = net.adjacency()
-    deg = adj.sum(axis=1)
-    two_m = adj.sum()
-    null = np.outer(deg, deg) / two_m
-    b = adj - null
-    best_q = -np.inf
-    best = None
-    for labels in _restricted_growth_strings(net.n):
-        lab = np.asarray(labels)
-        same = lab[:, None] == lab[None, :]
-        q = float(b[same].sum()) / two_m
-        if q > best_q:
-            best_q = q
-            best = labels
-    return Partition(labels=np.array(best, dtype=np.intp), modularity=best_q)
 
 
 def compare_partitions(p: Partition, q: Partition):

@@ -38,13 +38,5 @@ class InsufficientStructureError(EpinetError):
     """The network lacks the structure (edges, communities) an operation needs."""
 
 
-class PartitionSizeError(EpinetError):
-    """Graph too large for exhaustive partition enumeration."""
-
-
-class CoverageError(EpinetError):
-    """Community labels do not give one label per network node."""
-
-
 class ComparisonError(EpinetError):
     """Two partitions are not of the same nodes, or of none, so they cannot be compared."""

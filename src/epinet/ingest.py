@@ -96,10 +96,6 @@ class Panel:
         return self.values.shape[1]
 
     @property
-    def end(self) -> date:
-        return self.start + timedelta(days=self.days - 1)
-
-    @property
     def dates(self) -> list[date]:
         return [self.start + timedelta(days=t) for t in range(self.days)]
 
@@ -402,15 +398,3 @@ def write_long_csv(panel: Panel, stream) -> None:
     for key, row in zip(panel.keys, panel.values):
         names = [csv_field(key.display)] * len(days)
         write_rows(stream, "%s,%s,%d\n", names, days, row.astype(np.int64))
-
-
-def to_wide_csv(panel: Panel) -> str:
-    """Serialize back to the wide layout."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        list(EXPECTED_META_COLUMNS) + [d.strftime("%-m/%-d/%y") for d in panel.dates]
-    )
-    for key, row in zip(panel.keys, panel.values.astype(np.int64).tolist()):
-        writer.writerow([key.province or "", key.country, "", ""] + row)
-    return buf.getvalue()

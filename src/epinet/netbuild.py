@@ -62,12 +62,6 @@ class CorrelationNetwork:
         """The edges as ``(a, b, weight)`` tuples."""
         return list(zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist()))
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        a[self.src, self.dst] = self.weight
-        a[self.dst, self.src] = self.weight
-        return a
-
     def above(self, rho: float) -> CorrelationNetwork:
         """The sub-network of edges with weight strictly above ``rho``, without
         the nodes it leaves isolated.  Equal to ``build_network`` at ``rho``

@@ -64,47 +64,27 @@ def moving_average_7(values) -> np.ndarray:
     return total
 
 
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-
-
-def _log_ratios(floored: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Clipped log-ratios of consecutive floored averages along the last
-    axis, in ``out`` or one new array."""
-    ratio = np.divide(floored[..., 1:], floored[..., :-1], out=out)
-    # in place: no further array of the panel's size
-    return np.clip(np.log(ratio, out=ratio), -alpha, alpha, out=ratio)
-
-
-def change_exponents(avgs, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Clipped log-ratios of consecutive 7-day averages along the last axis.
-
-    NaN inputs mark missing days; a log-ratio is NaN (undefined) unless both
-    neighbors are present.  ``alpha`` may be infinite (no clipping).
-    """
-    _check_alpha(alpha)
-    return _log_ratios(np.maximum(np.asarray(avgs, dtype=float), FLOOR_EPS), alpha)
-
-
 def to_exponent_series(panel: Panel, alpha: float = DEFAULT_ALPHA) -> Panel:
     """Full composition: diffs -> 7-day average -> clipped exponents, as a
-    panel that starts WARMUP_DAYS after the input.
+    panel that starts WARMUP_DAYS after the input.  ``alpha`` may be
+    infinite (no clipping).
 
-    Equal to ``change_exponents(moving_average_7(daily_diffs(panel.values)),
-    alpha)``, but the one array it allocates at the panel's size is its
-    result: it fills that a block of rows at a time, whose diffs and averages
-    take about BLOCK_BYTES each.
+    The one array it allocates at the panel's size is its result: it fills
+    that a block of rows at a time, whose diffs and averages take about
+    BLOCK_BYTES each, and takes each block's log-ratios in place there.
     """
     if panel.days < WARMUP_DAYS + 1:
         raise InsufficientDataError(f"need >= {WARMUP_DAYS + 1} days, got {panel.days}")
-    _check_alpha(alpha)
+    if not alpha > 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
     n, days = panel.values.shape
     exps = np.empty((n, days - WARMUP_DAYS))
     step = max(1, BLOCK_BYTES // (8 * days))
     for lo in range(0, n, step):
-        avgs = moving_average_7(daily_diffs(panel.values[lo : lo + step]))
-        _log_ratios(np.maximum(avgs, FLOOR_EPS, out=avgs), alpha, out=exps[lo : lo + step])
+        floored = moving_average_7(daily_diffs(panel.values[lo : lo + step]))
+        np.maximum(floored, FLOOR_EPS, out=floored)
+        ratio = np.divide(floored[:, 1:], floored[:, :-1], out=exps[lo : lo + step])
+        np.clip(np.log(ratio, out=ratio), -alpha, alpha, out=ratio)
     return Panel(keys=panel.keys, start=panel.start + timedelta(days=WARMUP_DAYS), values=exps)
 
 

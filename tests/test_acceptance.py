@@ -17,7 +17,7 @@ import pytest
 
 from conftest import small_graph_suite
 from epinet.analysis import align_labels, bspline_smooth, order_rows, run_grid
-from epinet.community import Partition, brute_force_best, compare_partitions, louvain
+from epinet.community import Partition, compare_partitions, louvain
 from epinet.errors import ParameterError
 from epinet.ingest import (
     CaseSeries,
@@ -30,6 +30,7 @@ from epinet.ingest import (
 from epinet.netbuild import SimilarityMeasure, build_network
 from epinet.synthetic import make_planted_cases
 from epinet.transform import to_exponent_series
+from oracles import brute_force_best, to_wide_csv
 
 
 def criterion(number, title):
@@ -221,8 +222,6 @@ def test_criterion_6_grid_consistency(planted, tmp_path):
     cases, _ = planted
     import subprocess
     import sys
-
-    from epinet.ingest import to_wide_csv
 
     fixture = tmp_path / "cases.csv"
     fixture.write_text(to_wide_csv(cases))

@@ -28,7 +28,6 @@ from epinet.analysis import (
     detect_peaks,
     median_curve,
     order_rows,
-    run_cell,
     run_grid,
     write_medians_csv,
     write_membership_csv,
@@ -40,6 +39,7 @@ from epinet.community import Partition, compare_partitions, louvain
 from epinet.errors import InsufficientDataError, InsufficientStructureError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.netbuild import SimilarityMeasure, fmt9
+import oracles
 from test_netbuild import AWKWARD_KEYS
 
 
@@ -302,7 +302,7 @@ class TestRunGrid:
             networks.append(net)
             return louvain(net, seed=seed)
 
-        with mock.patch.object(analysis, "louvain", spy):
+        with mock.patch.object(analysis, "louvain", spy), mock.patch.object(oracles, "louvain", spy):
             shared = run_grid(cases, seed)
             assert len(networks) == sum(c.rows is not None for c in shared)
             # a cell's nodes are those of the network its partition came from;
@@ -311,7 +311,7 @@ class TestRunGrid:
             assert [c.settings for c in shared] == list(GRID)
             for cell, settings in zip(shared, GRID):
                 networks.clear()
-                alone = run_cell(cases, settings, seed=seed)
+                alone = oracles.run_cell(cases, settings, seed=seed)
                 assert cell.error == alone.error
                 assert nodes_of(cell) == nodes_of(alone)
                 net = shared_networks.get((id(cell.rows), settings.rho))

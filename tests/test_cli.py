@@ -1,12 +1,15 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
@@ -22,9 +25,10 @@ from conftest import grid_300_text, make_cases_300, perfbench_module, traced_pea
 from epinet import analysis, ingest, netbuild, transform
 from epinet.cli import OUTPUT_FILES, SETTINGS, RunConfig, build_parser, load_cases, main
 from epinet.errors import InsufficientDataError, ParameterError
-from epinet.ingest import CaseSeries, Panel, RegionKey, to_wide_csv
+from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.netbuild import fmt9
 from epinet.synthetic import make_planted_cases
+from oracles import to_wide_csv
 
 
 def planted_text():
@@ -681,6 +685,46 @@ class TestStageCommands:
         assert rc == 3  # nothing survives selection -> insufficient data
 
 
+# (fixture, the planted draw's first day): both draws start at day 0 of
+# make_planted_cases' latents
+PLANTED_DRAWS = [("fixture_csv", date(2021, 1, 1)), ("cases_300_csv", date(2020, 1, 22))]
+
+
+@pytest.mark.parametrize("fixture, planted_start", PLANTED_DRAWS, ids=["planted", "cases_300"])
+def test_peaks_follow_the_planted_waves(request, tmp_path, fixture, planted_start):
+    """Each of the three largest communities, taken as the planted group most
+    of its regions come from, has one peak per downward zero crossing of that
+    group's latent exponent 0.4 sin(2 pi t / p + phi), p = 28 + 13 g and
+    phi = 1.7 g, inside the exponent window; each comes 2 to 4 days after its
+    crossing, the lag of the trailing 7-day average.  The trajectory's points
+    are the three medians."""
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(request.getfixturevalue(fixture)),
+                 "--out", str(out)]) == 0
+    with (out / "partition.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    with (out / "peaks.csv").open() as fh:
+        peaks = [(int(row["community"]), date.fromisoformat(row["date"]))
+                 for row in csv.DictReader(fh)]
+    medians = (out / "medians.csv").read_text().splitlines()
+    window = [date.fromisoformat(line.split(",")[0]) for line in medians[1:]]
+    lags = []
+    for community in (1, 2, 3):
+        # region names are "Group<g + 1> Region<r>"
+        groups = [int(row["region"].split()[0].removeprefix("Group")) - 1
+                  for row in rows if int(row["community"]) == community - 1]
+        g = max(set(groups), key=groups.count)
+        t = np.array([(day - planted_start).days for day in window], dtype=float)
+        latent = 0.4 * np.sin(2.0 * np.pi * t / (28.0 + 13.0 * g) + 1.7 * g)
+        crossings = [window[i + 1] for i in np.flatnonzero((latent[:-1] > 0) & (latent[1:] <= 0))]
+        found = [day for c, day in peaks if c == community]
+        assert len(found) == len(crossings) > 0, (community, found, crossings)
+        lags.append({(day - c).days for day, c in zip(found, crossings)})
+    assert all(lag <= {2, 3, 4} for lag in lags), lags
+    trajectory = (out / "trajectory.csv").read_text().splitlines()
+    assert trajectory[0] == "date,x,y,z" and trajectory[1:] == medians[1:]
+
+
 # --- exit-code contract: exit 0, 2 or 3 for any input; on failure, one JSON
 # line and no output directory
 
@@ -995,6 +1039,86 @@ def test_a_grid_share_short_of_memory_again_here_exits_2(fixture_csv, tmp_path, 
     assert json.loads(capsys.readouterr().out) == {"error": "MemoryError",
                                                    "message": "out of memory"}
     assert not out.exists()
+
+
+def children_of(pid):
+    """The pids of the children of process ``pid``, read from /proc."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            return [int(child) for child in fh.read().split()]
+    except FileNotFoundError:  # already gone
+        return []
+
+
+def test_a_killed_grid_leaves_no_child_behind(tmp_path, monkeypatch):
+    """The grid pinned to two CPUs forks one child.  Once that child exists,
+    the parent is killed.  The child's share of the 999-region grid input
+    pickles to about 97 KB, more than a pipe's 64 KiB buffer, but the child
+    holds no read end of its pipe: its write fails with EPIPE and it exits,
+    so the caller's pipes, which it shares, reach EOF."""
+    if sys.platform != "linux":
+        pytest.skip("the grid forks only on Linux")
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    if len(cpus) < 2:
+        pytest.skip("fewer than 2 usable CPUs: the grid forks no child")
+    inputs = perfbench_module("inputs")
+    monkeypatch.setitem(inputs.SHAPES, "grid-999", (333, True))  # 333 regions per group
+    data = tmp_path / "grid_999.csv"
+    data.write_text(inputs.make_inputs("grid-999", seed=1).wide_csv())
+    src = str(Path(epinet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epinet.cli", "grid", "--input", str(data),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+    )
+    child = []
+    try:
+        deadline = time.monotonic() + 60
+        while not child and proc.poll() is None and time.monotonic() < deadline:
+            child = children_of(proc.pid)
+            time.sleep(0.002)
+        assert len(child) == 1, (child, proc.poll())
+        proc.kill()
+        proc.communicate(timeout=30)  # EOF on both pipes: the child has exited
+    finally:
+        for pid in child:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sets a resource limit in the child")
+def test_a_full_disk_exits_2_and_leaves_no_directory(cases_300_csv, tmp_path):
+    """Under a 64 KiB file size limit, writing pipeline's edges.csv fails with
+    EFBIG, since Python ignores SIGXFSZ: the command exits 2 with one JSON
+    line, and leaves neither --out nor its temporary directory."""
+    import resource
+
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    src = str(Path(epinet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    work = tmp_path / "work"
+    work.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "epinet.cli", "pipeline", "--input", str(cases_300_csv),
+         "--out", str(work / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024, hard)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1
+    payload = json.loads(proc.stdout)
+    assert payload["error"] == "OSError", payload
+    assert payload["message"].startswith(f"[Errno {errno.EFBIG}]"), payload
+    assert list(work.iterdir()) == []
 
 
 def run_commands(commands, csv_path, workdir, env, args=()):

@@ -20,79 +20,66 @@ from conftest import (
 from epinet import analysis, community
 from epinet.analysis import REFERENCE
 from epinet.cli import partition_summary
-from epinet.community import (
-    Partition,
-    brute_force_best,
-    compare_partitions,
-    louvain,
-    modularity_of,
-    write_partition_csv,
-)
-from epinet.errors import (
-    ComparisonError,
-    CoverageError,
-    InsufficientStructureError,
-    PartitionSizeError,
-)
+from epinet.community import Partition, compare_partitions, louvain, write_partition_csv
+from epinet.errors import ComparisonError, InsufficientStructureError
 from epinet.netbuild import build_network
 from epinet.transform import to_exponent_series
+from oracles import PartitionSizeError, adjacency, brute_force_best
 from test_netbuild import awkward_network
 
 
 class TestModularityOf:
+    """The Q oracle, ``reference_modularity``, against hand values and the
+    dense formula; ``louvain``'s Q is checked against it."""
+
     def test_single_community_is_zero(self):
         net = make_net(5, clique_edges(range(5), 0.7))
-        q = modularity_of(net, [0] * 5)
+        q = reference_modularity(net, [0] * 5)
         assert q == pytest.approx(0.0, abs=1e-12)
 
     def test_bridge_of_triangles_hand_value(self):
         net = bridge_of_triangles()
-        q = modularity_of(net, [0, 0, 0, 1, 1, 1])
+        q = reference_modularity(net, [0, 0, 0, 1, 1, 1])
         assert q == pytest.approx(5 / 14, abs=1e-12)
 
     def test_all_singletons(self):
         net = make_net(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        q = modularity_of(net, range(4))
+        q = reference_modularity(net, range(4))
         # no internal edges: Q = -sum (k_i/2m)^2
         deg = [1, 2, 2, 1]
         expected = -sum((k / 6) ** 2 for k in deg)
         assert q == pytest.approx(expected, abs=1e-12)
-
-    def test_too_few_labels_raise(self):
-        net = make_net(3, clique_edges(range(3)))
-        with pytest.raises(CoverageError):
-            modularity_of(net, np.array([0, 0]))
 
     def test_range(self):
         suite = small_graph_suite()
         rng = np.random.default_rng(0)
         for net in suite.values():
             labels = rng.integers(0, 3, size=net.n)
-            q = modularity_of(net, labels)
+            q = reference_modularity(net, labels)
             assert -0.5 - 1e-12 <= q <= 1.0
 
-
-    @pytest.mark.parametrize("resolution", [1.0, 2.5])
-    def test_matches_dense_formula_with_negative_weights(self, resolution):
+    def test_matches_dense_formula_with_negative_weights(self):
         rng = np.random.default_rng(21)
         checked = 0
         for _ in range(60):
             net = random_net(rng, int(rng.integers(2, 25)), low=-0.6)
-            adj = net.adjacency()
+            adj = adjacency(net)
             two_m = adj.sum()
             if len(net.weight) == 0 or two_m <= 0:
                 continue
             k = adj.sum(axis=1)
             labels = rng.integers(0, 4, size=net.n)
             same = labels[:, None] == labels[None, :]
-            want = float((adj - resolution * np.outer(k, k) / two_m)[same].sum()) / two_m
-            got = modularity_of(net, labels, resolution)
-            assert got == pytest.approx(want, abs=1e-12)
-            # labels with gaps, added in order of their first node
-            assert modularity_of(net, 7 * labels + 3, resolution) == reference_modularity(
-                net, labels, resolution)
+            want = float((adj - np.outer(k, k) / two_m)[same].sum()) / two_m
+            assert reference_modularity(net, labels) == pytest.approx(want, abs=1e-12)
+            part = louvain(net)
+            assert part.modularity == reference_modularity(net, part.labels)
             checked += 1
         assert checked > 40
+
+
+# the Louvain seeds that the comparisons with the references run at
+SEEDS = (0, 3, 7)
 
 
 def random_net(rng, n, low=0.0, p=0.5, unit=False):
@@ -110,8 +97,10 @@ def added_in_order(values):
     return total
 
 
-def reference_modularity(net, labels, resolution=1.0):
-    """Edge-by-edge Q, summing in the order ``modularity_of`` keeps."""
+def reference_modularity(net, labels):
+    """Edge-by-edge Q of one label per node, any integers, summing in the
+    order that ``louvain`` keeps: degrees, 2m and the internal weight edge by
+    edge, the community totals in order of their first node."""
     two_m = 2.0 * added_in_order(w for _, _, w in net.edges)
     deg = np.zeros(net.n)
     internal = 0.0
@@ -124,7 +113,7 @@ def reference_modularity(net, labels, resolution=1.0):
     for i in range(net.n):
         tot[labels[i]] = tot.get(labels[i], 0.0) + deg[i]
     q = internal / two_m
-    q -= resolution * added_in_order((s / two_m) ** 2 for s in tot.values())
+    q -= added_in_order((s / two_m) ** 2 for s in tot.values())
     return q
 
 
@@ -135,11 +124,11 @@ def test_modularity_adds_the_community_totals_in_order():
     deg = np.array([1.0, 1e-8, 1e-8])  # each node its own community; 2m = 1
     squares = [s ** 2 for s in deg]
     assert math.fsum(squares) != added_in_order(squares)
-    q = community._modularity(make_net(3, []), np.arange(3), 3, deg, 1.0, 1.0)
+    q = community._modularity(make_net(3, []), np.arange(3), 3, deg, 1.0)
     assert q == -added_in_order(squares)
 
 
-def reference_louvain(net, seed=0, resolution=1.0):
+def reference_louvain(net, seed=0):
     """Louvain on adjacency dicts, with the visit order, scores, tie rules,
     sum orders and final labelling that ``louvain`` keeps on CSR arrays."""
     two_m = 2.0 * added_in_order(w for _, _, w in net.edges)
@@ -167,7 +156,7 @@ def reference_louvain(net, seed=0, resolution=1.0):
                 tot[cur] -= ki
                 scores = {
                     c: (2.0 * w_to.get(c, 0.0)) / two_m
-                    - resolution * 2.0 * ki * tot[c] / (two_m * two_m)
+                    - 2.0 * ki * tot[c] / (two_m * two_m)
                     for c in set(w_to) | {cur}
                 }
                 top = max(scores.values())
@@ -262,7 +251,7 @@ def set_confirm_steps(monkeypatch, cells, first):
         monkeypatch.setattr(community, "_FIRST_STEP", first)
 
 
-def reference_unmoved(net, deg, order, comm, tot, two_m, resolution):
+def reference_unmoved(net, deg, order, comm, tot, two_m):
     """The first visit of ``order`` that leaves its community, visiting one
     node at a time from ``comm`` and ``tot``, and the totals just before it."""
     nbrs = [[] for _ in range(net.n)]
@@ -279,7 +268,7 @@ def reference_unmoved(net, deg, order, comm, tot, two_m, resolution):
         tot[cur] -= ki
         scores = {
             c: (2.0 * w_to.get(c, 0.0)) / two_m
-            - resolution * 2.0 * ki * tot[c] / (two_m * two_m)
+            - 2.0 * ki * tot[c] / (two_m * two_m)
             for c in set(w_to) | {cur}
         }
         if max(scores.values()) > scores[cur]:
@@ -304,12 +293,12 @@ def spy_settled(monkeypatch):
     return paths
 
 
-def scored_choice(w_to, cur, tot, ki, two_m, resolution):
+def scored_choice(w_to, cur, tot, ki, two_m):
     """The visit's choice from the score of every candidate (``cur`` and each
     community with weight), ``tot`` without the visit's node: the best, on a
     tie ``cur``, else the smallest label."""
     scores = {
-        c: (2.0 * w_to[c]) / two_m - resolution * 2.0 * ki * tot[c] / (two_m * two_m)
+        c: (2.0 * w_to[c]) / two_m - 2.0 * ki * tot[c] / (two_m * two_m)
         for c in set(np.flatnonzero(w_to).tolist()) | {cur}
     }
     top = max(scores.values())
@@ -364,7 +353,7 @@ class TestBruteForce:
     def test_matches_stored_modularity(self):
         net = bridge_of_triangles()
         part = brute_force_best(net)
-        assert modularity_of(net, part.labels) == pytest.approx(
+        assert reference_modularity(net, part.labels) == pytest.approx(
             part.modularity, abs=1e-12
         )
 
@@ -401,7 +390,7 @@ class TestLouvain:
     def test_stored_modularity_matches_recompute(self):
         for net in small_graph_suite().values():
             part = louvain(net, seed=0)
-            assert modularity_of(net, part.labels) == pytest.approx(
+            assert reference_modularity(net, part.labels) == pytest.approx(
                 part.modularity, abs=1e-12
             )
 
@@ -450,11 +439,11 @@ class TestLouvain:
             # candidate (it is the best move here: its total degree is negative)
             make_net(7, [(0, 2, -1.0), (0, 5, 1.0), (0, 6, 0.5), (2, 4, -0.5), (2, 6, 0.5),
                          (3, 4, -0.5), (3, 6, -1.0), (4, 6, 1.0), (5, 6, 0.5)]),
-            # at seed 7, resolution 5, a tie is settled by the order in which
-            # aggregated weights are added
-            make_net(8, [(0, 4, 0.4), (0, 5, 0.1), (0, 6, 0.8), (0, 7, 0.6), (1, 2, 0.8),
-                         (1, 4, 0.3), (1, 5, 0.7), (1, 6, 0.7), (1, 7, 0.1), (3, 4, 0.5),
-                         (3, 7, 0.5), (4, 5, 0.4), (4, 6, 0.6)]),
+            # at seed 0, a tie is settled by the order in which aggregated
+            # weights are added
+            make_net(8, [(0, 1, 0.2), (0, 3, 0.6), (0, 4, 0.3), (0, 5, 0.8), (0, 7, 0.8),
+                         (1, 5, 0.1), (1, 7, 0.9), (2, 4, 0.9), (3, 5, 0.6), (3, 6, 0.8),
+                         (5, 6, 0.4), (5, 7, 0.6), (6, 7, 0.8)]),
         ]
         for idx in range(18):
             n = int(rng.integers(5, 40))
@@ -467,10 +456,10 @@ class TestLouvain:
         for net in nets:
             if len(net.weight) == 0 or net.weight.sum() <= 0:
                 continue
-            for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
-                part = louvain(net, seed=seed, resolution=resolution)
-                assert part.labels.tolist() == reference_louvain(net, seed, resolution)
-                assert part.modularity == reference_modularity(net, part.labels, resolution)
+            for seed in SEEDS:
+                part = louvain(net, seed=seed)
+                assert part.labels.tolist() == reference_louvain(net, seed)
+                assert part.modularity == reference_modularity(net, part.labels)
         assert paths["settled"] and paths["scored"], paths
 
     def test_grid_300_networks_take_both_paths(self, monkeypatch, grid_300):
@@ -496,10 +485,10 @@ class TestLouvain:
             cur, ki = int(rng.integers(n)), float(rng.choice([0.0, 1.0, 2.0, 4.0]))
             tot[cur] -= ki  # the visit takes its node out
             low = float(np.delete(tot, cur).min()) if n > 1 else 0.0
-            two_m, resolution = 16.0, float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-            want = scored_choice(w_to, cur, tot, ki, two_m, resolution)
+            two_m = 16.0
+            want = scored_choice(w_to, cur, tot, ki, two_m)
             before = w_to.copy()
-            got = community._settled(w_to, cur, tot, ki, low, two_m, resolution)
+            got = community._settled(w_to, cur, tot, ki, low, two_m)
             if got is None:
                 assert np.array_equal(w_to, before)
             else:
@@ -516,28 +505,28 @@ class TestLouvain:
         unmoved, settled = community._unmoved, community._settled
         lowered = Counter()
 
-        def lowering(indptr, indices, data, order, comm, tot, deg, two_m, resolution):
-            start = unmoved(indptr, indices, data, order, comm, tot, deg, two_m, resolution)
+        def lowering(indptr, indices, data, order, comm, tot, deg, two_m):
+            start = unmoved(indptr, indices, data, order, comm, tot, deg, two_m)
             empty = np.setdiff1d(np.arange(len(tot)), comm)
             if len(empty):
                 tot[empty[0]] = -1.0
                 lowered["passes"] += 1
             return start
 
-        def checked(w_to, cur, tot, ki, low, two_m, resolution):
+        def checked(w_to, cur, tot, ki, low, two_m):
             others = np.delete(tot, cur)
             assert not len(others) or low <= others.min()
             lowered["visits"] += bool(tot.min() == -1.0)
-            return settled(w_to, cur, tot, ki, low, two_m, resolution)
+            return settled(w_to, cur, tot, ki, low, two_m)
 
         monkeypatch.setattr(community, "_unmoved", lowering)
         monkeypatch.setattr(community, "_settled", checked)
         for net in list(small_graph_suite().values()) + confirm_pass_nets():
             if net.weight.min() <= 0:
                 continue
-            for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
-                part = louvain(net, seed=seed, resolution=resolution)
-                assert part.labels.tolist() == reference_louvain(net, seed, resolution)
+            for seed in SEEDS:
+                part = louvain(net, seed=seed)
+                assert part.labels.tolist() == reference_louvain(net, seed)
         assert lowered["passes"] and lowered["visits"], lowered
 
     @pytest.mark.parametrize("graphs", ["community", "planted", "cases_300"])
@@ -560,12 +549,12 @@ class TestLouvain:
 
         monkeypatch.setattr(community, "_first_seen", spy)
         for net in nets:
-            for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
+            for seed in SEEDS:
                 node_of.clear()
-                part = louvain(net, seed=seed, resolution=resolution)
+                part = louvain(net, seed=seed)
                 assert part.labels.dtype == np.intp and len(node_of) == 1
                 assert part.labels.tolist() == reference_ranking(node_of[0])
-                assert part.modularity == reference_modularity(net, part.labels, resolution)
+                assert part.modularity == reference_modularity(net, part.labels)
 
     @CONFIRM_STEPS
     def test_confirm_pass_same_decisions_as_dict_reference(self, monkeypatch, cells, first):
@@ -573,17 +562,17 @@ class TestLouvain:
         met = Counter()
         unmoved = community._unmoved
 
-        def spy(indptr, indices, data, order, comm, tot, deg, two_m, resolution):
-            start = unmoved(indptr, indices, data, order, comm, tot, deg, two_m, resolution)
+        def spy(indptr, indices, data, order, comm, tot, deg, two_m):
+            start = unmoved(indptr, indices, data, order, comm, tot, deg, two_m)
             met.update(confirm_pass_cases(indptr, indices, data, order, comm, deg, start))
             return start
 
         monkeypatch.setattr(community, "_unmoved", spy)
         for net in confirm_pass_nets():
-            for seed, resolution in [(0, 1.0), (3, 0.1), (7, 5.0)]:
-                part = louvain(net, seed=seed, resolution=resolution)
-                assert part.labels.tolist() == reference_louvain(net, seed, resolution)
-                assert part.modularity == reference_modularity(net, part.labels, resolution)
+            for seed in SEEDS:
+                part = louvain(net, seed=seed)
+                assert part.labels.tolist() == reference_louvain(net, seed)
+                assert part.modularity == reference_modularity(net, part.labels)
         cases = ["mid_sweep", "whole_sweep", "isolated_super_node", "zero_sum_candidate"]
         if (cells, first) != (None, None):
             cases.append("several_steps")
@@ -601,16 +590,15 @@ class TestLouvain:
             two_m = 2.0 * added_in_order(net.weight.tolist())
             order = rng.permutation(net.n)
             settled, _ = community._local_moving(indptr, indices, data, deg, order.tolist(),
-                                                 two_m, 1.0)
+                                                 two_m)
             # a local optimum confirms a whole sweep; a node visited late and
             # put alone stops it mid-sweep; random labels stop it early
             late = settled.copy()
             late[order[-2]] = np.setdiff1d(np.arange(net.n), settled)[0]
             for comm in (settled, late, rng.choice(rng.permutation(net.n)[:4], net.n)):
                 tot = np.bincount(comm, weights=deg, minlength=net.n)
-                want_start, want_tot = reference_unmoved(net, deg, order, comm, tot, two_m, 1.0)
-                start = community._unmoved(indptr, indices, data, order, comm, tot, deg,
-                                           two_m, 1.0)
+                want_start, want_tot = reference_unmoved(net, deg, order, comm, tot, two_m)
+                start = community._unmoved(indptr, indices, data, order, comm, tot, deg, two_m)
                 assert start == want_start
                 assert np.array_equal(tot, want_tot)
                 stops["whole" if start == net.n else "mid" if start > 0 else "first"] += 1
@@ -627,7 +615,7 @@ class TestLouvain:
         comm = np.arange(n) // 333
         comm[order[3]] = 3
         tot = np.bincount(comm, weights=deg, minlength=n)
-        want_start, want_tot = reference_unmoved(net, deg, order, comm, tot, 2.0 * n, 1.0)
+        want_start, want_tot = reference_unmoved(net, deg, order, comm, tot, 2.0 * n)
         assert want_start == 3
         scored = []
         rows_of = community._rows_of
@@ -637,7 +625,7 @@ class TestLouvain:
             return rows_of(indptr, indices, data, nodes)
 
         monkeypatch.setattr(community, "_rows_of", spy)
-        start = community._unmoved(indptr, indices, data, order, comm, tot, deg, 2.0 * n, 1.0)
+        start = community._unmoved(indptr, indices, data, order, comm, tot, deg, 2.0 * n)
         assert start == want_start
         assert np.array_equal(tot, want_tot)
         assert sum(scored) <= 128, scored
@@ -670,13 +658,6 @@ class TestLouvain:
     def test_no_positive_weight_raises(self):
         with pytest.raises(InsufficientStructureError):
             louvain(make_net(3, [(0, 1, 0.5), (1, 2, -0.5)]))
-
-    def test_resolution_parameter(self):
-        # high resolution splits the bridge graph further than gamma = 1
-        net = bridge_of_triangles()
-        low = louvain(net, resolution=0.1)
-        high = louvain(net, resolution=5.0)
-        assert low.num_communities <= high.num_communities
 
 
 class TestComparePartitions:

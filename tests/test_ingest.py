@@ -25,12 +25,12 @@ from epinet.ingest import (
     parse_cases_csv,
     restrict_date_range,
     select_regions,
-    to_wide_csv,
     write_long_csv,
     write_rows,
 )
 from epinet.netbuild import fmt9
 from epinet.synthetic import make_planted_cases
+from oracles import to_wide_csv
 
 HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/24/20"
 
@@ -297,7 +297,7 @@ def test_select_regions_idempotent():
 
 def test_restrict_identity():
     panel = _mkpanel(_mkseries("A", list(range(10))))
-    assert _same(restrict_date_range(panel, panel.start, panel.end), panel)
+    assert _same(restrict_date_range(panel, panel.start, panel.dates[-1]), panel)
 
 
 def test_restrict_inclusive_subrange():

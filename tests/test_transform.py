@@ -11,13 +11,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import traced_peak
 from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
-from epinet.transform import (
-    WARMUP_DAYS,
-    change_exponents,
-    daily_diffs,
-    moving_average_7,
-    to_exponent_series,
-)
+from epinet.transform import WARMUP_DAYS, daily_diffs, moving_average_7, to_exponent_series
+from oracles import change_exponents
 
 
 def series_of(counts, name="X", start=date(2021, 1, 1)):

@@ -30,7 +30,7 @@ def main():
     print(f"louvain: {part.num_communities} communities, Q = {part.modularity:.4f}")
 
     truth = Partition(labels=np.array([planted_labels[key] for key in net.nodes]), modularity=0.0)
-    agreement, _ = compare_partitions(part, truth)
+    agreement = compare_partitions(part, truth)
     print(f"pairwise agreement with the planted grouping: {agreement:.3f}")
 
     cells = run_grid(cases)

@@ -210,7 +210,7 @@ def _run_shares(exps: Panel, groups: list[list[GridCell]], seed: int) -> None:
         for pid, pipe, _ in children:
             pipe.close()
             if pid:
-                os.kill(pid, 9)  # SIGKILL; the CLI does not load the signal module
+                os.kill(pid, 9)  # SIGKILL
                 os.waitpid(pid, 0)
 
 

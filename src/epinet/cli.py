@@ -19,6 +19,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -346,8 +347,9 @@ OUTPUT_FILES = frozenset({
 def _write_outputs(out: Path, files: dict) -> None:
     """Write ``files`` into a new directory beside ``out``, then swap it in
     for ``out``.  Until the swap ``out`` keeps its earlier contents, and a
-    failure at any point, a KeyboardInterrupt included, leaves ``out`` as it
-    was or absent, never half-written, and no temporary directory.
+    failure at any point, a KeyboardInterrupt or SIGTERM under ``run``
+    included, leaves ``out`` as it was or absent, never half-written, and no
+    temporary directory.
 
     An existing ``out`` must be a directory holding only OUTPUT_FILES.
     """
@@ -392,14 +394,32 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in ``run`` so that the command unwinds as on
+    KeyboardInterrupt, and no ``except Exception`` stops it."""
+
+
+def _terminated(signum, frame) -> None:
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # a second one would cut the clean-up short
+    raise _Terminated
+
+
 def run() -> None:
     """The ``epinet`` command: ``main``, then, once standard output and error
     are flushed, ``os._exit`` with its code, which skips the interpreter's
     teardown and ``atexit`` handlers.  A reader of standard output that has
     gone changes neither the exit code nor standard error; an exception that
     escapes ``main`` ends the process as usual, with a traceback and exit 1.
+    SIGTERM unwinds ``main``, so that it leaves no temporary directory and no
+    child, then ends the process by SIGTERM, as its default action would.
     """
-    code = main()
+    signal.signal(signal.SIGTERM, _terminated)
+    try:
+        code = main()
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
     for stream in (sys.stdout, sys.stderr):
         if stream is None:  # started with the descriptor closed
             continue

@@ -93,10 +93,13 @@ _CONFIRM_CELLS = 1 << 16
 def _local_moving(indptr, indices, data, deg, order, two_m: float):
     """Phase 1: greedy node moves.  Returns (community of each node, moved?).
 
-    The first sweep visits one node at a time.  Every later sweep first
-    confirms its leading visits that keep their community (``_unmoved``), then
-    visits one node at a time from the first that moves.  With every weight
-    > 0, a visit that ``_settled`` decides scores no further.
+    A visit takes its node out of its community's total while it scores the
+    candidates, the communities of its neighbours and its own; one that stays
+    puts back the total it read, so it changes nothing.  The first sweep
+    visits one node at a time.  Every later sweep first confirms its leading
+    visits that keep their community (``_unmoved``), then visits one node at
+    a time from the first that moves.  With every weight > 0, a visit that
+    ``_settled`` decides scores no further.
     """
     n = len(deg)
     rows = [(indices[a:b], data[a:b]) for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
@@ -108,7 +111,6 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float):
     # to, and each score, as rounded, rises with its weight and falls with its total
     positive = len(data) == 0 or bool(data.min() > 0)
     low = float(tot.min())  # at most every entry of tot
-    score, cost, other = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     any_move = False
     start = 0
     while True:
@@ -117,35 +119,31 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float):
             ki = degrees[i]
             cur = comm[i]
             nbr_comm = comm[rows[i][0]]
-            # weight from i to each community (i excluded); candidates are the
-            # communities of i's neighbours, whatever their weights sum to
-            w_to = np.bincount(nbr_comm, weights=rows[i][1], minlength=n)
-            # take i out while scoring candidates
-            tot[cur] -= ki
+            w_to = np.bincount(nbr_comm, weights=rows[i][1], minlength=n)  # i excluded
+            own = tot.item(cur)
+            tot[cur] = own - ki  # take i out while scoring candidates
             best = _settled(w_to, cur, tot, ki, low, two_m) if positive else None
             if best is None:
-                np.equal(w_to if positive else np.bincount(nbr_comm, minlength=n), 0, out=other)
-                other[cur] = False
                 # as _unmoved scores; not w_to / (two_m / 2), inexact when two_m is subnormal
-                np.divide(np.multiply(2.0, w_to, out=score), two_m, out=score)
-                np.divide(np.multiply(2.0 * ki, tot, out=cost), two_m * two_m, out=cost)
-                np.subtract(score, cost, out=score)
-                score[other] = -np.inf
+                score = (2.0 * w_to) / two_m - 2.0 * ki * tot / (two_m * two_m)
+                stay = score.item(cur)
+                # a neighbour's community is a candidate, whatever its weights sum to
+                score[np.bincount(nbr_comm, minlength=n) == 0] = -np.inf
                 best = int(score.argmax())  # smallest label among the best
-                if score[cur] == score[best]:
+                if score.item(best) <= stay:
                     best = cur  # stay on ties: bias toward stability
+            if best == cur:
+                tot[cur] = own
+                continue
             tot[best] += ki
             low = min(low, tot.item(cur), tot.item(best))
-            if best != cur:
-                comm[i] = best
-                moved_in_sweep = True
-                any_move = True
+            comm[i] = best
+            moved_in_sweep = any_move = True
         if not moved_in_sweep:
             break
         start = _unmoved(indptr, indices, data, visits, comm, tot, deg, two_m)
         if start == n:
             break
-        low = float(tot.min())  # _unmoved rewrites the totals it passes
     return comm, any_move
 
 
@@ -191,8 +189,8 @@ def _rows_of(indptr, indices, data, nodes: np.ndarray):
 
 def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: float) -> int:
     """Number of leading visits of a sweep in ``order`` that keep their
-    community, with ``tot`` advanced past them exactly as visiting them one at
-    a time would.
+    community.  Writes nothing: a visit that stays leaves ``comm`` and
+    ``tot`` as they were, so each is scored against ``tot`` as it stands.
 
     Scores the visits at once on the guess that none moves, in steps of
     _FIRST_STEP visits that double up to _CONFIRM_CELLS cells, so a visit that
@@ -202,10 +200,9 @@ def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: fl
     Scores are computed as ``_local_moving`` does, operation by operation, so
     a visit keeps its community here exactly when it would there.
     """
-    positive = len(data) == 0 or bool(data.min() > 0)
     labels, lab = np.unique(comm, return_inverse=True)
     k = len(labels)
-    running = tot[labels].tolist()
+    totals = tot[labels]
     most = max(1, _CONFIRM_CELLS // k)
     step = min(_FIRST_STEP, most)
     p = 0
@@ -219,32 +216,19 @@ def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: fl
         del nbr
         code += np.repeat(np.arange(0, m * k, k), lengths)
         w_to = np.bincount(code, weights=weight, minlength=m * k).reshape(m, k)
-        candidate = (w_to if positive else np.bincount(code, minlength=m * k).reshape(m, k)) != 0
+        candidate = np.bincount(code, minlength=m * k).reshape(m, k) != 0
         del code, weight
         own, ki = lab[nodes], deg[nodes]
-        # a visit that stays leaves its community's total at (tot - ki) + ki
-        start_tot = np.array(running)
-        after = np.empty(m)
-        for t, (c, x) in enumerate(zip(own.tolist(), ki.tolist())):
-            running[c] = after[t] = (running[c] - x) + x
-        # totals before each visit: for each community, the value after its
-        # last earlier visit in this step, else the value at the step's start
-        last = np.zeros((m, k), dtype=np.intp)
-        last[np.arange(1, m), own[:-1]] = np.arange(1, m)
-        np.maximum.accumulate(last, axis=0, out=last)
-        before = np.where(last == 0, start_tot, after[last - 1])
         at = (np.arange(m), own)
-        seen = before.copy()
-        seen[at] -= ki
+        seen = np.tile(totals, (m, 1))
+        seen[at] -= ki  # each visit takes its node out of its own community
         score = (2.0 * w_to) / two_m - 2.0 * ki[:, None] * seen / (two_m * two_m)
         candidate[at] = True
         score[~candidate] = -np.inf
         moves = np.flatnonzero(score.max(axis=1) != score[at])
         if len(moves):
-            tot[labels] = before[moves[0]]
             return p + int(moves[0])
         p, step = q, min(2 * step, most)
-    tot[labels] = running
     return len(order)
 
 
@@ -342,33 +326,21 @@ def louvain(net: CorrelationNetwork, seed: int = 0) -> Partition:
     return Partition(labels=rank[community], modularity=q)
 
 
-def compare_partitions(p: Partition, q: Partition):
-    """Pairwise agreement (Rand index) plus a best-Jaccard community map, for
-    two partitions of the same nodes.
-
-    Returns (agreement, {p_label: (q_label, jaccard)}) over the labels in use.
-    """
+def compare_partitions(p: Partition, q: Partition) -> float:
+    """Pairwise agreement (Rand index) of two partitions of the same nodes."""
     n = len(p.labels)
     if n == 0 or len(q.labels) != n:
         raise ComparisonError(f"partitions of {n} and {len(q.labels)} nodes")
     kp, kq = p.num_communities, q.num_communities
     cont = np.bincount(p.labels * kq + q.labels, minlength=kp * kq).reshape(kp, kq)
-    p_sizes, q_sizes = cont.sum(axis=1), cont.sum(axis=0)
 
     def pairs(counts):
         return int((counts * (counts - 1) // 2).sum())
 
     total = n * (n - 1) // 2
     same_both = pairs(cont)
-    diff_both = total - pairs(p_sizes) - pairs(q_sizes) + same_both
-    agreement = 1.0 if total == 0 else (same_both + diff_both) / total
-
-    used = np.flatnonzero(q_sizes)
-    inter = cont[:, used]
-    jaccard = inter / (p_sizes[:, None] + q_sizes[used] - inter)
-    best = jaccard.argmax(axis=1)  # the smallest label among the best
-    return agreement, {a: (int(used[best[a]]), float(jaccard[a, best[a]]))
-                       for a in np.flatnonzero(p_sizes).tolist()}
+    diff_both = total - pairs(cont.sum(axis=1)) - pairs(cont.sum(axis=0)) + same_both
+    return 1.0 if total == 0 else (same_both + diff_both) / total
 
 
 def write_partition_csv(net: CorrelationNetwork, part: Partition, stream) -> None:

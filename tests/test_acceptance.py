@@ -140,7 +140,7 @@ def test_criterion_4_planted_recovery(planted):
         assert cell.error is None, cell.error
         truth = Partition(labels=np.array([labels[cell.keys[r]] for r in cell.rows]),
                           modularity=0.0)
-        agreement, _ = compare_partitions(cell.partition, truth)
+        agreement = compare_partitions(cell.partition, truth)
         assert agreement == 1.0, cell.settings.label()
     assert time.monotonic() - t0 < 30
 

@@ -268,7 +268,7 @@ class TestRunGrid:
             assert cell.error is None, cell.error
             truth = Partition(labels=np.array([labels[key] for key in nodes_of(cell)]),
                               modularity=0.0)
-            agreement, _ = compare_partitions(cell.partition, truth)
+            agreement = compare_partitions(cell.partition, truth)
             assert agreement == 1.0, cell.settings.label()
 
     @pytest.mark.usefixtures("one_process")

@@ -696,8 +696,10 @@ def test_peaks_follow_the_planted_waves(request, tmp_path, fixture, planted_star
     of its regions come from, has one peak per downward zero crossing of that
     group's latent exponent 0.4 sin(2 pi t / p + phi), p = 28 + 13 g and
     phi = 1.7 g, inside the exponent window; each comes 2 to 4 days after its
-    crossing, the lag of the trailing 7-day average.  The trajectory's points
-    are the three medians."""
+    crossing, the lag of the trailing 7-day average.  Each median's Pearson
+    correlation with the latent 3 days earlier is at least 0.95, and no lag
+    of 0 to 6 days correlates better.  The trajectory's points are the three
+    medians."""
     out = tmp_path / "out"
     assert main(["pipeline", "--input", str(request.getfixturevalue(fixture)),
                  "--out", str(out)]) == 0
@@ -708,14 +710,21 @@ def test_peaks_follow_the_planted_waves(request, tmp_path, fixture, planted_star
                  for row in csv.DictReader(fh)]
     medians = (out / "medians.csv").read_text().splitlines()
     window = [date.fromisoformat(line.split(",")[0]) for line in medians[1:]]
+    curves = np.array([line.split(",")[1:] for line in medians[1:]], dtype=float).T
+    t = np.array([(day - planted_start).days for day in window], dtype=float)
     lags = []
     for community in (1, 2, 3):
         # region names are "Group<g + 1> Region<r>"
         groups = [int(row["region"].split()[0].removeprefix("Group")) - 1
                   for row in rows if int(row["community"]) == community - 1]
         g = max(set(groups), key=groups.count)
-        t = np.array([(day - planted_start).days for day in window], dtype=float)
-        latent = 0.4 * np.sin(2.0 * np.pi * t / (28.0 + 13.0 * g) + 1.7 * g)
+
+        def planted(lag):  # the group's latent ``lag`` days before each day
+            return 0.4 * np.sin(2.0 * np.pi * (t - lag) / (28.0 + 13.0 * g) + 1.7 * g)
+
+        fit = [np.corrcoef(curves[community - 1], planted(lag))[0, 1] for lag in range(7)]
+        assert fit[3] >= 0.95 and max(fit) == fit[3], (community, fit)
+        latent = planted(0)
         crossings = [window[i + 1] for i in np.flatnonzero((latent[:-1] > 0) & (latent[1:] <= 0))]
         found = [day for c, day in peaks if c == community]
         assert len(found) == len(crossings) > 0, (community, found, crossings)
@@ -1090,6 +1099,41 @@ def test_a_killed_grid_leaves_no_child_behind(tmp_path, monkeypatch):
                 os.kill(pid, signal.SIGKILL)
         proc.kill()
         proc.communicate()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="polls a running command's directory")
+def test_sigterm_while_writing_leaves_no_directory(tmp_path, monkeypatch):
+    """SIGTERM sent to pipeline on the 999-region input once it has begun to
+    write its files: the command removes its temporary directory, then ends
+    by SIGTERM, so the caller sees the signal and no --out."""
+    inputs = perfbench_module("inputs")
+    monkeypatch.setitem(inputs.SHAPES, "pipeline-999", (333, False))  # 333 regions per group
+    data = tmp_path / "pipeline_999.csv"
+    data.write_text(inputs.make_inputs("pipeline-999", seed=1).wide_csv())
+    out = tmp_path / "out"
+    src = str(Path(epinet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epinet.cli", "pipeline", "--input", str(data), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        # a file in the work directory: the writing, and its clean-up, has begun
+        while (not any(tmp_path.glob(".out-*/new/*")) and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.002)
+        assert proc.poll() is None, "pipeline ended before it was sent SIGTERM"
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == -signal.SIGTERM, err
+    assert err == b""
+    assert not any(tmp_path.glob(".out-*")) and not out.exists()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="sets a resource limit in the child")

@@ -185,6 +185,11 @@ class TestBuildNetwork:
         net = build_network(exps, rho=0.0)
         assert net.edges == []
         assert net.nodes == []  # isolated regions dropped
+        # centred and orthogonal: both measures give exactly 0, which is not above 0
+        exps = exp_panel({"A": [1, 0, -1, 0], "B": [0, 1, 0, -1]})
+        for measure in SimilarityMeasure:
+            assert build_network(exps, rho=-math.inf, measure=measure).edges == [(0, 1, 0.0)]
+            assert build_network(exps, rho=0.0, measure=measure).edges == []
 
     def test_isolated_region_dropped(self):
         exps = exp_panel({

@@ -232,45 +232,25 @@ def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: fl
     return len(order)
 
 
-def _aggregate(indptr, indices, data, selfw, new: np.ndarray, k: int):
+def _aggregate(src, dst, weight, selfw, new: np.ndarray, k: int):
     """Phase 2: contract communities into super-nodes with self-loop weights.
 
-    ``new`` maps each node to its super-node 0..k-1.  Every sum adds its terms
-    in the order the nodes, and within a node its entries, come; a super-node
-    lists first its higher neighbours in the order they were first reached,
-    then its lower ones in ascending order.  Each entry-sized array is freed
-    once used, so that no more than two live beside the rows.
+    ``new`` maps each node to its super-node 0..k-1.  Returns the edges
+    between super-nodes, one per pair in ascending order, each weight added in
+    edge order, and each super-node's self-loop weight: its members'
+    self-loops in node order, then twice each edge inside it in edge order.
     """
-    ci, cj = np.repeat(new, np.diff(indptr)), new[indices]
-    up, apart = ci < cj, ci != cj
-    cj = cj[up]
-    codes = ci[up]
-    codes *= k
-    codes += cj
-    del cj
-    codes = codes.astype(np.min_scalar_type(k * k))
-    # each entry's bin is its super-node's when internal, else bin k, which
-    # collects the rest; each node's own self-loop weight comes just before
-    # its entries
-    ci[apart] = k
-    del apart
-    target = np.insert(ci, indptr[:-1], new)
-    del ci
-    weight = np.insert(data, indptr[:-1], selfw)
-    new_selfw = np.bincount(target, weights=weight, minlength=k + 1)[:k]
-    del target, weight
-
-    pairs, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    w = np.bincount(inverse, weights=data[up])
-    a, b = np.divmod(pairs.astype(np.intp), k)
-    rows, cols, w = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
-    # by row; within a row higher neighbours by first contribution, then lower
-    # ones by index
-    lower = np.repeat([False, True], len(pairs))
-    order = np.lexsort((np.concatenate([first, a]), lower, rows))
-    indptr = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
-    return indptr, cols[order], w[order], new_selfw
+    a, b = new[src], new[dst]
+    inside = a == b
+    new_selfw = np.bincount(new, weights=selfw, minlength=k)
+    np.add.at(new_selfw, a[inside], 2.0 * weight[inside])  # unbuffered: edge by edge, in order
+    codes = np.minimum(a, b) * k + np.maximum(a, b)
+    del a, b
+    apart = ~inside
+    # a narrow dtype sorts several times faster
+    pairs, pair = np.unique(codes[apart].astype(np.min_scalar_type(k * k)), return_inverse=True)
+    lo, hi = np.divmod(pairs, k)
+    return lo, hi, np.bincount(pair, weights=weight[apart]), new_selfw
 
 
 def louvain(net: CorrelationNetwork, seed: int = 0) -> Partition:
@@ -285,7 +265,7 @@ def louvain(net: CorrelationNetwork, seed: int = 0) -> Partition:
     if not len(net.weight):
         raise InsufficientStructureError("network has no edges")
     two_m = _two_m(net)
-    indptr, indices, data = _csr(net.n, net.src, net.dst, net.weight)
+    src, dst, weight = net.src, net.dst, net.weight
     selfw = np.zeros(net.n)
 
     rng = random.Random(seed)
@@ -298,6 +278,7 @@ def louvain(net: CorrelationNetwork, seed: int = 0) -> Partition:
 
     while True:
         n = len(canon)
+        indptr, indices, data = _csr(n, src, dst, weight)
         row = np.repeat(np.arange(n), np.diff(indptr))
         deg = np.bincount(row, weights=data, minlength=n) + selfw
         del row
@@ -306,10 +287,11 @@ def louvain(net: CorrelationNetwork, seed: int = 0) -> Partition:
         order = sorted(range(n), key=canon.__getitem__)
         rng.shuffle(order)
         comm, improved = _local_moving(indptr, indices, data, deg, order, two_m)
+        del indptr, indices, data
         if not improved:
             break
         labels, new = np.unique(comm, return_inverse=True)
-        indptr, indices, data, selfw = _aggregate(indptr, indices, data, selfw, new, len(labels))
+        src, dst, weight, selfw = _aggregate(src, dst, weight, selfw, new, len(labels))
         node_of = new[node_of]
         new_canon = [None] * len(labels)
         for sup, name in zip(new.tolist(), canon):

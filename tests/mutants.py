@@ -70,9 +70,59 @@ MUTANTS = (
     ),
     Mutant(
         "aggregate drops self-loops", "community.py",
-        "weight = np.insert(data, indptr[:-1], selfw)",
-        "weight = np.insert(data, indptr[:-1], 0.0)",
+        "np.bincount(new, weights=selfw, minlength=k)",
+        "np.zeros(k)",
         (COMMUNITY + "test_same_decisions_as_dict_reference",),
+    ),
+    Mutant(
+        "inside edges counted once", "community.py",
+        "a[inside], 2.0 * weight[inside]",
+        "a[inside], weight[inside]",
+        (COMMUNITY + "test_same_decisions_as_dict_reference",),
+    ),
+    Mutant(
+        "fast reader without the count bound", "ingest.py",
+        " or values.max() > MAX_COUNT or values.min() < -MAX_COUNT",
+        "",
+        (TESTS + "test_ingest.py::test_counts_past_the_bound_name_their_cell",),
+    ),
+    Mutant(
+        "window a day short", "ingest.py",
+        "j = min((end - panel.start).days + 1, panel.days)",
+        "j = min((end - panel.start).days, panel.days)",
+        (TESTS + "test_ingest.py::test_restrict_inclusive_subrange",),
+    ),
+    Mutant(
+        "outputs written into out", "cli.py",
+        """        new = work / "new"
+        new.mkdir()
+        for name, write in files.items():
+            with (new / name).open("w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        if out.exists():
+            out.rename(work / "old")
+        new.rename(out)
+""",
+        """        if out.exists():
+            shutil.rmtree(out)
+        out.mkdir()
+        for name, write in files.items():
+            with (out / name).open("w", encoding="utf-8", newline="") as fh:
+                write(fh)
+""",
+        (TESTS + "test_cli.py::TestPipeline::test_failed_write_leaves_out_as_it_was",),
+    ),
+    Mutant(
+        "even-count median takes the upper value", "analysis.py",
+        "lo = ranked[(len(ranked) - 1) // 2]",
+        "lo = ranked[len(ranked) // 2]",
+        (TESTS + "test_analysis.py::TestMedianCurve::test_even_count_mean_of_central",),
+    ),
+    Mutant(
+        "spline end knots not clamped", "analysis.py",
+        "[np.zeros(degree + 1), np.arange(1, n_spans), np.full(degree + 1, n_spans)]",
+        "[np.arange(-degree, 1), np.arange(1, n_spans), np.arange(n_spans, n_spans + degree + 1)]",
+        (TESTS + "test_analysis.py::TestBSpline::test_endpoints_exact",),
     ),
 )
 

@@ -24,7 +24,7 @@ from epinet.community import Partition, compare_partitions, louvain, write_parti
 from epinet.errors import ComparisonError, InsufficientStructureError
 from epinet.netbuild import build_network
 from epinet.transform import to_exponent_series
-from oracles import PartitionSizeError, adjacency, brute_force_best
+from oracles import PartitionSizeError, adjacency, brute_force_best, certified_optimum
 from test_netbuild import awkward_network
 
 
@@ -136,18 +136,24 @@ def test_modularity_adds_the_community_totals_in_order():
 
 def reference_louvain(net, seed=0):
     """Louvain on adjacency dicts, with the visit order, scores, tie rules,
-    sum orders and final labelling that ``louvain`` keeps on CSR arrays."""
+    sum orders and final labelling that ``louvain`` keeps on CSR arrays.
+
+    Each level is an edge list and its nodes' self-loop weights; a node's
+    dict lists its neighbours in edge order.  A contracted level lists the
+    pairs of super-nodes in ascending order, so every node there lists its
+    neighbours in ascending order."""
     two_m = 2.0 * added_in_order(w for _, _, w in net.edges)
-    nbrs = [dict() for _ in range(net.n)]
-    for a, b, w in net.edges:
-        nbrs[a][b] = nbrs[a].get(b, 0.0) + w
-        nbrs[b][a] = nbrs[b].get(a, 0.0) + w
+    edges = net.edges
     selfw = [0.0] * net.n
     rng = random.Random(seed)
     canon = [key.display for key in net.nodes]
     node_of = list(range(net.n))
     while True:
-        n = len(nbrs)
+        n = len(canon)
+        nbrs = [dict() for _ in range(n)]
+        for a, b, w in edges:
+            nbrs[a][b] = nbrs[a].get(b, 0.0) + w
+            nbrs[b][a] = nbrs[b].get(a, 0.0) + w
         deg = [added_in_order(nb.values()) + s for nb, s in zip(nbrs, selfw)]
         order = sorted(range(n), key=lambda i: canon[i])
         rng.shuffle(order)
@@ -178,26 +184,26 @@ def reference_louvain(net, seed=0):
             break
         remap = {lab: idx for idx, lab in enumerate(sorted(set(comm)))}
         k = len(remap)
-        new_nbrs = [dict() for _ in range(k)]
+        # a super-node's self-loop: its members' self-loops in node order,
+        # then twice each edge inside it in edge order
         new_self = [0.0] * k
         for i in range(n):
-            ci = remap[comm[i]]
-            new_self[ci] += selfw[i]
-            for j, w in nbrs[i].items():
-                cj = remap[comm[j]]
-                if ci == cj:
-                    new_self[ci] += w
-                elif ci < cj:
-                    new_nbrs[ci][cj] = new_nbrs[ci].get(cj, 0.0) + w
-        for a in range(k):
-            for b, w in list(new_nbrs[a].items()):
-                new_nbrs[b][a] = w
+            new_self[remap[comm[i]]] += selfw[i]
+        between = {}
+        for a, b, w in edges:
+            ca, cb = remap[comm[a]], remap[comm[b]]
+            if ca == cb:
+                new_self[ca] += 2.0 * w
+            else:
+                pair = (min(ca, cb), max(ca, cb))
+                between[pair] = between.get(pair, 0.0) + w
         new_canon = [None] * k
         for i, name in enumerate(canon):
             sup = remap[comm[i]]
             if new_canon[sup] is None or name < new_canon[sup]:
                 new_canon[sup] = name
-        nbrs, selfw, canon = new_nbrs, new_self, new_canon
+        edges = [(a, b, w) for (a, b), w in sorted(between.items())]
+        selfw, canon = new_self, new_canon
         node_of = [remap[comm[c]] for c in node_of]
     return reference_ranking(node_of)
 
@@ -214,6 +220,17 @@ def reference_ranking(node_of):
         for node in nodes:
             assignment[node] = label
     return [assignment[node] for node in range(len(node_of))]
+
+
+def tie_by_sum_order():
+    """An 8-node graph on which, at seeds 0 and 1, a tie is settled by the
+    order in which the contracted pair weights are added: summed in edge order
+    over ascending pairs, Louvain ends in [0,0,1,2,1,0,2,0]; summed by row,
+    each row's higher neighbours first, in [0,1,2,0,2,0,0,1], at the same Q
+    0.199129."""
+    return make_net(8, [(0, 1, 0.2), (0, 3, 0.6), (0, 4, 0.3), (0, 5, 0.8), (0, 7, 0.8),
+                        (1, 5, 0.1), (1, 7, 0.9), (2, 4, 0.9), (3, 5, 0.6), (3, 6, 0.8),
+                        (5, 6, 0.4), (5, 7, 0.6), (6, 7, 0.8)])
 
 
 def confirm_pass_cases(indptr, indices, data, order, comm, deg, start):
@@ -366,6 +383,60 @@ class TestBruteForce:
         )
 
 
+class TestCertifiedOptimum:
+    """``certified_optimum``, the integer program, against enumeration, and as
+    the maximum that Louvain's Q never passes."""
+
+    def test_equals_brute_force(self):
+        rng = np.random.default_rng(12)
+        nets = list(small_graph_suite().values())
+        for idx, n in enumerate(list(range(3, 11)) * 2):
+            kind = idx % 3
+            nets.append(random_net(rng, n, low=-0.4 if kind == 0 else 0.0, unit=kind == 1))
+        checked = 0
+        for net in nets:
+            if len(net.weight) == 0 or net.weight.sum() <= 0:
+                continue
+            opt = certified_optimum(net)
+            assert opt.modularity == pytest.approx(brute_force_best(net).modularity, abs=1e-12)
+            assert opt.modularity == pytest.approx(reference_modularity(net, opt.labels), abs=1e-12)
+            checked += 1
+        assert checked >= len(small_graph_suite()) + 12
+
+    def test_louvain_never_exceeds_it(self):
+        rng = np.random.default_rng(14)
+        nets = []
+        for idx in range(24):
+            n = int(rng.integers(14, 21))
+            kind = idx % 4
+            if kind == 0:
+                nets.append(random_net(rng, n, p=0.2))
+            elif kind == 1:
+                nets.append(random_net(rng, n, p=0.2, unit=True))
+            elif kind == 2:
+                net = random_net(rng, n, p=0.2)
+                nets.append(dataclasses.replace(net, weight=np.ceil(10 * net.weight) / 10))
+            else:
+                nets.append(random_net(rng, n, low=-0.4, p=0.25))
+        below = Counter()
+        for net in nets:
+            if len(net.weight) == 0 or net.weight.sum() <= 0:
+                continue
+            opt = certified_optimum(net).modularity
+            for seed in (0, 1, 5):
+                q = louvain(net, seed=seed).modularity
+                # the two Qs add their terms in other orders: equal maxima may
+                # differ in the last bits
+                assert q <= opt + 1e-12, (net.n, seed, q, opt)
+                below[q < opt - 1e-12] += 1
+        assert below[True] and below[False], below
+        # where the contracted sum order changes a decision, both partitions
+        # score 0.199129 of the optimum 0.199129
+        net = tie_by_sum_order()
+        assert round(certified_optimum(net).modularity, 6) == 0.199129
+        assert [round(louvain(net, seed=s).modularity, 6) for s in (0, 1)] == [0.199129] * 2
+
+
 class TestLouvain:
     def test_edgeless_raises(self):
         with pytest.raises(InsufficientStructureError):
@@ -447,11 +518,7 @@ class TestLouvain:
             # candidate (it is the best move here: its total degree is negative)
             make_net(7, [(0, 2, -1.0), (0, 5, 1.0), (0, 6, 0.5), (2, 4, -0.5), (2, 6, 0.5),
                          (3, 4, -0.5), (3, 6, -1.0), (4, 6, 1.0), (5, 6, 0.5)]),
-            # at seed 0, a tie is settled by the order in which aggregated
-            # weights are added
-            make_net(8, [(0, 1, 0.2), (0, 3, 0.6), (0, 4, 0.3), (0, 5, 0.8), (0, 7, 0.8),
-                         (1, 5, 0.1), (1, 7, 0.9), (2, 4, 0.9), (3, 5, 0.6), (3, 6, 0.8),
-                         (5, 6, 0.4), (5, 7, 0.6), (6, 7, 0.8)]),
+            tie_by_sum_order(),
             # at seed 3, a stay that wrote back (total - ki) + ki in a sweep of
             # single visits would round a total and end at Q 0.617347, not 0.619898
             ring([1, 1, 2, 3, 1, 1, 2, 2, 1, 1, 2, 2, 1, 2, 2, 1, 2, 1]),
@@ -636,12 +703,12 @@ class TestLouvain:
         assert community._unmoved(indptr, indices, data, order, comm, tot, deg, 2.0 * n) == 3
         assert sum(scored) <= 128, scored
 
-    def test_louvain_holds_at_most_six_times_its_edge_arrays(self, exponents_300):
+    def test_louvain_holds_at_most_four_times_its_edge_arrays(self, exponents_300):
         net = build_network(exponents_300, rho=0.0)
         edge_bytes = net.src.nbytes + net.dst.nbytes + net.weight.nbytes
         part, peak = traced_peak(louvain, net)
         assert part.num_communities == 3
-        assert peak <= 6 * edge_bytes, peak / edge_bytes
+        assert peak <= 4 * edge_bytes, peak / edge_bytes
 
     def test_int32_endpoints_give_intp_rows_and_the_same_partition(self, planted):
         panel, _ = planted

@@ -133,6 +133,27 @@ def grid_300_text():
 
 
 @pytest.fixture(scope="session")
+def benchmark_input(tmp_path_factory):
+    """``benchmark_input(workload)``: the CSV path and planted groups of a
+    benchmark input at seed 1, written once per session; ``pipeline-999`` and
+    ``grid-999`` are its shapes at 333 regions per group."""
+    inputs, written = perfbench_module("inputs"), {}
+
+    def write(workload):
+        if workload not in written:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setitem(inputs.SHAPES, "pipeline-999", (333, False))
+                patch.setitem(inputs.SHAPES, "grid-999", (333, True))
+                made = inputs.make_inputs(workload, seed=1)
+            path = tmp_path_factory.mktemp("inputs") / f"{workload}.csv"
+            path.write_text(made.wide_csv())
+            written[workload] = path, made.groups
+        return written[workload]
+
+    return write
+
+
+@pytest.fixture(scope="session")
 def grid_300():
     """The cases of the benchmark's ``grid-300`` input at seed 1."""
     return parse_cases_csv(grid_300_text().encode())

@@ -36,6 +36,7 @@ class Mutant:
 
 
 COMMUNITY = TESTS + "test_community.py::TestLouvain::"
+RUN_GRID = TESTS + "test_analysis.py::TestRunGrid"
 
 MUTANTS = (
     Mutant(
@@ -123,6 +124,42 @@ MUTANTS = (
         "[np.zeros(degree + 1), np.arange(1, n_spans), np.full(degree + 1, n_spans)]",
         "[np.arange(-degree, 1), np.arange(1, n_spans), np.arange(n_spans, n_spans + degree + 1)]",
         (TESTS + "test_analysis.py::TestBSpline::test_endpoints_exact",),
+    ),
+    Mutant(
+        "alignment without the Jaccard index", "analysis.py",
+        "pairs.sort(key=lambda p: (-p[0], p[1], p[2]))",
+        "pairs.sort(key=lambda p: (p[1], p[2]))",
+        (TESTS + "test_analysis.py::test_align_and_order_equal_set_and_sort_key_references",),
+    ),
+    Mutant(
+        "grid in increasing alpha", "analysis.py",
+        "product(sorted(ALPHA_VALUES, reverse=True), MEASURES)]",
+        "product(sorted(ALPHA_VALUES), MEASURES)]",
+        (RUN_GRID,),
+    ),
+    Mutant(
+        "clip not in place", "analysis.py",
+        "np.clip(exps.values, -alpha, alpha, out=exps.values)",
+        "np.clip(exps.values, -alpha, alpha)",
+        (RUN_GRID,),
+    ),
+    Mutant(
+        "failed share not rerun", "analysis.py",
+        """            if status != 0:  # a child that exits 0 has sent all of its cells
+                for group in share:
+                    _run_group(exps, group, seed)
+                continue
+""",
+        """            if status != 0:
+                continue
+""",
+        (RUN_GRID + "::test_a_share_whose_child_fails_runs_here",),
+    ),
+    Mutant(
+        "children left to finish", "analysis.py",
+        "os.kill(pid, 9)  # SIGKILL",
+        "pass",
+        (RUN_GRID + "::test_an_exception_here_kills_a_child_still_running",),
     ),
 )
 

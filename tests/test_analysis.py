@@ -3,6 +3,7 @@ import io
 import math
 import os
 import threading
+import time
 import tracemalloc
 import warnings
 from datetime import date, timedelta
@@ -35,6 +36,7 @@ from epinet.analysis import (
     write_smoothed_csv,
     write_trajectory_csv,
 )
+from epinet.cli import RunConfig, load_cases
 from epinet.community import Partition, compare_partitions, louvain
 from epinet.errors import InsufficientDataError, InsufficientStructureError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
@@ -272,20 +274,23 @@ class TestRunGrid:
             assert agreement == 1.0, cell.settings.label()
 
     @pytest.mark.usefixtures("one_process")
-    def test_grid_holds_one_network_at_a_time(self, cases_300):
+    @pytest.mark.parametrize("workload", ["pipeline-300", "grid-999"])
+    def test_grid_holds_one_network_at_a_time(self, benchmark_input, workload):
         """Beside its input, run_grid holds one exponent panel, which it
         clips in place, and one network at a time, and its cells keep nodes
-        and partitions only."""
+        and partitions only.  At 999 regions a network outgrows the panel."""
+        cases = load_cases(RunConfig(input=benchmark_input(workload)[0]))
         tracemalloc.start()
         try:
-            cells = run_grid(cases_300)
+            cells = run_grid(cases)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        panel_bytes = cases_300.values.nbytes
+        panel_bytes = cases.values.nbytes
+        peak_limit, held_limit = {"pipeline-300": (3, 0.25), "grid-999": (8, 0.5)}[workload]
         assert all(c.error is None for c in cells)
-        assert peak <= 3 * panel_bytes, peak / panel_bytes
-        assert held <= 0.25 * panel_bytes, held / panel_bytes
+        assert peak <= peak_limit * panel_bytes, peak / panel_bytes
+        assert held <= held_limit * panel_bytes, held / panel_bytes
 
     def test_cell_error_recorded_not_raised(self):
         cells = run_grid(anti_correlated_pair())
@@ -415,6 +420,25 @@ class TestRunGrid:
         monkeypatch.setattr(analysis, "_run_group", fail_here)
         with pytest.raises(RuntimeError, match="the share run here failed"):
             run_grid(planted[0])
+        assert_no_child_left()
+
+    def test_an_exception_here_kills_a_child_still_running(self, monkeypatch, planted):
+        """The child's share would take 30 s, but run_grid kills the child
+        rather than wait for it, so the exception here comes at once."""
+        parent = os.getpid()
+
+        def fail_here_sleep_there(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("the share run here failed")
+            time.sleep(30)
+            os._exit(0)  # the child's whole share
+
+        monkeypatch.setattr(analysis, "_grid_processes", lambda: 2)
+        monkeypatch.setattr(analysis, "_run_group", fail_here_sleep_there)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="the share run here failed"):
+            run_grid(planted[0])
+        assert time.monotonic() - start < 10
         assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["child_exits_7", "fork_fails"])

@@ -70,11 +70,9 @@ def cases_300_csv(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def grid_300_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "grid_300.csv"
-    path.write_text(grid_300_text(), encoding="utf-8")
-    return path
+@pytest.fixture
+def grid_300_csv(benchmark_input):
+    return benchmark_input("grid-300")[0]
 
 
 def reference_exponents_csv(cases, alpha):
@@ -1050,6 +1048,17 @@ def test_a_grid_share_short_of_memory_again_here_exits_2(fixture_csv, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workload", ["pipeline-300", "grid-300", "pipeline-999", "grid-999"])
+def test_benchmark_outputs_equal_the_numpy_recomputation(benchmark_input, workload, tmp_path):
+    """Each command of the benchmark on its input at 300 and at 999 regions
+    against perfbench/checks.py, which recomputes every output with numpy
+    and compares the partitions with the planted groups."""
+    path, groups = benchmark_input(workload)
+    command, out = workload.split("-")[0], tmp_path / "out"
+    assert main([command, "--input", str(path), "--out", str(out)]) == 0
+    perfbench_module("checks").Expected(path, groups).check(command, out)
+
+
 def children_of(pid):
     """The pids of the children of process ``pid``, read from /proc."""
     try:
@@ -1059,7 +1068,7 @@ def children_of(pid):
         return []
 
 
-def test_a_killed_grid_leaves_no_child_behind(tmp_path, monkeypatch):
+def test_a_killed_grid_leaves_no_child_behind(benchmark_input, tmp_path):
     """The grid pinned to two CPUs forks one child.  Once that child exists,
     the parent is killed.  The child's share of the 999-region grid input
     pickles to about 97 KB, more than a pipe's 64 KiB buffer, but the child
@@ -1070,10 +1079,7 @@ def test_a_killed_grid_leaves_no_child_behind(tmp_path, monkeypatch):
     cpus = sorted(os.sched_getaffinity(0))[:2]
     if len(cpus) < 2:
         pytest.skip("fewer than 2 usable CPUs: the grid forks no child")
-    inputs = perfbench_module("inputs")
-    monkeypatch.setitem(inputs.SHAPES, "grid-999", (333, True))  # 333 regions per group
-    data = tmp_path / "grid_999.csv"
-    data.write_text(inputs.make_inputs("grid-999", seed=1).wide_csv())
+    data = benchmark_input("grid-999")[0]
     src = str(Path(epinet.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
@@ -1102,14 +1108,11 @@ def test_a_killed_grid_leaves_no_child_behind(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="polls a running command's directory")
-def test_sigterm_while_writing_leaves_no_directory(tmp_path, monkeypatch):
+def test_sigterm_while_writing_leaves_no_directory(benchmark_input, tmp_path):
     """SIGTERM sent to pipeline on the 999-region input once it has begun to
     write its files: the command removes its temporary directory, then ends
     by SIGTERM, so the caller sees the signal and no --out."""
-    inputs = perfbench_module("inputs")
-    monkeypatch.setitem(inputs.SHAPES, "pipeline-999", (333, False))  # 333 regions per group
-    data = tmp_path / "pipeline_999.csv"
-    data.write_text(inputs.make_inputs("pipeline-999", seed=1).wide_csv())
+    data = benchmark_input("pipeline-999")[0]
     out = tmp_path / "out"
     src = str(Path(epinet.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -19,7 +19,7 @@ from conftest import (
 )
 from epinet import analysis, community
 from epinet.analysis import REFERENCE
-from epinet.cli import partition_summary
+from epinet.cli import RunConfig, load_cases, partition_summary
 from epinet.community import Partition, compare_partitions, louvain, write_partition_csv
 from epinet.errors import ComparisonError, InsufficientStructureError
 from epinet.netbuild import build_network
@@ -703,8 +703,10 @@ class TestLouvain:
         assert community._unmoved(indptr, indices, data, order, comm, tot, deg, 2.0 * n) == 3
         assert sum(scored) <= 128, scored
 
-    def test_louvain_holds_at_most_four_times_its_edge_arrays(self, exponents_300):
-        net = build_network(exponents_300, rho=0.0)
+    @pytest.mark.parametrize("workload", ["pipeline-300", "pipeline-999"])
+    def test_louvain_holds_at_most_four_times_its_edge_arrays(self, benchmark_input, workload):
+        cases = load_cases(RunConfig(input=benchmark_input(workload)[0]))
+        net = build_network(to_exponent_series(cases), rho=0.0)
         edge_bytes = net.src.nbytes + net.dst.nbytes + net.weight.nbytes
         part, peak = traced_peak(louvain, net)
         assert part.num_communities == 3

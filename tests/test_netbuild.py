@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from epinet.cli import RunConfig, load_cases
 from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import (
@@ -21,6 +22,7 @@ from epinet.netbuild import (
     write_edge_csv,
     write_graphml,
 )
+from epinet.transform import to_exponent_series
 
 
 def exp_panel(rows, start=date(2021, 1, 1)):
@@ -172,6 +174,15 @@ class TestBuildNetwork:
         panel_bytes = exponents_300.values.nbytes
         assert net.n == len(exponents_300)
         assert peak <= 1.5 * panel_bytes, peak / panel_bytes
+
+    @pytest.mark.parametrize("measure", list(SimilarityMeasure))
+    def test_build_holds_at_most_three_panels_at_999_regions(self, benchmark_input, measure):
+        """At 999 regions the n x n similarity matrix outgrows the panel."""
+        exps = to_exponent_series(load_cases(RunConfig(input=benchmark_input("pipeline-999")[0])))
+        net, peak = traced_peak(build_network, exps, 0.0, measure)
+        panel_bytes = exps.values.nbytes
+        assert net.n == len(exps)
+        assert peak <= 3 * panel_bytes, peak / panel_bytes
 
     def test_identical_series_triangle(self):
         exps = exp_panel({n: [1, 2, 3, 1, 5] for n in "ABC"})

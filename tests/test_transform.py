@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import traced_peak
+from epinet.cli import RunConfig, load_cases
 from epinet.errors import InsufficientDataError, ParameterError
 from epinet.ingest import CaseSeries, Panel, RegionKey
 from epinet.transform import WARMUP_DAYS, daily_diffs, moving_average_7, to_exponent_series
@@ -177,12 +178,14 @@ class TestComposition:
         e = to_exponent_series(panel_of(counts), alpha=alpha)
         assert np.all(np.abs(e.values) <= alpha)
 
-    def test_holds_at_most_one_and_a_half_panels(self, cases_300):
+    @pytest.mark.parametrize("workload", ["pipeline-300", "pipeline-999"])
+    def test_holds_at_most_one_and_a_half_panels(self, benchmark_input, workload):
         """The result is the one array of the panel's size: the diffs and
         averages are made a block of rows at a time."""
-        exps, peak = traced_peak(to_exponent_series, cases_300)
-        panel_bytes = cases_300.values.nbytes
-        assert exps.values.shape == (300, 859 - WARMUP_DAYS)
+        cases = load_cases(RunConfig(input=benchmark_input(workload)[0]))
+        exps, peak = traced_peak(to_exponent_series, cases)
+        panel_bytes = cases.values.nbytes
+        assert exps.values.shape == (len(cases), 859 - WARMUP_DAYS)
         assert peak <= 1.5 * panel_bytes, peak / panel_bytes
 
     @pytest.mark.parametrize("regions", [1, 37, 38, 39, 77, 100])

@@ -19,7 +19,8 @@ import numpy as np
 
 def main():
     series, planted_labels = make_planted_cases()
-    cases = Panel.from_series(series)
+    counts = np.array([s.cumulative for s in series], dtype=np.float64)
+    cases = Panel(keys=[s.key for s in series], start=series[0].dates[0], values=counts)
     print(f"generated {len(cases)} synthetic regions in 3 groups")
 
     exps = to_exponent_series(cases)

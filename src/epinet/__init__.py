@@ -7,7 +7,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .ingest import (
-    CaseSeries,
     Panel,
     RegionKey,
     parse_cases_csv,

@@ -62,16 +62,6 @@ class RegionKey:
         return self.display
 
 
-@dataclass
-class CaseSeries:
-    """One region's dated cumulative positive-case counts (daily cadence);
-    ``Panel.from_series`` stacks them."""
-
-    key: RegionKey
-    dates: list[date]
-    cumulative: np.ndarray | list[int]
-
-
 @dataclass(eq=False)
 class Panel:
     """Regions x days table on one date axis starting at ``start``.
@@ -98,23 +88,6 @@ class Panel:
     @property
     def dates(self) -> list[date]:
         return [self.start + timedelta(days=t) for t in range(self.days)]
-
-    @classmethod
-    def from_series(cls, series: list[CaseSeries]) -> Panel:
-        """Stack series that share one list of consecutive ``dates``, with a
-        count for each date; anything else raises ValueError."""
-        if not series:
-            raise ValueError("no series to stack")
-        dates = series[0].dates
-        if dates != [dates[0] + timedelta(days=t) for t in range(len(dates))]:
-            raise ValueError(f"{series[0].key.display}: dates must be consecutive days")
-        for s in series:
-            if s.dates is not dates and s.dates != dates:
-                raise ValueError(f"{s.key.display}: dates differ from {series[0].key.display}'s")
-            if len(s.cumulative) != len(dates):
-                raise ValueError(f"{s.key.display}: needs one count per date")
-        values = np.array([s.cumulative for s in series], dtype=np.float64)
-        return cls(keys=[s.key for s in series], start=dates[0], values=values)
 
 
 def _parse_header_date(text: str, column: int) -> date:

@@ -10,15 +10,25 @@ dominates the correlation network.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
 from .errors import ParameterError
-from .ingest import MAX_COUNT, CaseSeries, RegionKey
+from .ingest import MAX_COUNT, RegionKey
 
 DEFAULT_DAYS = 220
 DEFAULT_START = date(2021, 1, 1)
+
+
+@dataclass
+class CaseSeries:
+    """One planted region's dated cumulative counts (daily cadence)."""
+
+    key: RegionKey
+    dates: list[date]
+    cumulative: list[int]
 
 
 def make_planted_cases(

@@ -2,7 +2,6 @@ import importlib
 import itertools
 import sys
 import tracemalloc
-from datetime import date
 from pathlib import Path
 
 # epinet before numpy: it pins OpenBLAS to one thread before numpy loads, so
@@ -11,10 +10,10 @@ import epinet  # noqa: F401
 import numpy as np
 import pytest
 
-from epinet.ingest import Panel, RegionKey, parse_cases_csv
+from epinet.ingest import RegionKey, parse_cases_csv
 from epinet.netbuild import CorrelationNetwork
-from epinet.synthetic import make_planted_cases
 from epinet.transform import to_exponent_series
+from oracles import planted_panel
 
 
 def make_net(n, edges, rho=0.0):
@@ -97,20 +96,7 @@ def small_graph_suite():
 @pytest.fixture(scope="session")
 def planted():
     """30 synthetic regions in 3 groups of 10 with a planted partition."""
-    cases, labels = make_planted_cases()
-    return Panel.from_series(cases), labels
-
-
-def make_cases_300():
-    """The cases of the benchmark's ``pipeline-300`` input at seed 1: 300
-    regions in 3 groups over 859 days."""
-    cases, _ = make_planted_cases(per_group=100, days=859, seed=1, start=date(2020, 1, 22))
-    return Panel.from_series(cases)
-
-
-@pytest.fixture(scope="session")
-def cases_300():
-    return make_cases_300()
+    return planted_panel()
 
 
 def perfbench_module(name):
@@ -124,39 +110,48 @@ def perfbench_module(name):
         sys.path.remove(perfbench)
 
 
-def grid_300_text():
-    """The benchmark's ``grid-300`` input CSV at seed 1, as
-    ``perfbench/inputs.py`` makes it: 300 regions in 3 groups over 859 days,
-    about half with a reporting artefact that clipping bites on at every
-    alpha of the grid."""
-    return perfbench_module("inputs").make_inputs("grid-300", seed=1).wide_csv()
+def benchmark_csv(workload):
+    """The CSV text and planted groups of a benchmark input at seed 1, as
+    ``perfbench/inputs.py`` makes them; ``pipeline-999`` and ``grid-999`` are
+    its shapes at 333 regions per group."""
+    inputs = perfbench_module("inputs")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(inputs.SHAPES, "pipeline-999", (333, False))
+        patch.setitem(inputs.SHAPES, "grid-999", (333, True))
+        made = inputs.make_inputs(workload, seed=1)
+    return made.wide_csv(), made.groups
 
 
 @pytest.fixture(scope="session")
 def benchmark_input(tmp_path_factory):
-    """``benchmark_input(workload)``: the CSV path and planted groups of a
-    benchmark input at seed 1, written once per session; ``pipeline-999`` and
-    ``grid-999`` are its shapes at 333 regions per group."""
-    inputs, written = perfbench_module("inputs"), {}
+    """``benchmark_input(workload)``: the path of ``benchmark_csv(workload)``'s
+    text, written once per session, and its planted groups."""
+    written = {}
 
     def write(workload):
         if workload not in written:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setitem(inputs.SHAPES, "pipeline-999", (333, False))
-                patch.setitem(inputs.SHAPES, "grid-999", (333, True))
-                made = inputs.make_inputs(workload, seed=1)
+            text, groups = benchmark_csv(workload)
             path = tmp_path_factory.mktemp("inputs") / f"{workload}.csv"
-            path.write_text(made.wide_csv())
-            written[workload] = path, made.groups
+            path.write_text(text)
+            written[workload] = path, groups
         return written[workload]
 
     return write
 
 
 @pytest.fixture(scope="session")
-def grid_300():
-    """The cases of the benchmark's ``grid-300`` input at seed 1."""
-    return parse_cases_csv(grid_300_text().encode())
+def cases_300(benchmark_input):
+    """The cases of the benchmark's ``pipeline-300`` input at seed 1: 300
+    regions in 3 groups over 859 days."""
+    return parse_cases_csv(benchmark_input("pipeline-300")[0].read_bytes())
+
+
+@pytest.fixture(scope="session")
+def grid_300(benchmark_input):
+    """The cases of the benchmark's ``grid-300`` input at seed 1: as
+    ``cases_300``, with a reporting artefact in about half of the regions
+    that clipping bites on at every alpha of the grid."""
+    return parse_cases_csv(benchmark_input("grid-300")[0].read_bytes())
 
 
 @pytest.fixture(scope="session")

@@ -161,6 +161,12 @@ MUTANTS = (
         "pass",
         (RUN_GRID + "::test_an_exception_here_kills_a_child_still_running",),
     ),
+    Mutant(
+        "child keeps its pipe's read end", "analysis.py",
+        "os.close(read_fd)",
+        "pass",
+        (TESTS + "test_cli.py::test_a_killed_grid_leaves_no_child_behind",),
+    ),
 )
 
 

@@ -1,5 +1,5 @@
 """Test oracles: independent or exhaustive versions of what the package does
-fast, and the wide-CSV writer that turns panels into CLI inputs.
+fast, and the builders of the tests' panels and CLI inputs.
 
 - ``brute_force_best``: the exact modularity maximum by enumerating every set
   partition, up to BRUTE_FORCE_MAX_NODES nodes, on the dense ``adjacency``;
@@ -8,7 +8,8 @@ fast, and the wide-CSV writer that turns panels into CLI inputs.
 - ``change_exponents``: the transform's last step over a whole array, which
   ``to_exponent_series`` runs a block of rows at a time;
 - ``run_cell``: one grid cell run alone, which each cell of ``run_grid`` equals;
-- ``to_wide_csv``: a panel as the wide CSV that ``parse_cases_csv`` reads.
+- ``to_wide_csv``: a panel as the wide CSV that ``parse_cases_csv`` reads;
+- ``planted_panel``: ``make_planted_cases``' draw as one panel, with its labels.
 
 Run as a script, it writes the planted fixture (``make_planted_cases()``) as a
 wide CSV to standard output.
@@ -178,8 +179,12 @@ def to_wide_csv(panel: Panel) -> str:
     return buf.getvalue()
 
 
-if __name__ == "__main__":
-    series, _ = make_planted_cases()
+def planted_panel(**kwargs) -> tuple[Panel, dict]:
+    """``make_planted_cases(**kwargs)`` stacked as one panel, with its labels."""
+    series, labels = make_planted_cases(**kwargs)
     counts = np.array([s.cumulative for s in series], dtype=np.float64)
-    panel = Panel(keys=[s.key for s in series], start=series[0].dates[0], values=counts)
-    print(to_wide_csv(panel), end="")
+    return Panel(keys=[s.key for s in series], start=series[0].dates[0], values=counts), labels
+
+
+if __name__ == "__main__":
+    print(to_wide_csv(planted_panel()[0]), end="")

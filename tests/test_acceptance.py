@@ -9,7 +9,7 @@ import math
 import os
 import time
 import warnings
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from epinet.analysis import align_labels, bspline_smooth, order_rows, run_grid
 from epinet.community import Partition, compare_partitions, louvain
 from epinet.errors import ParameterError
 from epinet.ingest import (
-    CaseSeries,
     Panel,
     RegionKey,
     parse_cases_csv,
@@ -50,10 +49,8 @@ def criterion(number, title):
 
 
 def panel_of(counts, name="X"):
-    dates = [date(2021, 1, 1) + timedelta(days=i) for i in range(len(counts))]
-    return Panel.from_series(
-        [CaseSeries(key=RegionKey(country=name), dates=dates, cumulative=list(counts))]
-    )
+    return Panel(keys=[RegionKey(country=name)], start=date(2021, 1, 1),
+                 values=np.array([list(counts)], dtype=float))
 
 
 @criterion(1, "transform correctness")

@@ -39,7 +39,7 @@ from epinet.analysis import (
 from epinet.cli import RunConfig, load_cases
 from epinet.community import Partition, compare_partitions, louvain
 from epinet.errors import InsufficientDataError, InsufficientStructureError, ParameterError
-from epinet.ingest import CaseSeries, Panel, RegionKey
+from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import SimilarityMeasure, fmt9
 import oracles
 from test_netbuild import AWKWARD_KEYS
@@ -474,16 +474,9 @@ class TestRunGrid:
 
 def anti_correlated_pair():
     """Two regions whose exponents are exactly anti-correlated: no edges."""
-    start = date(2021, 1, 1)
-    days = 30
-    up = [int(1000 * 2 ** (0.1 * t)) for t in range(days)]
-    flat = [1000] * days
-    dates = [start + timedelta(days=i) for i in range(days)]
-    cases = [
-        CaseSeries(key=RegionKey(country="A"), dates=dates, cumulative=up),
-        CaseSeries(key=RegionKey(country="B"), dates=dates, cumulative=flat),
-    ]
-    return Panel.from_series(cases)
+    up = [int(1000 * 2 ** (0.1 * t)) for t in range(30)]
+    return Panel(keys=[RegionKey(country="A"), RegionKey(country="B")],
+                 start=date(2021, 1, 1), values=np.array([up, [1000] * 30], dtype=float))
 
 
 # the panel of the hand-built cells: its rows are not in name order

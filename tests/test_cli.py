@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import importlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import sys
 import tempfile
 import time
 import warnings
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from unittest import mock
 
@@ -21,28 +22,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epinet
-from conftest import grid_300_text, make_cases_300, perfbench_module, traced_peak
+from conftest import benchmark_csv, perfbench_module, traced_peak
 from epinet import analysis, ingest, netbuild, transform
 from epinet.cli import OUTPUT_FILES, SETTINGS, RunConfig, build_parser, load_cases, main
 from epinet.errors import InsufficientDataError, ParameterError
-from epinet.ingest import CaseSeries, Panel, RegionKey
+from epinet.ingest import Panel, RegionKey
 from epinet.netbuild import fmt9
-from epinet.synthetic import make_planted_cases
-from oracles import to_wide_csv
+from oracles import planted_panel, to_wide_csv
 
 
 def planted_text():
-    cases, _ = make_planted_cases()
-    return to_wide_csv(Panel.from_series(cases))
+    return to_wide_csv(planted_panel()[0])
 
 
 def awkward_text():
     """The planted fixture with region names that CSV and XML must quote."""
-    cases, _ = make_planted_cases()
+    panel = planted_panel()[0]
     names = ["A&B", "<x>", 'Say "hi"', "Korea, South", "Ελλάδα", "a&amp;b", "100% %s %d"]
     for i, name in enumerate(names):
-        cases[i].key = RegionKey(country=name, province="Réunion" if i % 2 else None)
-    return to_wide_csv(Panel.from_series(cases))
+        panel.keys[i] = RegionKey(country=name, province="Réunion" if i % 2 else None)
+    return to_wide_csv(panel)
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +58,9 @@ def awkward_csv(tmp_path_factory):
     return path
 
 
-def cases_300_text():
-    return to_wide_csv(make_cases_300())
-
-
-@pytest.fixture(scope="module")
-def cases_300_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "cases_300.csv"
-    path.write_text(cases_300_text(), encoding="utf-8")
-    return path
+@pytest.fixture
+def cases_300_csv(benchmark_input):
+    return benchmark_input("pipeline-300")[0]
 
 
 @pytest.fixture
@@ -468,17 +461,11 @@ class TestGrid:
         assert read_bytes_map(out) == first
 
     def test_edgeless_reference_exit_3(self, tmp_path, capsys):
-        start = date(2021, 1, 1)
-        days = 30
-        dates = [start + timedelta(days=i) for i in range(days)]
-        up = [int(1000 * 2 ** (0.1 * t)) + 100_000 for t in range(days)]
-        flat = [100_000] * days
-        cases = [
-            CaseSeries(key=RegionKey(country="A"), dates=dates, cumulative=up),
-            CaseSeries(key=RegionKey(country="B"), dates=dates, cumulative=flat),
-        ]
+        up = [int(1000 * 2 ** (0.1 * t)) + 100_000 for t in range(30)]
+        cases = Panel(keys=[RegionKey(country="A"), RegionKey(country="B")],
+                      start=date(2021, 1, 1), values=np.array([up, [100_000] * 30], dtype=float))
         path = tmp_path / "flat.csv"
-        path.write_text(to_wide_csv(Panel.from_series(cases)))
+        path.write_text(to_wide_csv(cases))
         out = tmp_path / "o"
         rc = main(["grid", "--input", str(path), "--out", str(out)])
         captured = capsys.readouterr()
@@ -493,7 +480,8 @@ class TestGrid:
 # grid's outputs on each fixture, pinned: tests/golden/<fixture>/<file>
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = {"fixture_csv": planted_text, "awkward_csv": awkward_text,
-                 "cases_300_csv": cases_300_text, "grid_300_csv": grid_300_text}
+                 "cases_300_csv": lambda: benchmark_csv("pipeline-300")[0],
+                 "grid_300_csv": lambda: benchmark_csv("grid-300")[0]}
 GOLDEN_FILES = ("membership_matrix.csv", "grid_cells.json")
 
 
@@ -561,7 +549,7 @@ def test_matrix_past_the_size_limit_exits_with_one_error_line(
 def test_medians_are_of_each_communitys_regions_after_an_isolated_one(tmp_path):
     """A flat region leads the panel and has no edge, so network node i is
     panel row i + 1; each median is still that of its community's regions."""
-    planted = Panel.from_series(make_planted_cases()[0])
+    planted = planted_panel()[0]
     flat = np.full((1, planted.days), 200_000.0)
     cases = Panel(keys=[RegionKey(country="Flat"), *planted.keys], start=planted.start,
                   values=np.vstack([flat, planted.values]))
@@ -735,9 +723,7 @@ def test_peaks_follow_the_planted_waves(request, tmp_path, fixture, planted_star
 # --- exit-code contract: exit 0, 2 or 3 for any input; on failure, one JSON
 # line and no output directory
 
-PLANTED_CSV = to_wide_csv(
-    Panel.from_series(make_planted_cases(per_group=4, days=40)[0])
-).encode()
+PLANTED_CSV = to_wide_csv(planted_panel(per_group=4, days=40)[0]).encode()
 MUTATION_BYTES = [b"0", b"7", b"9" * 400, b",", b'"', b"\r", b"\xff", b"\x00"]
 # values each setting accepts, and values most settings reject
 GOOD_VALUES = {
@@ -1057,6 +1043,17 @@ def test_benchmark_outputs_equal_the_numpy_recomputation(benchmark_input, worklo
     command, out = workload.split("-")[0], tmp_path / "out"
     assert main([command, "--input", str(path), "--out", str(out)]) == 0
     perfbench_module("checks").Expected(path, groups).check(command, out)
+
+
+def test_every_function_the_tracer_times_is_in_epinet():
+    """perfbench/trace_cli.py wraps each (module, function) of its LAYER_OF
+    by name, and reports one it cannot find as absent rather than failing, so
+    a rename would drop that span from the benchmark's layer times.  Each,
+    and the root span cli.main, must be a callable of epinet."""
+    names = [*perfbench_module("trace_cli").LAYER_OF, ("cli", "main")]
+    missing = [f"{module}.{function}" for module, function in names
+               if not callable(getattr(importlib.import_module(f"epinet.{module}"), function, None))]
+    assert missing == []
 
 
 def children_of(pid):

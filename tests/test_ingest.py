@@ -19,7 +19,6 @@ from epinet.errors import (
     InsufficientDataError,
 )
 from epinet.ingest import (
-    CaseSeries,
     Panel,
     RegionKey,
     parse_cases_csv,
@@ -29,7 +28,6 @@ from epinet.ingest import (
     write_rows,
 )
 from epinet.netbuild import fmt9
-from epinet.synthetic import make_planted_cases
 from oracles import to_wide_csv
 
 HEADER = "Province/State,Country/Region,Lat,Long,1/22/20,1/23/20,1/24/20"
@@ -63,12 +61,11 @@ def test_no_data_rows_parse_without_a_warning(tail):
     assert panel.values.shape == (0, 3)
 
 
-def test_parse_holds_little_more_than_the_text_and_the_counts():
+def test_parse_holds_little_more_than_the_text_and_the_counts(benchmark_input):
     """Lines are decoded and read one at a time, and the counts are converted
     to float64 in place: a parse of a feed-shaped CSV holds the counts once
     and no copy of the text."""
-    series, _ = make_planted_cases(n_groups=3, per_group=100, days=859, seed=1)
-    data = to_wide_csv(Panel.from_series(series)).encode()
+    data = benchmark_input("pipeline-300")[0].read_bytes()
     tracemalloc.start()
     try:
         panel = parse_cases_csv(data)
@@ -228,30 +225,14 @@ def test_parse_negative_corrections_kept():
     assert parse_cases_csv(csv.encode()).values.tolist() == [[10, 8, 12]]
 
 
-def _mkseries(name, counts, start=date(2022, 5, 1)):
-    dates = [start + timedelta(days=i) for i in range(len(counts))]
-    return CaseSeries(key=RegionKey(country=name), dates=dates, cumulative=counts)
-
-
-def _mkpanel(*series):
-    return Panel.from_series(list(series))
+def _mkpanel(**counts):
+    """One row of counts per region name, from 2022-05-01."""
+    return Panel(keys=[RegionKey(country=name) for name in counts], start=date(2022, 5, 1),
+                 values=np.array(list(counts.values()), dtype=float))
 
 
 def _same(a, b):
     return a.keys == b.keys and a.start == b.start and np.array_equal(a.values, b.values)
-
-
-def test_panel_from_ragged_series():
-    a = _mkseries("A", [1, 2, 3])
-    with pytest.raises(ValueError, match="B: dates differ from A's"):
-        _mkpanel(a, _mkseries("B", [5, 6], start=date(2022, 5, 3)))
-    with pytest.raises(ValueError, match="B: dates differ from A's"):
-        _mkpanel(a, _mkseries("B", [5, 6, 7], start=date(2022, 5, 2)))
-    with pytest.raises(ValueError, match="one count per date"):
-        _mkpanel(a, CaseSeries(key=RegionKey(country="B"), dates=a.dates, cumulative=[5, 6]))
-    panel = _mkpanel(a, _mkseries("B", [5, 6, 7]))
-    assert panel.dates == a.dates
-    assert panel.values.tolist() == [[1, 2, 3], [5, 6, 7]]
 
 
 def test_panel_rejects_nan():
@@ -260,51 +241,42 @@ def test_panel_rejects_nan():
         Panel(keys=[RegionKey("A"), RegionKey("B")], start=date(2022, 5, 1), values=values)
 
 
-def test_panel_rejects_gap_in_dates():
-    s = _mkseries("A", [1, 2, 3])
-    s.dates = [s.dates[0], s.dates[1], s.dates[2] + timedelta(days=1)]
-    with pytest.raises(ValueError, match="consecutive"):
-        _mkpanel(s)
-
-
 def test_select_regions_threshold_boundary():
-    big = _mkseries("Big", [0, 50_000, 100_000])
-    small = _mkseries("Small", [0, 50_000, 99_999])
-    kept = select_regions(_mkpanel(big, small), min_cumulative=100_000)
+    panel = _mkpanel(Big=[0, 50_000, 100_000], Small=[0, 50_000, 99_999])
+    kept = select_regions(panel, min_cumulative=100_000)
     assert [k.display for k in kept.keys] == ["Big"]
     assert kept.values.tolist() == [[0, 50_000, 100_000]]
 
 
 def test_select_regions_zero_threshold_keeps_all():
-    panel = _mkpanel(_mkseries("A", [0, 1, 2]), _mkseries("B", [0, 0, 0]))
+    panel = _mkpanel(A=[0, 1, 2], B=[0, 0, 0])
     assert _same(select_regions(panel, min_cumulative=0), panel)
 
 
 def test_select_regions_reads_the_last_day():
     # a correction can take a region back below the threshold
-    corrected = _mkseries("Corrected", [0, 200_000, 50_000])
-    late = _mkseries("Late", [0, 1, 200_000])
-    kept = select_regions(_mkpanel(corrected, late), min_cumulative=100_000)
+    panel = _mkpanel(Corrected=[0, 200_000, 50_000], Late=[0, 1, 200_000])
+    kept = select_regions(panel, min_cumulative=100_000)
     assert [k.display for k in kept.keys] == ["Late"]
 
 
 def test_select_regions_idempotent():
-    panel = _mkpanel(_mkseries("A", [0, 1, 150_000]), _mkseries("B", [0, 1, 2]))
+    panel = _mkpanel(A=[0, 1, 150_000], B=[0, 1, 2])
     once = select_regions(panel, 100_000)
     twice = select_regions(once, 100_000)
     assert _same(once, twice)
 
 
 def test_restrict_identity():
-    panel = _mkpanel(_mkseries("A", list(range(10))))
+    panel = _mkpanel(A=range(10))
     assert _same(restrict_date_range(panel, panel.start, panel.dates[-1]), panel)
 
 
 def test_restrict_inclusive_subrange():
-    s = _mkseries("A", list(range(10)))
-    sub = restrict_date_range(_mkpanel(s), s.dates[2], s.dates[4])
+    panel = _mkpanel(A=range(10))
+    sub = restrict_date_range(panel, panel.dates[2], panel.dates[4])
     assert sub.values.tolist() == [[2, 3, 4]]
-    assert sub.dates == s.dates[2:5]
+    assert sub.dates == panel.dates[2:5]
 
 
 @pytest.mark.parametrize("start, end, kept", [
@@ -315,21 +287,21 @@ def test_restrict_inclusive_subrange():
     (date(2020, 1, 1), date(2030, 1, 1), list(range(10))),
 ])
 def test_restrict_clamps_the_window_to_the_data(start, end, kept):
-    s = _mkseries("A", list(range(10)))
-    sub = restrict_date_range(_mkpanel(s), start, end)
+    panel = _mkpanel(A=range(10))
+    sub = restrict_date_range(panel, start, end)
     assert sub.values.tolist() == [kept]
-    assert sub.dates == [s.dates[i] for i in kept]
+    assert sub.dates == [panel.dates[i] for i in kept]
 
 
 def test_restrict_start_after_end():
-    s = _mkseries("A", list(range(10)))
+    panel = _mkpanel(A=range(10))
     with pytest.raises(InsufficientDataError, match="2022-05-05..2022-05-03"):
-        restrict_date_range(_mkpanel(s), s.dates[4], s.dates[2])
+        restrict_date_range(panel, panel.dates[4], panel.dates[2])
 
 
 def test_restrict_outside_available_lists_bounds():
     # the data run from 2022-05-01 to 2022-05-05
-    panel = _mkpanel(_mkseries("A", list(range(5))))
+    panel = _mkpanel(A=range(5))
     for start, end in [(date(2022, 4, 1), date(2022, 4, 30)), (date(2022, 5, 6), date(2022, 6, 1))]:
         with pytest.raises(InsufficientDataError) as raised:
             restrict_date_range(panel, start, end)
@@ -350,9 +322,8 @@ def test_shared_date_axis():
 
 
 def test_long_csv_output():
-    s = _mkseries("A", [1, 2])
     buf = io.StringIO()
-    write_long_csv(_mkpanel(s), buf)
+    write_long_csv(_mkpanel(A=[1, 2]), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "region,date,cumulative"
     assert lines[1] == "A,2022-05-01,1"
@@ -371,18 +342,12 @@ def reference_write_long_csv(panel, stream):
 
 def test_long_csv_equals_reference_bytes():
     rng = np.random.default_rng(3)
-    dates = [date(2022, 5, 1) + timedelta(days=t) for t in range(20)]
     names = ["A&B", 'Say "hi"', "Korea, South", "Ελλάδα", "Plain", "100% %s %d"]
-    series = [
-        CaseSeries(
-            key=RegionKey(country=name, province="Réunion" if i % 2 else None),
-            dates=dates,
-            cumulative=rng.integers(-10, 10**12, size=20).tolist(),
-        )
-        for i, name in enumerate(names)
-    ]
-    series[0].cumulative[:2] = [2**53, -(2**53)]  # the bound, held exactly
-    panel = Panel.from_series(series)
+    keys = [RegionKey(country=name, province="Réunion" if i % 2 else None)
+            for i, name in enumerate(names)]
+    values = rng.integers(-10, 10**12, size=(len(names), 20)).astype(float)
+    values[0, :2] = [2**53, -(2**53)]  # the bound, held exactly
+    panel = Panel(keys=keys, start=date(2022, 5, 1), values=values)
     got, expected = io.StringIO(), io.StringIO()
     write_long_csv(panel, got)
     reference_write_long_csv(panel, expected)

@@ -1,5 +1,5 @@
 import math
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -11,18 +11,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import traced_peak
 from epinet.cli import RunConfig, load_cases
 from epinet.errors import InsufficientDataError, ParameterError
-from epinet.ingest import CaseSeries, Panel, RegionKey
+from epinet.ingest import Panel, RegionKey
 from epinet.transform import WARMUP_DAYS, daily_diffs, moving_average_7, to_exponent_series
 from oracles import change_exponents
 
 
-def series_of(counts, name="X", start=date(2021, 1, 1)):
-    dates = [start + timedelta(days=i) for i in range(len(counts))]
-    return CaseSeries(key=RegionKey(country=name), dates=dates, cumulative=list(counts))
-
-
 def panel_of(counts, name="X", start=date(2021, 1, 1)):
-    return Panel.from_series([series_of(counts, name, start)])
+    return Panel(keys=[RegionKey(country=name)], start=start,
+                 values=np.array([list(counts)], dtype=float))
 
 
 def whole_panel_exponents(panel, alpha):
@@ -150,7 +146,7 @@ class TestComposition:
     def test_nine_day_series_yields_one_exponent(self):
         e = to_exponent_series(panel_of(range(9)))
         assert e.values.shape == (1, 1)
-        assert e.dates == [series_of(range(9)).dates[8]]
+        assert e.dates == [panel_of(range(9)).dates[8]]
 
     def test_doubling_series_constant_ln2(self):
         counts = [2**t for t in range(21)]

@@ -84,26 +84,18 @@ def _csr(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
     return indptr, indices, weight[order]
 
 
-# Visits that the first step of ``_unmoved`` scores; each later step doubles,
-# up to _CONFIRM_CELLS cells (visits x communities).
-_FIRST_STEP = 64
-_CONFIRM_CELLS = 1 << 16
-
-
 def _local_moving(indptr, indices, data, deg, order, two_m: float):
     """Phase 1: greedy node moves.  Returns (community of each node, moved?).
 
     A visit takes its node out of its community's total while it scores the
     candidates, the communities of its neighbours and its own; one that stays
-    puts back the total it read, so it changes nothing.  The first sweep
-    visits one node at a time.  Every later sweep first confirms its leading
-    visits that keep their community (``_unmoved``), then visits one node at
-    a time from the first that moves.  With every weight > 0, a visit that
-    ``_settled`` decides scores no further.
+    puts back the total it read, so it changes nothing.  Every sweep visits
+    every node of ``order``, one at a time, and the sweeps end after one in
+    which no node moved.  With every weight > 0, a visit that ``_settled``
+    decides scores no further.
     """
     n = len(deg)
     rows = [(indices[a:b], data[a:b]) for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
-    visits = np.array(order)
     comm = np.arange(n)
     tot = deg.copy()
     degrees = deg.tolist()
@@ -112,10 +104,9 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float):
     positive = len(data) == 0 or bool(data.min() > 0)
     low = float(tot.min())  # at most every entry of tot
     any_move = False
-    start = 0
     while True:
         moved_in_sweep = False
-        for i in order[start:]:
+        for i in order:
             ki = degrees[i]
             cur = comm[i]
             nbr_comm = comm[rows[i][0]]
@@ -124,7 +115,7 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float):
             tot[cur] = own - ki  # take i out while scoring candidates
             best = _settled(w_to, cur, tot, ki, low, two_m) if positive else None
             if best is None:
-                # as _unmoved scores; not w_to / (two_m / 2), inexact when two_m is subnormal
+                # not w_to / (two_m / 2), inexact when two_m is subnormal
                 score = (2.0 * w_to) / two_m - 2.0 * ki * tot / (two_m * two_m)
                 stay = score.item(cur)
                 # a neighbour's community is a candidate, whatever its weights sum to
@@ -140,9 +131,6 @@ def _local_moving(indptr, indices, data, deg, order, two_m: float):
             comm[i] = best
             moved_in_sweep = any_move = True
         if not moved_in_sweep:
-            break
-        start = _unmoved(indptr, indices, data, visits, comm, tot, deg, two_m)
-        if start == n:
             break
     return comm, any_move
 
@@ -173,63 +161,6 @@ def _settled(w_to, cur, tot, ki: float, low: float, two_m: float):
         return c1 if s1 > s_own else cur  # stay on ties
     w_to[c1], w_to[cur] = w1, w_own
     return None
-
-
-def _rows_of(indptr, indices, data, nodes: np.ndarray):
-    """The rows of ``nodes``, one after another: the length of each, and each
-    entry's neighbour and weight."""
-    starts = indptr[nodes]
-    lengths = indptr[nodes + 1] - starts
-    ptr = np.zeros(len(nodes) + 1, dtype=np.intp)
-    np.cumsum(lengths, out=ptr[1:])
-    take = np.repeat(starts - ptr[:-1], lengths)
-    take += np.arange(ptr[-1])
-    return lengths, indices[take], data[take]
-
-
-def _unmoved(indptr, indices, data, order: np.ndarray, comm, tot, deg, two_m: float) -> int:
-    """Number of leading visits of a sweep in ``order`` that keep their
-    community.  Writes nothing: a visit that stays leaves ``comm`` and
-    ``tot`` as they were, so each is scored against ``tot`` as it stands.
-
-    Scores the visits at once on the guess that none moves, in steps of
-    _FIRST_STEP visits that double up to _CONFIRM_CELLS cells, so a visit that
-    moves early is found after few visits are scored.  Each step gathers its
-    own rows.  Only the communities in use can be candidates; they are
-    relabelled 0..k-1 in label order, which keeps the smallest-label tie rule.
-    Scores are computed as ``_local_moving`` does, operation by operation, so
-    a visit keeps its community here exactly when it would there.
-    """
-    labels, lab = np.unique(comm, return_inverse=True)
-    k = len(labels)
-    totals = tot[labels]
-    most = max(1, _CONFIRM_CELLS // k)
-    step = min(_FIRST_STEP, most)
-    p = 0
-    while p < len(order):
-        q = min(p + step, len(order))
-        m = q - p
-        nodes = order[p:q]
-        lengths, nbr, weight = _rows_of(indptr, indices, data, nodes)
-        # each visit's weight to each community, added in row order
-        code = lab[nbr]
-        del nbr
-        code += np.repeat(np.arange(0, m * k, k), lengths)
-        w_to = np.bincount(code, weights=weight, minlength=m * k).reshape(m, k)
-        candidate = np.bincount(code, minlength=m * k).reshape(m, k) != 0
-        del code, weight
-        own, ki = lab[nodes], deg[nodes]
-        at = (np.arange(m), own)
-        seen = np.tile(totals, (m, 1))
-        seen[at] -= ki  # each visit takes its node out of its own community
-        score = (2.0 * w_to) / two_m - 2.0 * ki[:, None] * seen / (two_m * two_m)
-        candidate[at] = True
-        score[~candidate] = -np.inf
-        moves = np.flatnonzero(score.max(axis=1) != score[at])
-        if len(moves):
-            return p + int(moves[0])
-        p, step = q, min(2 * step, most)
-    return len(order)
 
 
 def _aggregate(src, dst, weight, selfw, new: np.ndarray, k: int):

@@ -64,6 +64,12 @@ MUTANTS = (
         (COMMUNITY + "test_same_decisions_as_dict_reference",),
     ),
     Mutant(
+        "one sweep per level", "community.py",
+        "        if not moved_in_sweep:\n            break\n",
+        "        break\n",
+        (COMMUNITY + "test_same_decisions_as_dict_reference",),
+    ),
+    Mutant(
         "edge at the threshold", "netbuild.py",
         "np.triu(sims > rho, 1)",
         "np.triu(sims >= rho, 1)",

@@ -423,14 +423,15 @@ class TestRunGrid:
         assert_no_child_left()
 
     def test_an_exception_here_kills_a_child_still_running(self, monkeypatch, planted):
-        """The child's share would take 30 s, but run_grid kills the child
-        rather than wait for it, so the exception here comes at once."""
+        """The child's share would take 6 s, but run_grid kills the child
+        rather than wait for it, so the exception here comes at once, well
+        within the 5 s bound that a grid waiting out its child would exceed."""
         parent = os.getpid()
 
         def fail_here_sleep_there(*args):
             if os.getpid() == parent:
                 raise RuntimeError("the share run here failed")
-            time.sleep(30)
+            time.sleep(6)
             os._exit(0)  # the child's whole share
 
         monkeypatch.setattr(analysis, "_grid_processes", lambda: 2)
@@ -438,7 +439,7 @@ class TestRunGrid:
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="the share run here failed"):
             run_grid(planted[0])
-        assert time.monotonic() - start < 10
+        assert time.monotonic() - start < 5
         assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["child_exits_7", "fork_fails"])

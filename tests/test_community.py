@@ -233,76 +233,6 @@ def tie_by_sum_order():
                         (5, 6, 0.4), (5, 7, 0.6), (6, 7, 0.8)])
 
 
-def confirm_pass_cases(indptr, indices, data, order, comm, deg, start):
-    """What one confirm pass met, from its arguments and its result ``start``
-    (the visits it scored are those up to the first that moves)."""
-    n = len(order)
-    scored = min(start + 1, n)
-    labels, lab = np.unique(comm, return_inverse=True)
-    k = len(labels)
-    nodes = order[:scored]
-    lengths = np.diff(indptr)[nodes]
-    take = np.concatenate([np.arange(indptr[i], indptr[i + 1]) for i in nodes])
-    code = np.repeat(np.arange(scored), lengths) * k + lab[indices[take]]
-    sums = np.bincount(code, weights=data[take], minlength=scored * k)
-    counts = np.bincount(code, minlength=scored * k)
-    own = np.arange(scored) * k + lab[nodes]
-    rival = np.ones(scored * k, dtype=bool)
-    rival[own] = False
-    first_step = min(community._FIRST_STEP, max(1, community._CONFIRM_CELLS // k))
-    return {
-        "mid_sweep": 0 < start < n,
-        "whole_sweep": start == n,
-        # a super-node has a self-loop, so its degree is positive without edges
-        "isolated_super_node": bool(np.any((lengths == 0) & (deg[nodes] > 0))),
-        "zero_sum_candidate": bool(np.any((counts > 0) & (sums == 0) & rival)),
-        "several_steps": scored > first_step,
-    }
-
-
-# (_CONFIRM_CELLS, _FIRST_STEP), None keeping the module's value: tiny caps
-# give many steps of one size, a small first step steps that double, both
-# steps that double up to the cap
-CONFIRM_STEPS = pytest.mark.parametrize(
-    "cells, first",
-    [(1, None), (2, None), (7, None), (None, None), (None, 1), (None, 3), (7, 1)],
-    ids=["1", "2", "7", "None", "first1", "first3", "7-first1"],
-)
-
-
-def set_confirm_steps(monkeypatch, cells, first):
-    if cells is not None:
-        monkeypatch.setattr(community, "_CONFIRM_CELLS", cells)
-    if first is not None:
-        monkeypatch.setattr(community, "_FIRST_STEP", first)
-
-
-def reference_unmoved(net, deg, order, comm, tot, two_m):
-    """The first visit of ``order`` that leaves its community, visiting one
-    node at a time from ``comm`` and ``tot``."""
-    nbrs = [[] for _ in range(net.n)]
-    for a, b, w in net.edges:
-        nbrs[a].append((b, w))
-        nbrs[b].append((a, w))
-    tot = tot.tolist()
-    for t, i in enumerate(order.tolist()):
-        ki, cur = float(deg[i]), int(comm[i])
-        w_to = {}
-        for j, w in nbrs[i]:
-            w_to[int(comm[j])] = w_to.get(int(comm[j]), 0.0) + w
-        own = tot[cur]
-        tot[cur] = own - ki
-        scores = {
-            c: (2.0 * w_to.get(c, 0.0)) / two_m
-            - 2.0 * ki * tot[c] / (two_m * two_m)
-            for c in set(w_to) | {cur}
-        }
-        if max(scores.values()) > scores[cur]:
-            return t
-        tot[cur] = own  # a stay restores the total it read
-    return len(order)
-
-
 def spy_settled(monkeypatch):
     """Count the visits that ``_settled`` decides and those it leaves to
     scoring every candidate."""
@@ -330,9 +260,9 @@ def scored_choice(w_to, cur, tot, ki, two_m):
     return cur if scores[cur] == top else min(c for c, v in scores.items() if v == top)
 
 
-def confirm_pass_nets():
-    """Graphs on which the confirm pass stops mid-sweep, confirms whole
-    sweeps, meets an isolated super-node and meets a zero-sum candidate."""
+def multilevel_nets():
+    """Graphs whose levels hold an edgeless super-node, neighbour communities
+    whose weights add up to exactly 0, and negative weights."""
     # a ring of 12 triangles merges at level 1, where the lone triangle beside
     # it is a super-node without edges
     ring = []
@@ -519,8 +449,8 @@ class TestLouvain:
             make_net(7, [(0, 2, -1.0), (0, 5, 1.0), (0, 6, 0.5), (2, 4, -0.5), (2, 6, 0.5),
                          (3, 4, -0.5), (3, 6, -1.0), (4, 6, 1.0), (5, 6, 0.5)]),
             tie_by_sum_order(),
-            # at seed 3, a stay that wrote back (total - ki) + ki in a sweep of
-            # single visits would round a total and end at Q 0.617347, not 0.619898
+            # at seed 3, a stay that wrote back (total - ki) + ki would round a
+            # total and end at Q 0.617347, not 0.619898
             ring([1, 1, 2, 3, 1, 1, 2, 2, 1, 1, 2, 2, 1, 2, 2, 1, 2, 1]),
         ]
         for idx in range(18):
@@ -531,7 +461,7 @@ class TestLouvain:
                 nets.append(random_net(rng, n, unit=True))  # exact ties
             else:
                 nets.append(random_net(rng, n, p=0.2))
-        for net in nets:
+        for net in nets + multilevel_nets():
             if len(net.weight) == 0 or net.weight.sum() <= 0:
                 continue
             for seed in SEEDS:
@@ -582,8 +512,8 @@ class TestLouvain:
 
     def test_the_bound_is_at_most_every_other_total(self, monkeypatch):
         """At every visit that ``_settled`` sees, ``low`` is at most every total
-        but the visiting node's own, through moves, stays and confirm passes,
-        and at some visits it equals the least of them."""
+        but the visiting node's own, through moves and stays, and at some
+        visits it equals the least of them."""
         settled = community._settled
         met = Counter()
 
@@ -595,7 +525,7 @@ class TestLouvain:
             return settled(w_to, cur, tot, ki, low, two_m)
 
         monkeypatch.setattr(community, "_settled", checked)
-        for net in list(small_graph_suite().values()) + confirm_pass_nets():
+        for net in list(small_graph_suite().values()) + multilevel_nets():
             if net.weight.min() <= 0:
                 continue
             for seed in SEEDS:
@@ -608,7 +538,7 @@ class TestLouvain:
         """The labels rank the super-nodes that the nodes end in as the dict
         loop does, and Q adds the communities in order of their first node."""
         if graphs == "community":
-            nets = list(small_graph_suite().values()) + confirm_pass_nets()
+            nets = list(small_graph_suite().values()) + multilevel_nets()
         elif graphs == "planted":
             nets = [build_network(to_exponent_series(request.getfixturevalue("planted")[0]),
                                   rho=0.0)]
@@ -630,87 +560,15 @@ class TestLouvain:
                 assert part.labels.tolist() == reference_ranking(node_of[0])
                 assert part.modularity == reference_modularity(net, part.labels)
 
-    @CONFIRM_STEPS
-    def test_confirm_pass_same_decisions_as_dict_reference(self, monkeypatch, cells, first):
-        set_confirm_steps(monkeypatch, cells, first)
-        met = Counter()
-        unmoved = community._unmoved
-
-        def spy(indptr, indices, data, order, comm, tot, deg, two_m):
-            start = unmoved(indptr, indices, data, order, comm, tot, deg, two_m)
-            met.update(confirm_pass_cases(indptr, indices, data, order, comm, deg, start))
-            return start
-
-        monkeypatch.setattr(community, "_unmoved", spy)
-        for net in confirm_pass_nets():
-            for seed in SEEDS:
-                part = louvain(net, seed=seed)
-                assert part.labels.tolist() == reference_louvain(net, seed)
-                assert part.modularity == reference_modularity(net, part.labels)
-        cases = ["mid_sweep", "whole_sweep", "isolated_super_node", "zero_sum_candidate"]
-        if (cells, first) != (None, None):
-            cases.append("several_steps")
-        assert all(met[case] for case in cases), met
-
-    @CONFIRM_STEPS
-    def test_unmoved_matches_visiting_one_at_a_time(self, monkeypatch, cells, first):
-        set_confirm_steps(monkeypatch, cells, first)
-        rng = np.random.default_rng(8)
-        stops = Counter()
-        for net in confirm_pass_nets():
-            indptr, indices, data = community._csr(net.n, net.src, net.dst, net.weight)
-            deg = np.bincount(np.repeat(np.arange(net.n), np.diff(indptr)), weights=data,
-                              minlength=net.n)
-            two_m = 2.0 * added_in_order(net.weight.tolist())
-            order = rng.permutation(net.n)
-            settled, _ = community._local_moving(indptr, indices, data, deg, order.tolist(),
-                                                 two_m)
-            # a local optimum confirms a whole sweep; a node visited late and
-            # put alone stops it mid-sweep; random labels stop it early
-            late = settled.copy()
-            late[order[-2]] = np.setdiff1d(np.arange(net.n), settled)[0]
-            for comm in (settled, late, rng.choice(rng.permutation(net.n)[:4], net.n)):
-                tot = np.bincount(comm, weights=deg, minlength=net.n)
-                given = comm.copy(), tot.copy()
-                start = community._unmoved(indptr, indices, data, order, comm, tot, deg, two_m)
-                assert start == reference_unmoved(net, deg, order, comm, tot, two_m)
-                # bit-identical: a pass that confirms visits writes nothing
-                assert np.array_equal(comm, given[0])
-                assert tot.tobytes() == given[1].tobytes()
-                stops["whole" if start == net.n else "mid" if start > 0 else "first"] += 1
-        assert stops["whole"] and stops["mid"] and stops["first"], stops
-
-    def test_confirm_steps_double_so_an_early_move_scores_few_visits(self, monkeypatch):
-        # a ring of 999 nodes in 3 arcs, one node put alone: its visit, the
-        # fourth of the sweep, moves it back to its arc
-        n = 999
-        net = make_net(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)])
-        indptr, indices, data = community._csr(net.n, net.src, net.dst, net.weight)
-        deg = np.full(n, 2.0)
-        order = np.random.default_rng(0).permutation(n)
-        comm = np.arange(n) // 333
-        comm[order[3]] = 3
-        tot = np.bincount(comm, weights=deg, minlength=n)
-        assert reference_unmoved(net, deg, order, comm, tot, 2.0 * n) == 3
-        scored = []
-        rows_of = community._rows_of
-
-        def spy(indptr, indices, data, nodes):
-            scored.append(len(nodes))
-            return rows_of(indptr, indices, data, nodes)
-
-        monkeypatch.setattr(community, "_rows_of", spy)
-        assert community._unmoved(indptr, indices, data, order, comm, tot, deg, 2.0 * n) == 3
-        assert sum(scored) <= 128, scored
-
     @pytest.mark.parametrize("workload", ["pipeline-300", "pipeline-999"])
     def test_louvain_holds_at_most_four_times_its_edge_arrays(self, benchmark_input, workload):
+        # the name's bound of four stands, held here to 3.25: the peaks read 3.03 and 3.01
         cases = load_cases(RunConfig(input=benchmark_input(workload)[0]))
         net = build_network(to_exponent_series(cases), rho=0.0)
         edge_bytes = net.src.nbytes + net.dst.nbytes + net.weight.nbytes
         part, peak = traced_peak(louvain, net)
         assert part.num_communities == 3
-        assert peak <= 4 * edge_bytes, peak / edge_bytes
+        assert peak <= 3.25 * edge_bytes, peak / edge_bytes
 
     def test_int32_endpoints_give_intp_rows_and_the_same_partition(self, planted):
         panel, _ = planted
